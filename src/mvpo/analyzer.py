@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .codec import decode_walk
-from .core import CandidatePair, MotionVector, Mvd, rate_of
+from .core import CandidatePair, MotionVector, rate_of
 from .stream import PuRecord, SequenceStream
 
 
@@ -75,25 +75,15 @@ def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector)
     Ties count as optimal: a rate-aware encoder may legitimately sit on either
     side of an equal-cost pair.
     """
-    chosen = cands[record.idx]
-    other = cands.other(record.idx)
-    r_chosen = rate_of(Mvd(mv.x - chosen.x, mv.y - chosen.y))
-    r_other = rate_of(Mvd(mv.x - other.x, mv.y - other.y))
-    return r_chosen <= r_other
+    rates = [rate_of(mvd) for mvd in cands.mvds(mv)]
+    return rates[record.idx] <= rates[1 - record.idx]
 
 
 def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
     """Replay a stream and yield both candidate rates for every PU."""
     for record, cands, mv in decode_walk(stream):
-        chosen = cands[record.idx]
-        other = cands.other(record.idx)
-        yield PuCheck(
-            record,
-            cands,
-            mv,
-            chosen_rate=rate_of(Mvd(mv.x - chosen.x, mv.y - chosen.y)),
-            other_rate=rate_of(Mvd(mv.x - other.x, mv.y - other.y)),
-        )
+        rates = [rate_of(mvd) for mvd in cands.mvds(mv)]
+        yield PuCheck(record, cands, mv, chosen_rate=rates[record.idx], other_rate=rates[1 - record.idx])
 
 
 def _verdict(n_pus: int, n_optimal: int) -> Verdict:

@@ -4,7 +4,9 @@ Exit codes: 0 success (including an indeterminate verdict, which warns on
 stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream,
 4 capacity error.  Outputs are written only after a command has fully
 succeeded, and every artifact gets a sidecar or inline record of the
-invocation that produced it, so reruns are auditable.
+invocation that produced it, so reruns are auditable.  Each file is written
+whole through a temp file and a rename, a sidecar just before the file it
+describes and put back if that file's rename fails.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .codec import encode_sequence
 from .core import RdParams, rate_of
 from .errors import CapacityError, InputError, MalformedStreamError
 from .experiment import (
-    METHOD_TAGS,
+    _parse_size,
     parse_plan,
     parse_synth_spec,
     rows_to_csv,
@@ -34,8 +36,9 @@ from .formats import (
     report_to_csv,
     report_to_json,
     save_stream,
+    write_atomic,
 )
-from .stego import EmbedConfig, EmbedMethod, embed
+from .stego import METHOD_TAGS, embed
 from .synth import synthesize
 
 EXIT_OK = 0
@@ -52,22 +55,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_meta(path: str, command: str, args: dict) -> None:
-    meta = {"tool": "mvpo", "version": __version__, "command": command, "args": args}
-    with open(path + ".meta.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _invocation(command: str, args: dict) -> dict:
     return {"tool": "mvpo", "version": __version__, "command": command, "args": args}
 
 
+def _to_json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _load_frames(args):
+    if bool(args.synth) == bool(args.yuv):
+        raise ValueError("encode needs exactly one of --synth or --yuv")
     if args.synth:
         return synthesize(parse_synth_spec(args.synth))
-    if not args.yuv:
-        raise ValueError("encode needs either --synth or --yuv")
     if not args.size:
         raise ValueError("--yuv needs --size WxH")
     w, h = _parse_size(args.size)
@@ -81,21 +81,11 @@ def _load_frames(args):
     return read_yuv(args.yuv, YuvSpec(w, h, frames))
 
 
-def _parse_size(text: str) -> tuple[int, int]:
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError as exc:
-        raise ValueError(f"bad size {text!r}, expected WxH") from exc
-
-
 def cmd_encode(args) -> int:
     frames = _load_frames(args)
     params = RdParams(qp=args.qp, search_range=args.search_range, pu_size=args.pu_size)
     stream, _ = encode_sequence(frames, params)
-    save_stream(stream, args.out)
-    _write_meta(
-        args.out,
+    meta = _invocation(
         "encode",
         {
             "synth": args.synth,
@@ -105,42 +95,27 @@ def cmd_encode(args) -> int:
             "qp": args.qp,
             "pu_size": args.pu_size,
             "search_range": args.search_range,
-            "gop": args.gop,
         },
     )
+    save_stream(stream, args.out, sidecar=(args.out + ".meta.json", _to_json(meta)))
     total_bits = sum(rate_of(r.mvd) for r in stream.records)
     print(f"pus={stream.n_records} total_rate_bits={total_bits} out={args.out}")
     return EXIT_OK
 
 
-def _embed_config(args) -> EmbedConfig:
-    method = METHOD_TAGS[args.method]
-    if method is EmbedMethod.MVD_PARITY:
-        if args.e is None:
-            raise ValueError("--method tar1 needs --e")
-        return EmbedConfig(method, strength_e=args.e, rng_seed=args.seed)
-    if method is EmbedMethod.INDEX_THRESHOLD:
-        if args.T is None:
-            raise ValueError("--method tar2 needs --T")
-        return EmbedConfig(method, threshold_T=args.T, rng_seed=args.seed)
-    if args.bpap is None:
-        raise ValueError("--method tar3 needs --bpap")
-    return EmbedConfig(method, capacity_bpap=args.bpap, rng_seed=args.seed)
-
-
 def cmd_embed(args) -> int:
     stream = load_stream(args.input)
-    cfg = _embed_config(args)
-    stego, report = embed(stream, cfg)
-    save_stream(stego, args.out)
+    tag = METHOD_TAGS[args.method]
+    value = getattr(args, tag.param)
+    if value is None:
+        raise ValueError(f"--method {args.method} needs --{tag.param}")
+    stego, report = embed(stream, tag.config(value, args.seed))
     doc = report.to_dict()
+    params = {t.param: getattr(args, t.param) for t in METHOD_TAGS.values()}
     doc["invocation"] = _invocation(
-        "embed",
-        {"in": args.input, "method": args.method, "e": args.e, "T": args.T, "bpap": args.bpap, "seed": args.seed},
+        "embed", {"in": args.input, "method": args.method, **params, "seed": args.seed}
     )
-    with open(args.out + ".report.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    save_stream(stego, args.out, sidecar=(args.out + ".report.json", _to_json(doc)))
     print(
         f"method={args.method} pus={report.pus_visited} bits={report.bits_embedded} "
         f"modified={report.pus_modified} out={args.out}"
@@ -168,8 +143,7 @@ def cmd_analyze(args) -> int:
             f"optimal_rate_pct={pct_text} verdict={report.verdict.value}"
         )
         if args.out:
-            with open(args.out, "w") as f:
-                f.write(rendered)
+            write_atomic(args.out, rendered)
     return EXIT_OK
 
 
@@ -178,9 +152,8 @@ def cmd_experiment(args) -> int:
         plan = parse_plan(f.read())
     rows, errors = run_experiment(plan, jobs=args.jobs)
     out = args.out or plan.out
-    with open(out, "w") as f:
-        f.write(rows_to_csv(rows))
-    _write_meta(out, "experiment", {"plan": args.plan, "jobs": args.jobs, "seed": plan.seed})
+    meta = _invocation("experiment", {"plan": args.plan, "jobs": args.jobs, "seed": plan.seed})
+    write_atomic(out, rows_to_csv(rows), sidecar=(out + ".meta.json", _to_json(meta)))
     for line in errors:
         print(f"warning: {line}", file=sys.stderr)
     print(f"cells={len(rows)} errors={len(errors)} out={out}")
@@ -200,16 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--qp", type=int, default=25)
     enc.add_argument("--pu-size", type=int, default=16, dest="pu_size")
     enc.add_argument("--search-range", type=int, default=8, dest="search_range")
-    enc.add_argument("--gop", choices=["ippp"], default="ippp")
     enc.add_argument("--out", required=True)
     enc.set_defaults(func=cmd_encode)
 
     emb = sub.add_parser("embed", help="embed a payload into an MVPO stream")
     emb.add_argument("--in", required=True, dest="input")
     emb.add_argument("--method", choices=sorted(METHOD_TAGS), required=True)
-    emb.add_argument("--e", type=float, help="selection probability for tar1")
-    emb.add_argument("--T", type=int, help="candidate-distance threshold for tar2")
-    emb.add_argument("--bpap", type=float, help="bits per PU for tar3")
+    for name, tag in METHOD_TAGS.items():
+        emb.add_argument(f"--{tag.param}", type=tag.convert, help=f"{tag.config_field} for {name}")
     emb.add_argument("--seed", type=int, default=0)
     emb.add_argument("--out", required=True)
     emb.set_defaults(func=cmd_embed)

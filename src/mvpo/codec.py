@@ -95,8 +95,8 @@ def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: i
 
 def seed_candidate(cands: CandidatePair) -> MotionVector:
     """Pick the search window centre: the candidate cheaper to code, ties keep the first."""
-    r0 = se_bits(cands.mvp0.x) + se_bits(cands.mvp0.y)
-    r1 = se_bits(cands.mvp1.x) + se_bits(cands.mvp1.y)
+    # the code length of -v equals that of v, so this rates each candidate itself
+    r0, r1 = map(rate_of, cands.mvds(ZERO_MV))
     return cands.mvp1 if r1 < r0 else cands.mvp0
 
 
@@ -108,10 +108,7 @@ def _clamp_window(center: int, reach: int, lo: int, hi: int) -> tuple[int, int]:
 
 
 def _se_bits_grid(values: np.ndarray) -> np.ndarray:
-    # exact for |code| < 2**53: frexp exponent of n is floor(log2 n) + 1
-    code = np.where(values > 0, 2 * values - 1, -2 * values).astype(np.int64)
-    _, exp = np.frexp((code + 1).astype(np.float64))
-    return (2 * (exp - 1) + 1).astype(np.int64)
+    return np.array([se_bits(v) for v in values.tolist()], dtype=np.int64)
 
 
 def _rate_grid(dxs: np.ndarray, dys: np.ndarray, cand: MotionVector) -> np.ndarray:
@@ -167,11 +164,10 @@ def motion_estimate(
 
 def select_mvp(mv: MotionVector, cands: CandidatePair) -> tuple[int, Mvd]:
     """Signal the candidate whose difference codes in fewer bits; ties keep index 0."""
-    mvd0 = Mvd(mv.x - cands.mvp0.x, mv.y - cands.mvp0.y)
-    mvd1 = Mvd(mv.x - cands.mvp1.x, mv.y - cands.mvp1.y)
-    if rate_of(mvd1) < rate_of(mvd0):
-        return 1, mvd1
-    return 0, mvd0
+    mvds = cands.mvds(mv)
+    rate0, rate1 = map(rate_of, mvds)
+    idx = 1 if rate1 < rate0 else 0
+    return idx, mvds[idx]
 
 
 def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStream, MvField]:

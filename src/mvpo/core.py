@@ -95,6 +95,14 @@ class CandidatePair:
     def identical(self) -> bool:
         return self.mvp0 == self.mvp1
 
+    def mvds(self, mv: MotionVector) -> tuple[Mvd, Mvd]:
+        """The differences that signal `mv` against each candidate; `rate_of` prices them.
+
+        Both are in range by the bounds above, so this never raises.
+        """
+        a, b = self.mvp0, self.mvp1
+        return Mvd(mv.x - a.x, mv.y - a.y), Mvd(mv.x - b.x, mv.y - b.y)
+
 
 def motion_lambda(qp: int) -> float:
     """Default motion search multiplier for a quantizer step (HM-style)."""

@@ -8,6 +8,7 @@ per cell and the run continues.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,19 +19,15 @@ from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
 from .formats import YuvSpec, read_yuv
-from .stego import EmbedConfig, EmbedMethod, embed
+from .stego import METHOD_TAGS, MethodTag, embed
 from .stream import Plane, SequenceStream
 from .synth import SynthPattern, SynthSpec, synthesize
 
-METHOD_TAGS = {
-    "tar1": EmbedMethod.MVD_PARITY,
-    "tar2": EmbedMethod.INDEX_THRESHOLD,
-    "tar3": EmbedMethod.INDEX_ADAPTIVE,
+DEFAULT_GRIDS = {
+    "tar1": (0.1, 0.2, 0.3, 0.4, 0.5),
+    "tar2": (0, 1, 5, 20, 1000),
+    "tar3": (0.1, 0.2, 0.3, 0.4, 0.5),
 }
-
-DEFAULT_E_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
-DEFAULT_T_GRID = (0, 1, 5, 20, 1000)
-DEFAULT_BPAP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -108,13 +105,21 @@ class ExperimentPlan:
     sequences: list[SequenceSource]
     qps: list[int]
     methods: list[str]
-    e_grid: list[float]
-    t_grid: list[int]
-    bpap_grid: list[float]
+    grids: dict[str, list[float | int]]  # method tag -> its parameter's values
     pu_size: int = 16
     search_range: int = 8
     seed: int = 0
     out: str = "results.csv"
+
+
+def _grid_value(key: str, tag: MethodTag, text: str) -> float | int:
+    """Convert one plan grid value and check its range, so a bad one fails before any encode."""
+    try:
+        value = tag.convert(text)
+        tag.config(value)
+    except ValueError as exc:
+        raise InputError(f"plan {key} value {text.strip()!r}: {exc}") from exc
+    return value
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -144,13 +149,15 @@ def parse_plan(text: str) -> ExperimentPlan:
     for m in methods:
         if m != "cover" and m not in METHOD_TAGS:
             raise InputError(f"unknown method {m!r}, expected cover/{'/'.join(METHOD_TAGS)}")
+    grids = {}
+    for name, tag in METHOD_TAGS.items():
+        key = f"{name}_{tag.param.lower()}"
+        grids[name] = _list(key, DEFAULT_GRIDS[name], functools.partial(_grid_value, key, tag))
     return ExperimentPlan(
         sequences=sequences,
         qps=_list("qp", [25], int),
         methods=methods,
-        e_grid=_list("tar1_e", DEFAULT_E_GRID, float),
-        t_grid=_list("tar2_t", DEFAULT_T_GRID, int),
-        bpap_grid=_list("tar3_bpap", DEFAULT_BPAP_GRID, float),
+        grids=grids,
         pu_size=int(fields.get("pu_size", "16")),
         search_range=int(fields.get("search_range", "8")),
         seed=int(fields.get("seed", "0")),
@@ -172,33 +179,23 @@ class CellRow:
 
 def summarize(reports: Iterable[FeatureReport]) -> tuple[float | None, float | None]:
     """The two table statistics over a cell's sequence reports."""
-    pcts = [r.optimal_rate_pct for r in reports if r.optimal_rate_pct is not None]
-    if not pcts:
+    counted = [r for r in reports if r.n_pus]
+    if not counted:
         return None, None
-    at_100 = sum(1 for p in pcts if p == 100.0)
-    return sum(pcts) / len(pcts), 100.0 * at_100 / len(pcts)
+    # exact counts: a float percentage rounds to 100.0 with a violation left
+    at_100 = sum(1 for r in counted if r.n_optimal == r.n_pus)
+    return sum(r.optimal_rate_pct for r in counted) / len(counted), 100.0 * at_100 / len(counted)
 
 
-def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, str]]:
-    grids = {"tar1": ("e", plan.e_grid), "tar2": ("T", plan.t_grid), "tar3": ("bpap", plan.bpap_grid)}
+def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]]:
     cells = []
     for method in plan.methods:
         for qp in plan.qps:
             if method == "cover":
                 cells.append((method, qp, "", ""))
             else:
-                name, grid = grids[method]
-                cells.extend((method, qp, name, str(v)) for v in grid)
+                cells.extend((method, qp, METHOD_TAGS[method].param, v) for v in plan.grids[method])
     return cells
-
-
-def _embed_config(plan: ExperimentPlan, method: str, value: str) -> EmbedConfig:
-    kind = METHOD_TAGS[method]
-    if kind is EmbedMethod.MVD_PARITY:
-        return EmbedConfig(kind, strength_e=float(value), rng_seed=plan.seed)
-    if kind is EmbedMethod.INDEX_THRESHOLD:
-        return EmbedConfig(kind, threshold_T=int(value), rng_seed=plan.seed)
-    return EmbedConfig(kind, capacity_bpap=float(value), rng_seed=plan.seed)
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], list[str]]:
@@ -225,6 +222,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
 
     rows = []
     for method, qp, param, value in _cells(plan):
+        cfg = None if method == "cover" else METHOD_TAGS[method].config(value, plan.seed)
         reports = []
         n_errors = 0
         for si in range(len(plan.sequences)):
@@ -233,13 +231,13 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 n_errors += 1
                 continue
             try:
-                target = cover if method == "cover" else embed(cover, _embed_config(plan, method, value))[0]
+                target = cover if cfg is None else embed(cover, cfg)[0]
                 reports.append(optimal_rate(target))
             except MvpoError as exc:
                 n_errors += 1
                 errors.append(f"{method} {param}={value} qp={qp} {plan.sequences[si].name}: {exc}")
         mean_pct, prop_100 = summarize(reports)
-        rows.append(CellRow(method, qp, param, value, len(reports), n_errors, mean_pct, prop_100))
+        rows.append(CellRow(method, qp, param, str(value), len(reports), n_errors, mean_pct, prop_100))
     rows.sort(key=lambda r: (r.method, r.qp, r.param, _numeric(r.value)))
     return rows, errors
 

@@ -9,6 +9,7 @@ truncation, count mismatches, and out-of-range fields each raise a distinct
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -84,10 +85,47 @@ def read_stream(data: bytes) -> SequenceStream:
     return SequenceStream(header, records)
 
 
-def save_stream(stream: SequenceStream, path: str | os.PathLike) -> None:
-    data = write_stream(stream)
-    with open(path, "wb") as f:
-        f.write(data)
+def write_atomic(
+    path: str | os.PathLike, data: str | bytes, sidecar: tuple[str, str] | None = None
+) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over `path`.
+
+    Readers see the old file or the whole new one, never a partial write, and
+    a failed write leaves `path` as it was and no temp file.  A `sidecar`
+    (path, text) that records how `path` was made is written first and renamed
+    into place just before `path`, so `path` never exists without its record;
+    if `path`'s rename then fails, the old record is put back (or the new one
+    removed), so a record never describes bytes it was not written for.
+    """
+    temps = []
+    try:
+        for target, content in [(os.fspath(path), data)] + ([sidecar] if sidecar else []):
+            temps.append(f"{target}.{os.getpid()}.tmp")
+            with open(temps[-1], "wb" if isinstance(content, bytes) else "w") as f:
+                f.write(content)
+        old_record = None
+        if sidecar:
+            with contextlib.suppress(FileNotFoundError), open(sidecar[0], "rb") as f:
+                old_record = f.read()
+            os.replace(temps[1], sidecar[0])
+        try:
+            os.replace(temps[0], path)
+        except OSError:
+            if old_record is not None:
+                write_atomic(sidecar[0], old_record)
+            elif sidecar:
+                os.remove(sidecar[0])
+            raise
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def save_stream(
+    stream: SequenceStream, path: str | os.PathLike, sidecar: tuple[str, str] | None = None
+) -> None:
+    write_atomic(path, write_stream(stream), sidecar)
 
 
 def load_stream(path: str | os.PathLike) -> SequenceStream:

@@ -17,19 +17,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import logging
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .codec import decode_walk
-from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
+from .core import CandidatePair, Mvd, MVD_MAX, MVD_MIN, rate_of
 from .errors import CapacityError
 from .stream import SequenceStream
-
-log = logging.getLogger(__name__)
 
 
 class EmbedMethod(enum.Enum):
@@ -64,6 +61,26 @@ class EmbedConfig:
             object.__setattr__(self, "payload", bits)
 
 
+@dataclass(frozen=True)
+class MethodTag:
+    """What a short method tag (tar1/tar2/tar3) means: its embedder and its one parameter."""
+
+    method: EmbedMethod
+    param: str  # the CLI flag and the experiment's param column
+    convert: Callable[[str], float | int]
+    config_field: str
+
+    def config(self, value: float | int, rng_seed: int = 0) -> EmbedConfig:
+        return EmbedConfig(self.method, rng_seed=rng_seed, **{self.config_field: value})
+
+
+METHOD_TAGS = {
+    "tar1": MethodTag(EmbedMethod.MVD_PARITY, "e", float, "strength_e"),
+    "tar2": MethodTag(EmbedMethod.INDEX_THRESHOLD, "T", int, "threshold_T"),
+    "tar3": MethodTag(EmbedMethod.INDEX_ADAPTIVE, "bpap", float, "capacity_bpap"),
+}
+
+
 @dataclass
 class EmbedReport:
     """What an embedding run did to a stream."""
@@ -72,7 +89,7 @@ class EmbedReport:
     pus_visited: int = 0
     pus_modified: int = 0
     bits_embedded: int = 0
-    pus_skipped: int = 0
+    pus_skipped: int = 0  # no embedder skips a PU; the key stays so report files keep their shape
     flips_rate_asymmetric: int = 0
     per_frame_modified: dict[int, int] = field(default_factory=dict)
 
@@ -163,17 +180,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     return SequenceStream(stream.header, out), report
 
 
-def _recompute_mvd(mv: MotionVector, mvp: MotionVector) -> Mvd | None:
-    # None when the difference is not representable under narrowed bounds
-    try:
-        return Mvd(mv.x - mvp.x, mv.y - mvp.y)
-    except ValueError:
-        return None
-
-
-def embed_index_threshold(
-    stream: SequenceStream, cfg: EmbedConfig, mv_field_context=None
-) -> tuple[SequenceStream, EmbedReport]:
+def embed_index_threshold(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
     """Write payload bits into the candidate index of close-candidate PUs.
 
     A PU is eligible when its candidate distance is at most `threshold_T`; a
@@ -183,46 +190,34 @@ def embed_index_threshold(
     """
     if cfg.method is not EmbedMethod.INDEX_THRESHOLD:
         raise ValueError(f"config method {cfg.method} does not match embed_index_threshold")
-    del mv_field_context  # index flips never move vectors; the walk rebuilds all context
     payload = PayloadBits(cfg.payload, random.Random(cfg.rng_seed).getrandbits(64))
 
     report = EmbedReport(EmbedMethod.INDEX_THRESHOLD)
     out = []
-    next_bit = 0
     for record, cands, mv in decode_walk(stream):
         report.pus_visited += 1
-        tv = t_value(cands)
         if cfg.threshold_T == 0:
             eligible = cands.identical
         else:
-            eligible = tv <= cfg.threshold_T
+            eligible = t_value(cands) <= cfg.threshold_T
         if not eligible:
             out.append(record)
             continue
-        bit = payload.bit_at(next_bit)
-        new_mvd = _recompute_mvd(mv, cands[bit])
-        if new_mvd is None:
-            log.debug("skip PU %s: flipped difference not representable", record)
-            report.pus_skipped += 1
-            out.append(record)
-            continue
-        next_bit += 1
+        bit = payload.bit_at(report.bits_embedded)
         report.bits_embedded += 1
         if bit == record.idx:
             out.append(record)
             continue
         report._count_modified(record.frame_index)
-        r0 = rate_of(Mvd(mv.x - cands.mvp0.x, mv.y - cands.mvp0.y))
-        r1 = rate_of(Mvd(mv.x - cands.mvp1.x, mv.y - cands.mvp1.y))
-        if r0 != r1:
+        mvds = cands.mvds(mv)
+        rate0, rate1 = map(rate_of, mvds)
+        if rate0 != rate1:
             report.flips_rate_asymmetric += 1
-        out.append(dataclasses.replace(record, idx=bit, mvd=new_mvd))
+        out.append(dataclasses.replace(record, idx=bit, mvd=mvds[bit]))
     return SequenceStream(stream.header, out), report
 
 
-def embed_index_adaptive(
-    stream: SequenceStream, cfg: EmbedConfig, mv_field_context=None
-) -> tuple[SequenceStream, EmbedReport]:
+def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
     """Host `capacity_bpap` bits per PU in the cheapest index flips.
 
     Every PU's flip cost is the gap between its two candidate rates.  The
@@ -232,7 +227,6 @@ def embed_index_adaptive(
     """
     if cfg.method is not EmbedMethod.INDEX_ADAPTIVE:
         raise ValueError(f"config method {cfg.method} does not match embed_index_adaptive")
-    del mv_field_context
     payload = PayloadBits(cfg.payload, random.Random(cfg.rng_seed).getrandbits(64))
 
     walked = list(decode_walk(stream))
@@ -240,24 +234,20 @@ def embed_index_adaptive(
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
     # raw binary fraction of 0.1 would tip the ceiling to 4
     target = math.ceil(Fraction(repr(cfg.capacity_bpap)) * n) if n else 0
-
-    eligible = []
-    for k, (record, cands, mv) in enumerate(walked):
-        flipped = _recompute_mvd(mv, cands.other(record.idx))
-        if flipped is None:
-            continue
-        r0 = rate_of(Mvd(mv.x - cands.mvp0.x, mv.y - cands.mvp0.y))
-        r1 = rate_of(Mvd(mv.x - cands.mvp1.x, mv.y - cands.mvp1.y))
-        eligible.append((abs(r0 - r1), k))
-    if target > len(eligible):
+    # defensive: EmbedConfig keeps capacity_bpap in [0, 1], so no valid config gets here
+    if target > n:
         raise CapacityError(
-            f"requested {target} bits but only {len(eligible)} of {n} PUs can host one",
+            f"requested {target} bits but only {n} PUs can host one",
             requested_bits=target,
-            achievable_bits=len(eligible),
+            achievable_bits=n,
         )
 
-    eligible.sort()
-    chosen = {k: j for j, (_, k) in enumerate(eligible[:target])}
+    gaps = []
+    for _, cands, mv in walked:
+        rate0, rate1 = map(rate_of, cands.mvds(mv))
+        gaps.append(abs(rate0 - rate1))
+    # a stable sort keeps decode order among equal gaps
+    chosen = {k: j for j, k in enumerate(sorted(range(n), key=gaps.__getitem__)[:target])}
 
     report = EmbedReport(EmbedMethod.INDEX_ADAPTIVE, pus_visited=n, bits_embedded=target)
     out = []
@@ -271,11 +261,9 @@ def embed_index_adaptive(
             out.append(record)
             continue
         report._count_modified(record.frame_index)
-        r0 = rate_of(Mvd(mv.x - cands.mvp0.x, mv.y - cands.mvp0.y))
-        r1 = rate_of(Mvd(mv.x - cands.mvp1.x, mv.y - cands.mvp1.y))
-        if r0 != r1:
+        if gaps[k]:
             report.flips_rate_asymmetric += 1
-        out.append(dataclasses.replace(record, idx=bit, mvd=_recompute_mvd(mv, cands[bit])))
+        out.append(dataclasses.replace(record, idx=bit, mvd=cands.mvds(mv)[bit]))
     return SequenceStream(stream.header, out), report
 
 

@@ -1,6 +1,7 @@
 """CLI harness: exit codes, artifacts, determinism, report rendering."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -174,6 +175,64 @@ def test_encode_without_source_is_usage_error(tmp_path, capsys):
     assert "--synth or --yuv" in capsys.readouterr().err
 
 
+
+def test_encode_with_both_sources_is_usage_error(tmp_path, capsys):
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(32 * 32 * 3 // 2 * 2))
+    out = tmp_path / "x.mvpo"
+    code = main(["encode", "--synth", SYNTH, "--yuv", str(clip), "--size", "32x32", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "--synth or --yuv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_size_is_input_error_like_bad_synth_size(tmp_path, capsys):
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(32 * 32 * 3 // 2 * 2))
+    code = main(["encode", "--yuv", str(clip), "--size", "32by32", "--out", str(tmp_path / "a.mvpo")])
+    assert code == EXIT_IO
+    assert "bad size '32by32'" in capsys.readouterr().err
+    synth = "pattern=shift,size=32by32,frames=3"
+    code = main(["encode", "--synth", synth, "--out", str(tmp_path / "b.mvpo")])
+    assert code == EXIT_IO
+    assert "bad size '32by32'" in capsys.readouterr().err
+
+
+def test_failed_stream_write_leaves_no_stream(tmp_path, monkeypatch, capsys):
+    real_replace = os.replace
+
+    def _replace(src, dst):
+        if str(dst).endswith(".mvpo"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", _replace)
+    code = main(["encode", "--synth", SYNTH, "--out", str(tmp_path / "cover.mvpo")])
+    assert code == EXIT_IO
+    assert "disk full" in capsys.readouterr().err
+    # the new sidecar is taken back; neither the stream nor a temp file is left
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_stream_overwrite_keeps_old_sidecar(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "cover.mvpo"
+    assert main(["encode", "--synth", SYNTH, "--qp", "20", "--out", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_replace = os.replace
+
+    def _replace(src, dst):
+        if str(dst).endswith(".mvpo"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", _replace)
+    code = main(["encode", "--synth", SYNTH, "--qp", "30", "--out", str(out)])
+    assert code == EXIT_IO
+    assert "disk full" in capsys.readouterr().err
+    # the old stream still sits next to the record that describes it
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_experiment_runs_plan(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     results = tmp_path / "results.csv"
@@ -202,3 +261,20 @@ def test_experiment_runs_plan(tmp_path, capsys):
 def test_experiment_missing_plan_is_io_error(tmp_path):
     code = main(["experiment", "--plan", str(tmp_path / "absent.txt")])
     assert code == EXIT_IO
+
+
+def test_experiment_bad_grid_value_is_input_error_before_encoding(tmp_path, monkeypatch, capsys):
+    import mvpo.experiment
+
+    def _no_encode(*args):
+        raise AssertionError("encoded before the plan was validated")
+
+    monkeypatch.setattr(mvpo.experiment, "encode_sequence", _no_encode)
+    plan = tmp_path / "plan.txt"
+    results = tmp_path / "results.csv"
+    plan.write_text(f"sequences = {SYNTH}\nmethods = cover,tar1\ntar1_e = 0.1, 1.5\nout = {results}\n")
+    code = main(["experiment", "--plan", str(plan)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "tar1_e" in err and "1.5" in err
+    assert not results.exists()

@@ -26,10 +26,12 @@ from mvpo import (
     write_stream,
     read_stream,
 )
+from mvpo.codec import _rate_grid
+from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import InputError
 from mvpo.stream import Plane, StreamHeader
 
-from mvpo_testutil import encode_synth, me_oracle
+from mvpo_testutil import encode_synth, me_oracle, se_codeword
 
 
 # ---------------------------------------------------------------- candidates
@@ -184,6 +186,16 @@ def test_motion_estimate_matches_oracle_low_contrast(seed):
     params = RdParams(qp=30, search_range=3, pu_size=8)
     case = (cur, ref, 8, 8, ZERO_MV, CandidatePair(ZERO_MV, ZERO_MV), params)
     assert motion_estimate(*case) == me_oracle(*case)
+
+
+def test_rate_grid_matches_scalar_loop():
+    dxs, dys = np.arange(-8, 9), np.arange(-20, -3)
+    for cand in (ZERO_MV, MotionVector(-37, 90), MotionVector(MV_MAX, MV_MIN)):
+        expected = [
+            [len(se_codeword(4 * dx - cand.x)) + len(se_codeword(4 * dy - cand.y)) + 1 for dx in dxs.tolist()]
+            for dy in dys.tolist()
+        ]
+        assert _rate_grid(dxs, dys, cand).tolist() == expected
 
 
 def test_motion_estimate_window_clamps_at_corners():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -152,6 +152,18 @@ def test_candidate_pair_access():
         pair[2]
     with pytest.raises(ValueError):
         pair.other(-1)
+
+
+MV_COMPONENT = st.one_of(st.sampled_from([MV_MIN, MV_MAX]), st.integers(MV_MIN, MV_MAX))
+BOUND_MV = st.tuples(MV_COMPONENT, MV_COMPONENT)
+
+
+@given(BOUND_MV, BOUND_MV, BOUND_MV)
+@example((MV_MAX, MV_MIN), (MV_MIN, MV_MAX), (MV_MAX, MV_MIN))
+def test_candidate_rates_match_codeword_oracle(mv, a, b):
+    mv, a, b = MotionVector(*mv), MotionVector(*a), MotionVector(*b)
+    expected = [len(se_codeword(mv.x - c.x)) + len(se_codeword(mv.y - c.y)) + 1 for c in (a, b)]
+    assert [rate_of(mvd) for mvd in CandidatePair(a, b).mvds(mv)] == expected
 
 
 def test_motion_lambda_reference_point():
