@@ -3,13 +3,22 @@
 One fixed-size PU grid, an IPPP structure where every P-frame predicts from
 the previous reconstructed frame, integer-pel full search over SAD plus a
 weighted motion rate, and a two-entry predictor candidate list rebuilt from
-already-decoded vectors.  Encoder and decoder walk PUs in the same raster
-order, so candidate lists agree on both sides by construction.
+already-decoded vectors.
+
+The decoder walks PUs in raster order.  The encoder walks each P-frame one
+anti-diagonal of PUs at a time (equal bx/ps + by/ps) and searches a whole
+diagonal in one batched `motion_estimate` call.  The order is exact: a PU's
+candidates read only its left and above neighbours, both on the previous
+diagonal, and the co-located vector of the previous frame, and its search
+reads only the previous reconstructed frame.  So each PU sees the candidates,
+window and reference it would see in raster order, the records are written
+out in raster order, and candidate lists agree on both sides by construction.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,66 +109,108 @@ def seed_candidate(cands: CandidatePair) -> MotionVector:
     return cands.mvp1 if r1 < r0 else cands.mvp0
 
 
-def _clamp_window(center: int, reach: int, lo: int, hi: int) -> tuple[int, int]:
-    # lo <= hi always holds for a block inside the frame, so the window is never empty
-    a = min(max(center - reach, lo), hi)
-    b = min(max(center + reach, lo), hi)
-    return a, b
+# samples one search call gathers at most: four 16x16 PUs at search range 8
+_BATCH_SAMPLES = 4 * 17 * 17 * 16 * 16
 
 
-def _se_bits_grid(values: np.ndarray) -> np.ndarray:
-    return np.array([se_bits(v) for v in values.tolist()], dtype=np.int64)
+@functools.cache
+def _se_bits_table(limit: int) -> np.ndarray:
+    """`se_bits(v)` at index `v + limit` for every v in [-limit, limit]; read-only and shared."""
+    table = np.array([se_bits(v) for v in range(-limit, limit + 1)], dtype=np.int16)
+    table.flags.writeable = False
+    return table
 
 
-def _rate_grid(dxs: np.ndarray, dys: np.ndarray, cand: MotionVector) -> np.ndarray:
-    col = _se_bits_grid(4 * dys - cand.y)
-    row = _se_bits_grid(4 * dxs - cand.x)
-    return col[:, None] + row[None, :] + 1
+def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Bits to signal every displacement of a batch against its cheaper candidate.
+
+    `dxs` and `dys` are (n, k) pel displacements, `cands` is (n, 2, 2): the
+    quarter-pel (x, y) of both candidates of each PU.  Returns (n, k_y, k_x).
+    """
+    vx = 4 * dxs[:, None, :] - cands[:, :, 0, None]
+    vy = 4 * dys[:, None, :] - cands[:, :, 1, None]
+    # power-of-two limits keep the number of cached tables logarithmic in the largest value
+    limit = 1 << int(max(np.abs(vx).max(), np.abs(vy).max())).bit_length()
+    table = _se_bits_table(limit)
+    return (table[vy + limit][:, :, :, None] + table[vx + limit][:, :, None, :]).min(axis=1) + 1
 
 
 def motion_estimate(
-    cur_block: np.ndarray,
+    cur: np.ndarray,
     ref: np.ndarray,
-    block_x: int,
-    block_y: int,
-    start: MotionVector,
-    cands: CandidatePair,
+    origins: Sequence[tuple[int, int]],
+    starts: Sequence[MotionVector],
+    cands: Sequence[CandidatePair],
     params: RdParams,
-) -> tuple[MotionVector, int]:
-    """Exhaustive integer-pel search around `start`, scored by SAD plus weighted rate.
+) -> list[tuple[MotionVector, int]]:
+    """Exhaustive integer-pel search for a batch of PUs, scored by SAD plus weighted rate.
 
-    The rate term charges each displacement the cheaper of the two candidate
-    differences.  Cost ties fall back to smaller SAD, then smaller |dy|, then
-    smaller |dx|, then first position in raster scan order.  Returns the
-    winning vector in quarter-pel units together with its SAD.
+    PU i has its top-left corner at `origins[i]` = (x, y) in the current plane
+    `cur` and searches `ref` in a window of +-search_range pels around
+    `starts[i]`, clamped to the frame.  The rate term charges each
+    displacement the cheaper of its two differences against `cands[i]`.  Cost
+    ties fall back to smaller SAD, then smaller |dy|, then smaller |dx|, then
+    first position in raster scan order.  Returns one (vector in quarter-pel
+    units, SAD) per PU; each PU's result is independent of the others in the
+    batch.
     """
-    h, w = ref.shape
+    cur = np.asarray(cur, dtype=np.int16)
+    ref = np.asarray(ref, dtype=np.int16)
     ps = params.pu_size
-    # displacement d maps the current block to the reference block at (pos - d)
-    dx_lo, dx_hi = _clamp_window(start.x // 4, params.search_range, block_x - (w - ps), block_x)
-    dy_lo, dy_hi = _clamp_window(start.y // 4, params.search_range, block_y - (h - ps), block_y)
-    dxs = np.arange(dx_lo, dx_hi + 1)
-    dys = np.arange(dy_lo, dy_hi + 1)
+    span = 2 * params.search_range + 1
+    windows = sliding_window_view(ref, (ps, ps))
+    step = max(1, _BATCH_SAMPLES // (span * span * ps * ps))
+    found: list[tuple[MotionVector, int]] = []
+    for i in range(0, len(origins), step):
+        found += _search(cur, windows, origins[i : i + step], starts[i : i + step], cands[i : i + step], params)
+    return found
 
-    region = ref[block_y - dy_hi : block_y - dy_lo + ps, block_x - dx_hi : block_x - dx_lo + ps]
-    windows = sliding_window_view(region, (ps, ps))
-    sad = np.abs(windows.astype(np.int32) - cur_block.astype(np.int32)).sum(axis=(2, 3))
-    sad = sad[::-1, ::-1]  # reindex to ascending dy, dx
 
-    rate = np.minimum(_rate_grid(dxs, dys, cands.mvp0), _rate_grid(dxs, dys, cands.mvp1))
-    cost = sad + params.lambda_motion * rate
+def _search(
+    cur: np.ndarray,
+    windows: np.ndarray,
+    origins: Sequence[tuple[int, int]],
+    starts: Sequence[MotionVector],
+    cands: Sequence[CandidatePair],
+    params: RdParams,
+) -> list[tuple[MotionVector, int]]:
+    """`motion_estimate` for a batch of at most `_BATCH_SAMPLES` samples; `windows` views `ref`."""
+    ps, reach = params.pu_size, params.search_range
+    span = 2 * reach + 1
+    n = len(origins)
+    o = np.array(origins, dtype=np.int64).reshape(n, 2)
+    s = np.array([(v.x, v.y) for v in starts], dtype=np.int64).reshape(n, 2) // 4
+    c = np.array([((p.mvp0.x, p.mvp0.y), (p.mvp1.x, p.mvp1.y)) for p in cands], dtype=np.int64).reshape(n, 2, 2)
 
-    keep = cost == cost.min()
-    best_sad = sad[keep].min()
-    keep &= sad == best_sad
-    ady = np.broadcast_to(np.abs(dys)[:, None], keep.shape)
-    keep = keep & (ady == ady[keep].min())
-    adx = np.broadcast_to(np.abs(dxs)[None, :], keep.shape)
-    keep = keep & (adx == adx[keep].min())
-    a, b = np.unravel_index(np.flatnonzero(keep.ravel())[0], keep.shape)
+    # displacement d maps the current block to the reference block at (pos - d);
+    # each axis searches [lo, hi] inside the frame, padded to `span` positions
+    low, high = o - (windows.shape[1] - 1, windows.shape[0] - 1), o
+    lo = np.minimum(np.maximum(s - reach, low), high)
+    hi = np.minimum(np.maximum(s + reach, low), high)
+    d = lo[:, :, None] + np.arange(span)  # (n, axis, span), ascending
+    inside = d <= hi[:, :, None]
+    dxs, dys = d[:, 0], d[:, 1]
+    pos = np.maximum(o[:, :, None] - d, 0)  # padding reads a block inside the frame, then costs +inf
 
-    mv = MotionVector(int(dxs[b]) * 4, int(dys[a]) * 4)
-    return mv, int(sad[a, b])
+    blocks = windows[pos[:, 1, :, None], pos[:, 0, None, :]]  # (n, dy, dx, ps, ps)
+    blocks -= np.stack([cur[y : y + ps, x : x + ps] for x, y in origins])[:, None, None]
+    np.abs(blocks, out=blocks)
+    sad = blocks.reshape(n, span, span, ps * ps).sum(axis=-1, dtype=np.int32)
+
+    cost = sad + params.lambda_motion * _rates(dxs, dys, c)
+    cost[~(inside[:, 1, :, None] & inside[:, 0, None, :])] = np.inf
+    keep = cost == cost.min(axis=(1, 2), keepdims=True)
+    # among the cheapest, order by (SAD, |dy|, |dx|) packed in one int64; argmin keeps
+    # the first in raster order.  SAD < 2**31 for 64x64 PUs of 8-bit samples, and
+    # |d| < 2**16 inside the window of any frame whose size fits a stream header.
+    key = (sad.astype(np.int64) << 32) | (np.abs(dys)[:, :, None] << 16) | np.abs(dxs)[:, None, :]
+    best = np.where(keep, key, np.iinfo(np.int64).max).reshape(n, -1).argmin(axis=1)
+    iy, ix = np.divmod(best, span)
+    rows = np.arange(n)
+    return [
+        (MotionVector(4 * x, 4 * y), v)
+        for x, y, v in zip(dxs[rows, ix].tolist(), dys[rows, iy].tolist(), sad[rows, iy, ix].tolist())
+    ]
 
 
 def select_mvp(mv: MotionVector, cands: CandidatePair) -> tuple[int, Mvd]:
@@ -192,20 +243,28 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     header = StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames))
     field = MvField(w, h, ps)
     records: list[PuRecord] = []
-    ref = frames[0].data
+    cols, rows = w // ps, h // ps
+    # anti-diagonal k holds the PUs at grid (col, row) with col + row == k
+    diagonals = [
+        [(col * ps, (k - col) * ps) for col in range(max(0, k - rows + 1), min(k, cols - 1) + 1)]
+        for k in range(cols + rows - 1)
+    ]
+    ref = frames[0].data.astype(np.int16)
     for f in range(1, len(frames)):
-        cur = frames[f].data
+        cur = frames[f].data.astype(np.int16)
         recon = np.empty_like(ref)
-        for by in range(0, h, ps):
-            for bx in range(0, w, ps):
-                cands = derive_candidates(field, f, bx, by)
-                start = seed_candidate(cands)
-                mv, _ = motion_estimate(cur[by : by + ps, bx : bx + ps], ref, bx, by, start, cands, params)
-                idx, mvd = select_mvp(mv, cands)
+        coded: list[PuRecord | None] = [None] * (cols * rows)
+        for diagonal in diagonals:
+            cands = [derive_candidates(field, f, bx, by) for bx, by in diagonal]
+            starts = [seed_candidate(c) for c in cands]
+            found = motion_estimate(cur, ref, diagonal, starts, cands, params)
+            for (bx, by), pair, (mv, _) in zip(diagonal, cands, found):
+                idx, mvd = select_mvp(mv, pair)
                 field.put(f, bx, by, mv)
-                records.append(PuRecord(f, bx, by, idx, mvd))
+                coded[(by // ps) * cols + bx // ps] = PuRecord(f, bx, by, idx, mvd)
                 ry, rx = by - mv.y // 4, bx - mv.x // 4
                 recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
+        records += coded
         ref = recon
     return SequenceStream(header, records), field
 

@@ -1,8 +1,9 @@
 """Shared oracles and stream builders for the test suite.
 
-The two oracles here are deliberately independent of the implementation:
+The oracles here are deliberately independent of the implementation:
 codeword lengths come from literally constructing the prefix code as a
-string, and motion search from a double loop with scalar arithmetic.
+string, motion search from a double loop with scalar arithmetic, and
+encoding from a raster-order walk that searches one PU at a time.
 """
 
 from __future__ import annotations
@@ -13,14 +14,19 @@ from mvpo import (
     CandidatePair,
     MotionVector,
     Mvd,
+    MvField,
+    Plane,
     PuRecord,
     RdParams,
     SequenceStream,
     StreamHeader,
     SynthPattern,
     SynthSpec,
+    derive_candidates,
     encode_sequence,
     se_bits,
+    seed_candidate,
+    select_mvp,
     synthesize,
 )
 from mvpo.stream import GOP_IPPP
@@ -77,6 +83,30 @@ def me_oracle(
                 best_key = key
                 best = (MotionVector(4 * dx, 4 * dy), sad)
     return best
+
+
+def encode_oracle(frames: list[Plane], params: RdParams) -> SequenceStream:
+    """Reference encoder: raster order, one `me_oracle` search per PU, plain uint8 planes."""
+    h, w = frames[0].data.shape
+    ps = params.pu_size
+    field = MvField(w, h, ps)
+    records = []
+    ref = frames[0].data
+    for f in range(1, len(frames)):
+        cur = frames[f].data
+        recon = np.empty_like(ref)
+        for by in range(0, h, ps):
+            for bx in range(0, w, ps):
+                cands = derive_candidates(field, f, bx, by)
+                start = seed_candidate(cands)
+                mv, _ = me_oracle(cur[by : by + ps, bx : bx + ps], ref, bx, by, start, cands, params)
+                idx, mvd = select_mvp(mv, cands)
+                field.put(f, bx, by, mv)
+                records.append(PuRecord(f, bx, by, idx, mvd))
+                ry, rx = by - mv.y // 4, bx - mv.x // 4
+                recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
+        ref = recon
+    return SequenceStream(StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames)), records)
 
 
 SCAFFOLD_LEFT = MotionVector(3, 9)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpo import (
     CandidatePair,
@@ -14,6 +16,8 @@ from mvpo import (
     PuRecord,
     RdParams,
     SequenceStream,
+    SynthPattern,
+    SynthSpec,
     ZERO_MV,
     decode_walk,
     derive_candidates,
@@ -23,15 +27,16 @@ from mvpo import (
     reconstruct_mvs,
     seed_candidate,
     select_mvp,
+    synthesize,
     write_stream,
     read_stream,
 )
-from mvpo.codec import _rate_grid
+from mvpo.codec import _rates
 from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import InputError
 from mvpo.stream import Plane, StreamHeader
 
-from mvpo_testutil import encode_synth, me_oracle, se_codeword
+from mvpo_testutil import encode_oracle, encode_synth, me_oracle, se_codeword
 
 
 # ---------------------------------------------------------------- candidates
@@ -130,6 +135,31 @@ def test_select_mvp_result_is_never_beaten():
 
 # ---------------------------------------------------------------- search oracle
 
+def _search_one(cur, ref, bx, by, start, cands, params):
+    """A one-PU batch, the same call the encoder makes for a whole anti-diagonal."""
+    (found,) = motion_estimate(cur, ref, [(bx, by)], [start], [cands], params)
+    return found
+
+
+def _oracle(cur, ref, bx, by, start, cands, params):
+    ps = params.pu_size
+    return me_oracle(cur[by : by + ps, bx : bx + ps], ref, bx, by, start, cands, params)
+
+
+def _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params):
+    found = motion_estimate(cur, ref, origins, starts, cands, params)
+    assert len(found) == len(origins)
+    for (bx, by), start, pair, got in zip(origins, starts, cands, found):
+        assert got == _oracle(cur, ref, bx, by, start, pair, params), (bx, by, start, pair)
+
+
+def _place(block, shape, bx, by):
+    """A current plane holding `block` at (bx, by); searches read nothing else of it."""
+    cur = np.zeros(shape, dtype=np.uint8)
+    cur[by : by + block.shape[0], bx : bx + block.shape[1]] = block
+    return cur
+
+
 def _random_case(rng, ps, frame, reach):
     h = w = frame
     ref = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
@@ -142,21 +172,21 @@ def _random_case(rng, ps, frame, reach):
         MotionVector(int(rng.integers(-24, 25)), int(rng.integers(-24, 25))),
     )
     params = RdParams(qp=int(rng.integers(10, 40)), search_range=reach, pu_size=ps)
-    return cur[by : by + ps, bx : bx + ps], ref, bx, by, start, cands, params
+    return cur, ref, bx, by, start, cands, params
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_motion_estimate_matches_bruteforce_oracle(seed):
     rng = np.random.default_rng(seed)
     case = _random_case(rng, ps=8, frame=24, reach=3)
-    assert motion_estimate(*case) == me_oracle(*case)
+    assert _search_one(*case) == _oracle(*case)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_motion_estimate_matches_oracle_larger_blocks(seed):
     rng = np.random.default_rng(1000 + seed)
     case = _random_case(rng, ps=16, frame=48, reach=4)
-    assert motion_estimate(*case) == me_oracle(*case)
+    assert _search_one(*case) == _oracle(*case)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -164,7 +194,7 @@ def test_motion_estimate_matches_oracle_on_flat_planes(seed):
     # zero SAD everywhere: every tie-break level is exercised
     rng = np.random.default_rng(2000 + seed)
     ref = np.zeros((24, 24), dtype=np.uint8)
-    cur = np.zeros((8, 8), dtype=np.uint8)
+    cur = np.zeros((24, 24), dtype=np.uint8)
     bx = int(rng.integers(0, 3)) * 8
     by = int(rng.integers(0, 3)) * 8
     start = MotionVector(int(rng.integers(-12, 13)), int(rng.integers(-12, 13)))
@@ -174,7 +204,7 @@ def test_motion_estimate_matches_oracle_on_flat_planes(seed):
     )
     params = RdParams(qp=25, search_range=3, pu_size=8)
     case = (cur, ref, bx, by, start, cands, params)
-    assert motion_estimate(*case) == me_oracle(*case)
+    assert _search_one(*case) == _oracle(*case)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -182,32 +212,42 @@ def test_motion_estimate_matches_oracle_low_contrast(seed):
     # a two-level texture produces frequent SAD ties deeper in the cascade
     rng = np.random.default_rng(3000 + seed)
     ref = (rng.integers(0, 2, size=(24, 24)) * 255).astype(np.uint8)
-    cur = (rng.integers(0, 2, size=(8, 8)) * 255).astype(np.uint8)
+    cur = _place((rng.integers(0, 2, size=(8, 8)) * 255).astype(np.uint8), ref.shape, 8, 8)
     params = RdParams(qp=30, search_range=3, pu_size=8)
     case = (cur, ref, 8, 8, ZERO_MV, CandidatePair(ZERO_MV, ZERO_MV), params)
-    assert motion_estimate(*case) == me_oracle(*case)
+    assert _search_one(*case) == _oracle(*case)
 
 
 def test_rate_grid_matches_scalar_loop():
     dxs, dys = np.arange(-8, 9), np.arange(-20, -3)
+    grids = {}
     for cand in (ZERO_MV, MotionVector(-37, 90), MotionVector(MV_MAX, MV_MIN)):
         expected = [
             [len(se_codeword(4 * dx - cand.x)) + len(se_codeword(4 * dy - cand.y)) + 1 for dx in dxs.tolist()]
             for dy in dys.tolist()
         ]
-        assert _rate_grid(dxs, dys, cand).tolist() == expected
+        # a pair of equal candidates prices each displacement against that candidate
+        pair = np.array([[[cand.x, cand.y]] * 2])
+        assert _rates(dxs[None], dys[None], pair)[0].tolist() == expected
+        grids[cand] = np.array(expected)
+    # a batch of mixed pairs prices each PU against its own cheaper candidate
+    pairs = [(ZERO_MV, MotionVector(-37, 90)), (MotionVector(MV_MAX, MV_MIN), ZERO_MV)]
+    batch = np.array([[[a.x, a.y], [b.x, b.y]] for a, b in pairs])
+    got = _rates(np.stack([dxs, dxs]), np.stack([dys, dys]), batch)
+    for rates, (a, b) in zip(got, pairs):
+        assert rates.tolist() == np.minimum(grids[a], grids[b]).tolist()
 
 
 def test_motion_estimate_window_clamps_at_corners():
     rng = np.random.default_rng(4)
     ref = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
-    cur = ref[0:8, 0:8]
+    cur = ref
     params = RdParams(qp=25, search_range=3, pu_size=8)
     # start far outside the valid displacement range still searches a window
     for start in (MotionVector(400, 400), MotionVector(-400, -400)):
         case = (cur, ref, 0, 0, start, CandidatePair(ZERO_MV, ZERO_MV), params)
-        mv, sad = motion_estimate(*case)
-        assert motion_estimate(*case) == me_oracle(*case)
+        mv, sad = _search_one(*case)
+        assert (mv, sad) == _oracle(*case)
         assert -((24 - 8)) * 4 <= mv.x <= 0 and -((24 - 8)) * 4 <= mv.y <= 0
 
 
@@ -215,13 +255,120 @@ def test_motion_estimate_finds_exact_shift():
     rng = np.random.default_rng(11)
     ref = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
     # current block content sits one pel right and two down in the frame
-    cur_block = ref[8 - 2 : 16 - 2, 8 - 1 : 16 - 1]
+    cur = _place(ref[8 - 2 : 16 - 2, 8 - 1 : 16 - 1], ref.shape, 8, 8)
     params = RdParams(qp=25, search_range=4, pu_size=8)
-    mv, sad = motion_estimate(
-        cur_block, ref, 8, 8, ZERO_MV, CandidatePair(ZERO_MV, ZERO_MV), params
-    )
+    mv, sad = _search_one(cur, ref, 8, 8, ZERO_MV, CandidatePair(ZERO_MV, ZERO_MV), params)
     assert sad == 0
     assert mv == MotionVector(4, 8)
+
+
+# ---------------------------------------------------------------- batched search
+
+def test_batch_clamped_at_all_four_borders_matches_oracle():
+    # 40x32, PU 8, range 4: every PU's window is cut by a different border,
+    # so the windows in one batch have different sizes
+    rng = np.random.default_rng(21)
+    ref = rng.integers(0, 256, size=(32, 40), dtype=np.uint8)
+    cur = rng.integers(0, 256, size=(32, 40), dtype=np.uint8)
+    params = RdParams(qp=22, search_range=4, pu_size=8)
+    origins = [(0, 0), (32, 0), (0, 24), (32, 24), (16, 0), (0, 8), (32, 16), (24, 24), (16, 16)]
+    starts = [
+        MotionVector(-20, -20),   # towards the top-left corner
+        MotionVector(40, -8),     # right edge, window cut on the right and top
+        MotionVector(-4, 48),     # bottom-left
+        MotionVector(64, 64),     # past the bottom-right corner
+        MotionVector(0, -30),     # top edge only
+        MotionVector(-33, 0),     # left edge only
+        MotionVector(17, 3),      # right edge only
+        MotionVector(2, 21),      # bottom edge only
+        MotionVector(-3, 5),      # interior, full window
+    ]
+    cands = [
+        CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
+        for a, b, c, d in rng.integers(-20, 21, size=(len(origins), 4))
+    ]
+    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+
+
+def test_batch_with_differing_starts_matches_oracle():
+    rng = np.random.default_rng(22)
+    ref = rng.integers(0, 256, size=(48, 64), dtype=np.uint8)
+    cur = np.roll(ref, (1, -2), axis=(0, 1))
+    params = RdParams(qp=30, search_range=5, pu_size=16)
+    # one PU per cell of the 4x3 grid, each searched around its own start
+    origins = [(bx, by) for by in range(0, 48, 16) for bx in range(0, 64, 16)]
+    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-60, 61, size=(len(origins), 2))]
+    cands = [
+        CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
+        for a, b, c, d in rng.integers(-40, 41, size=(len(origins), 4))
+    ]
+    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+
+
+def test_batch_on_flat_plane_resolves_ties_at_each_level():
+    # zero SAD everywhere, so the rate alone decides; the pairs are chosen so
+    # the cheapest cost is unique for the first PU and tied for the others,
+    # resolved by |dy|, by |dx| and by raster order respectively
+    flat = np.full((24, 32), 77, dtype=np.uint8)
+    params = RdParams(qp=25, search_range=3, pu_size=8)
+    origins = [(0, 0), (8, 8), (16, 8), (8, 16)]
+    cands = [
+        CandidatePair(ZERO_MV, ZERO_MV),
+        CandidatePair(ZERO_MV, MotionVector(0, 8)),    # dy = 0 and dy = 2 tie
+        CandidatePair(ZERO_MV, MotionVector(8, 0)),    # dx = 0 and dx = 2 tie
+        CandidatePair(MotionVector(4, 0), MotionVector(-4, 0)),  # dx = -1 and dx = 1 tie
+    ]
+    starts = [ZERO_MV] * 4
+    found = motion_estimate(flat, flat, origins, starts, cands, params)
+    assert [mv for mv, _ in found] == [ZERO_MV, ZERO_MV, ZERO_MV, MotionVector(-4, 0)]
+    assert all(sad == 0 for _, sad in found)
+    _assert_batch_matches_oracle(flat, flat, origins, starts, cands, params)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_on_two_level_planes_matches_oracle(seed):
+    # a two-level texture ties SADs often, so some PUs of a batch reach the
+    # |dy| and |dx| levels and others stop at the cost
+    rng = np.random.default_rng(4000 + seed)
+    ref = (rng.integers(0, 2, size=(32, 32)) * 255).astype(np.uint8)
+    cur = (rng.integers(0, 2, size=(32, 32)) * 255).astype(np.uint8)
+    params = RdParams(qp=int(rng.integers(0, 52)), search_range=3, pu_size=8)
+    origins = [(bx, by) for by in range(0, 32, 8) for bx in range(0, 32, 8)]
+    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-16, 17, size=(len(origins), 2))]
+    cands = [
+        CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
+        for a, b, c, d in rng.integers(-8, 9, size=(len(origins), 4))
+    ]
+    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_batch_with_whole_lambda_ties_sad_against_rate(lam):
+    # samples in 0..2 and a round lambda make SAD and rate trade off exactly,
+    # so equal costs with different SADs reach the SAD level of the tie-break
+    rng = np.random.default_rng(24)
+    ref = rng.integers(0, 3, size=(32, 32), dtype=np.uint8)
+    cur = rng.integers(0, 3, size=(32, 32), dtype=np.uint8)
+    params = RdParams(qp=25, lambda_motion=lam, search_range=4, pu_size=8)
+    origins = [(bx, by) for by in range(0, 32, 8) for bx in range(0, 32, 8)]
+    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
+    cands = [
+        CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
+        for a, b, c, d in rng.integers(-12, 13, size=(len(origins), 4))
+    ]
+    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+
+
+def test_batch_larger_than_one_search_call_matches_oracle():
+    # PU 8 at range 8 exceeds one call's sample budget, so the batch is split
+    rng = np.random.default_rng(23)
+    ref = rng.integers(0, 256, size=(40, 48), dtype=np.uint8)
+    cur = np.roll(ref, (-1, 2), axis=(0, 1))
+    params = RdParams(qp=12, search_range=8, pu_size=8)
+    origins = [(bx, by) for by in range(0, 40, 8) for bx in range(0, 48, 8)]
+    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
+    cands = [CandidatePair(s, ZERO_MV) for s in starts]
+    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
 
 
 # ---------------------------------------------------------------- encoding
@@ -246,6 +393,38 @@ def test_encode_global_shift_recovers_motion():
         for bx in (32, 48):
             for by in (0, 16, 32, 48):
                 assert field.get(f, bx, by) == MotionVector(4, 0)
+
+
+@st.composite
+def _sequences(draw):
+    ps = draw(st.sampled_from((8, 16)))
+    w = draw(st.sampled_from(range(16, 65, ps)))
+    h = draw(st.sampled_from([v for v in range(16, 65, ps) if v != w]))
+    n = draw(st.integers(2, 3))
+    pattern = draw(st.sampled_from([p.value for p in SynthPattern] + ["flat"]))
+    seed = draw(st.integers(0, 2**16))
+    if pattern == "flat":
+        levels = draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+        frames = [Plane(np.full((h, w), v, dtype=np.uint8)) for v in levels]
+    else:
+        amp = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        frames = synthesize(SynthSpec(SynthPattern(pattern), w, h, n, seed=seed, amplitude=amp))
+    params = RdParams(
+        qp=draw(st.integers(0, 51)),
+        lambda_motion=draw(st.sampled_from((None, 0.5, 1.0, 2.0))),
+        search_range=draw(st.integers(1, 8)),
+        pu_size=ps,
+    )
+    return frames, params
+
+
+@settings(max_examples=50)
+@given(_sequences())
+def test_encode_matches_raster_order_oracle(case):
+    # the anti-diagonal walk and batched search write the bytes of a
+    # raster-order encoder that searches one PU at a time
+    frames, params = case
+    assert write_stream(encode_sequence(frames, params)[0]) == write_stream(encode_oracle(frames, params))
 
 
 def test_encode_requires_two_frames_and_uniform_geometry():
