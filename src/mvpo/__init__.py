@@ -19,6 +19,7 @@ from .codec import (
     reconstruct_mvs,
     seed_candidate,
     select_mvp,
+    window_table,
 )
 from .core import (
     CandidatePair,

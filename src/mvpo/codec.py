@@ -13,6 +13,10 @@ diagonal, and the co-located vector of the previous frame, and its search
 reads only the previous reconstructed frame.  So each PU sees the candidates,
 window and reference it would see in raster order, the records are written
 out in raster order, and candidate lists agree on both sides by construction.
+
+Once per P-frame the encoder lays the reconstructed reference out as a
+`window_table`, in which every candidate block is one contiguous run of
+samples; the previous frame's table is dropped before the next is built.
 """
 
 from __future__ import annotations
@@ -109,8 +113,22 @@ def seed_candidate(cands: CandidatePair) -> MotionVector:
     return cands.mvp1 if r1 < r0 else cands.mvp0
 
 
-# samples one search call gathers at most: four 16x16 PUs at search range 8
-_BATCH_SAMPLES = 4 * 17 * 17 * 16 * 16
+# bytes of candidate blocks one numpy batch gathers at most: eight 16x16 PUs at
+# search range 8 in uint8 samples (their int16 differences take twice that)
+_BATCH_BYTES = 4 * 17 * 17 * 16 * 16 * 2
+
+
+def window_table(ref: np.ndarray, pu_size: int) -> np.ndarray:
+    """Every `pu_size` x `pu_size` block of the plane `ref`, each one contiguous run of samples.
+
+    Returns a read-only (W - ps + 1, H - ps + 1, ps * ps) view whose entry
+    [x, y] is `ref[y : y + ps, x : x + ps].ravel()`.  Its buffer holds the
+    column band `ref[:, x : x + ps]` for every x, so a block is one copy of
+    ps * ps samples, and the table costs (W - ps + 1) * H * ps samples.
+    """
+    ps = pu_size
+    bands = np.ascontiguousarray(sliding_window_view(ref, ps, axis=1).transpose(1, 0, 2))
+    return sliding_window_view(bands.reshape(len(bands), -1), ps * ps, axis=1)[:, ::ps]
 
 
 @functools.cache
@@ -124,8 +142,9 @@ def _se_bits_table(limit: int) -> np.ndarray:
 def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Bits to signal every displacement of a batch against its cheaper candidate.
 
-    `dxs` and `dys` are (n, k) pel displacements, `cands` is (n, 2, 2): the
-    quarter-pel (x, y) of both candidates of each PU.  Returns (n, k_y, k_x).
+    `dxs` and `dys` are (n, k_x) and (n, k_y) pel displacements, `cands` is
+    (n, 2, 2): the quarter-pel (x, y) of both candidates of each PU.  Returns
+    (n, k_y, k_x).
     """
     vx = 4 * dxs[:, None, :] - cands[:, :, 0, None]
     vy = 4 * dys[:, None, :] - cands[:, :, 1, None]
@@ -137,7 +156,7 @@ def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
 
 def motion_estimate(
     cur: np.ndarray,
-    ref: np.ndarray,
+    table: np.ndarray,
     origins: Sequence[tuple[int, int]],
     starts: Sequence[MotionVector],
     cands: Sequence[CandidatePair],
@@ -146,66 +165,64 @@ def motion_estimate(
     """Exhaustive integer-pel search for a batch of PUs, scored by SAD plus weighted rate.
 
     PU i has its top-left corner at `origins[i]` = (x, y) in the current plane
-    `cur` and searches `ref` in a window of +-search_range pels around
-    `starts[i]`, clamped to the frame.  The rate term charges each
-    displacement the cheaper of its two differences against `cands[i]`.  Cost
-    ties fall back to smaller SAD, then smaller |dy|, then smaller |dx|, then
-    first position in raster scan order.  Returns one (vector in quarter-pel
-    units, SAD) per PU; each PU's result is independent of the others in the
-    batch.
+    `cur` and searches the reference plane, given as its `window_table`
+    `table`, in a window of +-search_range pels around `starts[i]`, clamped
+    to the frame.  The rate term charges each displacement the cheaper of its
+    two differences against `cands[i]`.  Cost ties fall back to smaller SAD,
+    then smaller |dy|, then smaller |dx|, then first position in raster scan
+    order.  Returns one (vector in quarter-pel units, SAD) per PU; each PU's
+    result is independent of the others in the batch.
     """
-    cur = np.asarray(cur, dtype=np.int16)
-    ref = np.asarray(ref, dtype=np.int16)
-    ps = params.pu_size
-    span = 2 * params.search_range + 1
-    windows = sliding_window_view(ref, (ps, ps))
-    step = max(1, _BATCH_SAMPLES // (span * span * ps * ps))
+    # each axis searches at most 2R+1 positions, and never more than the frame has
+    span_x, span_y = (min(2 * params.search_range + 1, k) for k in table.shape[:2])
+    step = max(1, _BATCH_BYTES // (span_x * span_y * table[0, 0].nbytes))
     found: list[tuple[MotionVector, int]] = []
     for i in range(0, len(origins), step):
-        found += _search(cur, windows, origins[i : i + step], starts[i : i + step], cands[i : i + step], params)
+        found += _search(cur, table, origins[i : i + step], starts[i : i + step], cands[i : i + step], params)
     return found
 
 
 def _search(
     cur: np.ndarray,
-    windows: np.ndarray,
+    table: np.ndarray,
     origins: Sequence[tuple[int, int]],
     starts: Sequence[MotionVector],
     cands: Sequence[CandidatePair],
     params: RdParams,
 ) -> list[tuple[MotionVector, int]]:
-    """`motion_estimate` for a batch of at most `_BATCH_SAMPLES` samples; `windows` views `ref`."""
+    """`motion_estimate` for a batch that gathers at most `_BATCH_BYTES` of blocks."""
     ps, reach = params.pu_size, params.search_range
-    span = 2 * reach + 1
     n = len(origins)
     o = np.array(origins, dtype=np.int64).reshape(n, 2)
     s = np.array([(v.x, v.y) for v in starts], dtype=np.int64).reshape(n, 2) // 4
     c = np.array([((p.mvp0.x, p.mvp0.y), (p.mvp1.x, p.mvp1.y)) for p in cands], dtype=np.int64).reshape(n, 2, 2)
 
     # displacement d maps the current block to the reference block at (pos - d);
-    # each axis searches [lo, hi] inside the frame, padded to `span` positions
-    low, high = o - (windows.shape[1] - 1, windows.shape[0] - 1), o
+    # each axis searches [lo, hi] inside the frame, padded to that axis's span
+    extent = np.array(table.shape[:2])
+    low, high = o - extent + 1, o
     lo = np.minimum(np.maximum(s - reach, low), high)
     hi = np.minimum(np.maximum(s + reach, low), high)
-    d = lo[:, :, None] + np.arange(span)  # (n, axis, span), ascending
-    inside = d <= hi[:, :, None]
-    dxs, dys = d[:, 0], d[:, 1]
-    pos = np.maximum(o[:, :, None] - d, 0)  # padding reads a block inside the frame, then costs +inf
+    dxs, dys = (lo[:, k, None] + np.arange(min(2 * reach + 1, extent[k])) for k in (0, 1))  # ascending
+    inside = (dys <= hi[:, 1, None])[:, :, None] & (dxs <= hi[:, 0, None])[:, None, :]
+    # padding reads a block inside the frame, then costs +inf
+    px, py = np.maximum(o[:, 0, None] - dxs, 0), np.maximum(o[:, 1, None] - dys, 0)
 
-    blocks = windows[pos[:, 1, :, None], pos[:, 0, None, :]]  # (n, dy, dx, ps, ps)
-    blocks -= np.stack([cur[y : y + ps, x : x + ps] for x, y in origins])[:, None, None]
-    np.abs(blocks, out=blocks)
-    sad = blocks.reshape(n, span, span, ps * ps).sum(axis=-1, dtype=np.int32)
+    blocks = table[px[:, None, :], py[:, :, None]]  # (n, dy, dx, ps * ps)
+    current = np.stack([cur[y : y + ps, x : x + ps] for x, y in origins]).reshape(n, -1)
+    diff = np.subtract(blocks, current[:, None, None], dtype=np.int16)
+    np.abs(diff, out=diff)
+    sad = diff.sum(axis=-1, dtype=np.int32)
 
     cost = sad + params.lambda_motion * _rates(dxs, dys, c)
-    cost[~(inside[:, 1, :, None] & inside[:, 0, None, :])] = np.inf
+    cost[~inside] = np.inf
     keep = cost == cost.min(axis=(1, 2), keepdims=True)
     # among the cheapest, order by (SAD, |dy|, |dx|) packed in one int64; argmin keeps
     # the first in raster order.  SAD < 2**31 for 64x64 PUs of 8-bit samples, and
     # |d| < 2**16 inside the window of any frame whose size fits a stream header.
     key = (sad.astype(np.int64) << 32) | (np.abs(dys)[:, :, None] << 16) | np.abs(dxs)[:, None, :]
     best = np.where(keep, key, np.iinfo(np.int64).max).reshape(n, -1).argmin(axis=1)
-    iy, ix = np.divmod(best, span)
+    iy, ix = np.divmod(best, dxs.shape[1])
     rows = np.arange(n)
     return [
         (MotionVector(4 * x, 4 * y), v)
@@ -249,15 +266,16 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
         [(col * ps, (k - col) * ps) for col in range(max(0, k - rows + 1), min(k, cols - 1) + 1)]
         for k in range(cols + rows - 1)
     ]
-    ref = frames[0].data.astype(np.int16)
+    ref = frames[0].data
     for f in range(1, len(frames)):
-        cur = frames[f].data.astype(np.int16)
+        cur = frames[f].data
+        table = window_table(ref, ps)
         recon = np.empty_like(ref)
         coded: list[PuRecord | None] = [None] * (cols * rows)
         for diagonal in diagonals:
             cands = [derive_candidates(field, f, bx, by) for bx, by in diagonal]
             starts = [seed_candidate(c) for c in cands]
-            found = motion_estimate(cur, ref, diagonal, starts, cands, params)
+            found = motion_estimate(cur, table, diagonal, starts, cands, params)
             for (bx, by), pair, (mv, _) in zip(diagonal, cands, found):
                 idx, mvd = select_mvp(mv, pair)
                 field.put(f, bx, by, mv)
@@ -266,6 +284,7 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
                 recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
         records += coded
         ref = recon
+        del table  # one table alive per encode: drop it before the next frame builds its own
     return SequenceStream(header, records), field
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -28,10 +28,11 @@ from mvpo import (
     seed_candidate,
     select_mvp,
     synthesize,
+    window_table,
     write_stream,
     read_stream,
 )
-from mvpo.codec import _rates
+from mvpo.codec import _BATCH_BYTES, _rates
 from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import InputError
 from mvpo.stream import Plane, StreamHeader
@@ -137,7 +138,7 @@ def test_select_mvp_result_is_never_beaten():
 
 def _search_one(cur, ref, bx, by, start, cands, params):
     """A one-PU batch, the same call the encoder makes for a whole anti-diagonal."""
-    (found,) = motion_estimate(cur, ref, [(bx, by)], [start], [cands], params)
+    (found,) = motion_estimate(cur, window_table(ref, params.pu_size), [(bx, by)], [start], [cands], params)
     return found
 
 
@@ -147,7 +148,7 @@ def _oracle(cur, ref, bx, by, start, cands, params):
 
 
 def _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params):
-    found = motion_estimate(cur, ref, origins, starts, cands, params)
+    found = motion_estimate(cur, window_table(ref, params.pu_size), origins, starts, cands, params)
     assert len(found) == len(origins)
     for (bx, by), start, pair, got in zip(origins, starts, cands, found):
         assert got == _oracle(cur, ref, bx, by, start, pair, params), (bx, by, start, pair)
@@ -262,6 +263,29 @@ def test_motion_estimate_finds_exact_shift():
     assert mv == MotionVector(4, 8)
 
 
+# ---------------------------------------------------------------- window table
+
+@settings(max_examples=40)
+@given(
+    ps=st.sampled_from((8, 16, 32, 64)),
+    extra_w=st.integers(0, 20),
+    extra_h=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+)
+@example(ps=8, extra_w=0, extra_h=13, seed=1)   # width == ps: one column of windows
+@example(ps=64, extra_w=7, extra_h=0, seed=2)   # height == ps: one row of windows
+@example(ps=32, extra_w=0, extra_h=0, seed=3)   # a single window
+def test_window_table_holds_every_block_as_one_contiguous_run(ps, extra_w, extra_h, seed):
+    w, h = ps + extra_w, ps + extra_h
+    ref = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+    table = window_table(ref, ps)
+    assert table.shape == (w - ps + 1, h - ps + 1, ps * ps)
+    assert table.dtype == np.uint8 and table.strides[-1] == 1 and not table.flags.writeable
+    for x in range(w - ps + 1):
+        for y in range(h - ps + 1):
+            assert np.array_equal(table[x, y], ref[y : y + ps, x : x + ps].ravel()), (x, y)
+
+
 # ---------------------------------------------------------------- batched search
 
 def test_batch_clamped_at_all_four_borders_matches_oracle():
@@ -319,7 +343,7 @@ def test_batch_on_flat_plane_resolves_ties_at_each_level():
         CandidatePair(MotionVector(4, 0), MotionVector(-4, 0)),  # dx = -1 and dx = 1 tie
     ]
     starts = [ZERO_MV] * 4
-    found = motion_estimate(flat, flat, origins, starts, cands, params)
+    found = motion_estimate(flat, window_table(flat, params.pu_size), origins, starts, cands, params)
     assert [mv for mv, _ in found] == [ZERO_MV, ZERO_MV, ZERO_MV, MotionVector(-4, 0)]
     assert all(sad == 0 for _, sad in found)
     _assert_batch_matches_oracle(flat, flat, origins, starts, cands, params)
@@ -360,12 +384,13 @@ def test_batch_with_whole_lambda_ties_sad_against_rate(lam):
 
 
 def test_batch_larger_than_one_search_call_matches_oracle():
-    # PU 8 at range 8 exceeds one call's sample budget, so the batch is split
+    # 42 PUs of 8x8 at range 8 exceed one numpy batch's byte budget, so the batch is split
     rng = np.random.default_rng(23)
-    ref = rng.integers(0, 256, size=(40, 48), dtype=np.uint8)
+    ref = rng.integers(0, 256, size=(56, 48), dtype=np.uint8)
     cur = np.roll(ref, (-1, 2), axis=(0, 1))
     params = RdParams(qp=12, search_range=8, pu_size=8)
-    origins = [(bx, by) for by in range(0, 40, 8) for bx in range(0, 48, 8)]
+    origins = [(bx, by) for by in range(0, 56, 8) for bx in range(0, 48, 8)]
+    assert len(origins) * 17 * 17 * 8 * 8 > _BATCH_BYTES
     starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
     cands = [CandidatePair(s, ZERO_MV) for s in starts]
     _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
@@ -395,11 +420,24 @@ def test_encode_global_shift_recovers_motion():
                 assert field.get(f, bx, by) == MotionVector(4, 0)
 
 
+def _oracle_positions(w, h, ps, reach):
+    """Positions `me_oracle` scores for one frame: PUs times the clamped window of each axis."""
+    return (w // ps) * (h // ps) * min(2 * reach + 1, w - ps + 1) * min(2 * reach + 1, h - ps + 1)
+
+
 @st.composite
 def _sequences(draw):
-    ps = draw(st.sampled_from((8, 16)))
-    w = draw(st.sampled_from(range(16, 65, ps)))
-    h = draw(st.sampled_from([v for v in range(16, 65, ps) if v != w]))
+    ps = draw(st.sampled_from((8, 16, 32, 64)))
+    # a range of at most 8 pels, or one wider than every frame drawn here
+    reach = draw(st.integers(1, 8) | st.integers(128, 1000))
+    # non-square frames of at most 128 pels a side, no more work for the oracle
+    # than the largest frame of PU 8 at range 8 that this property drew before
+    w, h = draw(st.sampled_from([
+        (w, h)
+        for w in range(ps, 129, ps)
+        for h in range(ps, 129, ps)
+        if w != h and _oracle_positions(w, h, ps, reach) <= _oracle_positions(64, 56, 8, 8)
+    ]))
     n = draw(st.integers(2, 3))
     pattern = draw(st.sampled_from([p.value for p in SynthPattern] + ["flat"]))
     seed = draw(st.integers(0, 2**16))
@@ -412,18 +450,36 @@ def _sequences(draw):
     params = RdParams(
         qp=draw(st.integers(0, 51)),
         lambda_motion=draw(st.sampled_from((None, 0.5, 1.0, 2.0))),
-        search_range=draw(st.integers(1, 8)),
+        search_range=reach,
         pu_size=ps,
     )
     return frames, params
 
 
+def _synth_case(pattern, ps, w, h, reach):
+    frames = synthesize(SynthSpec(SynthPattern(pattern), w, h, 3, seed=9, amplitude=(2, -1)))
+    return frames, RdParams(qp=25, search_range=reach, pu_size=ps)
+
+
 @settings(max_examples=50)
 @given(_sequences())
+# the largest PUs, each at a range inside and one far beyond the frame
+@example(_synth_case("noise", 64, 128, 64, 3))
+@example(_synth_case("objects", 64, 64, 128, 1000))
+@example(_synth_case("noise", 32, 96, 64, 5))
+@example(_synth_case("objects", 32, 64, 96, 200))
 def test_encode_matches_raster_order_oracle(case):
     # the anti-diagonal walk and batched search write the bytes of a
     # raster-order encoder that searches one PU at a time
     frames, params = case
+    assert write_stream(encode_sequence(frames, params)[0]) == write_stream(encode_oracle(frames, params))
+
+
+def test_encode_with_search_range_wider_than_the_frame_matches_oracle():
+    # each axis searches at most the positions the frame has, so a range far
+    # beyond the frame gathers no more than a whole-frame search
+    frames = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 64, 64, 2, seed=5))
+    params = RdParams(qp=25, search_range=1000, pu_size=16)
     assert write_stream(encode_sequence(frames, params)[0]) == write_stream(encode_oracle(frames, params))
 
 
