@@ -27,14 +27,13 @@ from .core import (
     Mvd,
     RdParams,
     ZERO_MV,
-    ZERO_MVD,
     motion_lambda,
     rate_of,
     rd_cost,
     se_bits,
     ue_bits,
 )
-from .errors import CapacityError, InputError, MalformedStreamError, MvpoError
+from .errors import InputError, MalformedStreamError, MvpoError
 from .formats import (
     YuvSpec,
     iter_yuv_lumas,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .codec import decode_walk
 from .core import CandidatePair, MotionVector, rate_of
@@ -25,8 +25,7 @@ class Verdict(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class PuCheck:
+class PuCheck(NamedTuple):
     """One PU's decode-side rates: the signalled candidate versus the alternative."""
 
     record: PuRecord
@@ -37,6 +36,7 @@ class PuCheck:
 
     @property
     def optimal(self) -> bool:
+        """Ties count as optimal: a rate-aware encoder may sit on either side of an equal-cost pair."""
         return self.chosen_rate <= self.other_rate
 
 
@@ -69,21 +69,20 @@ class FeatureReport:
         return Fraction(100 * self.n_optimal, self.n_pus)
 
 
-def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> bool:
-    """True when the signalled candidate's difference codes in no more bits than the other's.
-
-    Ties count as optimal: a rate-aware encoder may legitimately sit on either
-    side of an equal-cost pair.
-    """
+def _rate(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> PuCheck:
     rates = [rate_of(mvd) for mvd in cands.mvds(mv)]
-    return rates[record.idx] <= rates[1 - record.idx]
+    return PuCheck(record, cands, mv, rates[record.idx], rates[1 - record.idx])
+
+
+def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> bool:
+    """True when the signalled candidate's difference codes in no more bits than the other's."""
+    return _rate(record, cands, mv).optimal
 
 
 def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
     """Replay a stream and yield both candidate rates for every PU."""
-    for record, cands, mv in decode_walk(stream):
-        rates = [rate_of(mvd) for mvd in cands.mvds(mv)]
-        yield PuCheck(record, cands, mv, chosen_rate=rates[record.idx], other_rate=rates[1 - record.idx])
+    for step in decode_walk(stream):
+        yield _rate(*step)
 
 
 def _verdict(n_pus: int, n_optimal: int) -> Verdict:

@@ -1,19 +1,18 @@
 """Command-line harness: encode, embed, analyze, experiment.
 
 Exit codes: 0 success (including an indeterminate verdict, which warns on
-stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream,
-4 capacity error.  Outputs are written only after a command has fully
-succeeded, and every artifact gets a sidecar or inline record of the
-invocation that produced it, so reruns are auditable.  Each file is written
-whole through a temp file and a rename, a sidecar just before the file it
-describes and put back if that file's rename fails.
+stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream (also
+a tar1 output that would not decode).  Outputs are written only after a
+command has fully succeeded, and every artifact gets a sidecar or inline
+record of the invocation that produced it, so reruns are auditable.  Each
+file is written whole through a temp file and a rename, a sidecar just
+before the file it describes and put back if that file's rename fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -21,7 +20,7 @@ from . import __version__
 from .analyzer import optimal_rate
 from .codec import encode_sequence
 from .core import RdParams, rate_of
-from .errors import CapacityError, InputError, MalformedStreamError
+from .errors import InputError, MalformedStreamError
 from .experiment import (
     _parse_size,
     parse_plan,
@@ -45,7 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_MALFORMED = 3
-EXIT_CAPACITY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,7 +160,6 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mvpo", description="AMVP codec model, MV embedders, predictor-optimality analyzer")
-    parser.add_argument("-v", "--verbose", action="store_true", help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="encode a sequence to an MVPO stream")
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -214,9 +210,6 @@ def main(argv=None) -> int:
     except MalformedStreamError as exc:
         print(f"mvpo: malformed stream: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except CapacityError as exc:
-        print(f"mvpo: capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
 
 
 def run() -> None:

@@ -65,9 +65,6 @@ class Mvd:
         object.__setattr__(self, "dy", dy)
 
 
-ZERO_MVD = Mvd(0, 0)
-
-
 @dataclass(frozen=True)
 class CandidatePair:
     """The two-entry predictor candidate list signalled by a one-bit index."""

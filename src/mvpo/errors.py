@@ -12,11 +12,3 @@ class InputError(MvpoError):
 class MalformedStreamError(MvpoError):
     """Stream bytes or record structure violate the format contract."""
 
-
-class CapacityError(MvpoError):
-    """Requested embedding capacity cannot be met by the stream."""
-
-    def __init__(self, message: str, requested_bits: int = 0, achievable_bits: int = 0):
-        super().__init__(message)
-        self.requested_bits = requested_bits
-        self.achievable_bits = achievable_bits

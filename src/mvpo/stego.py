@@ -1,16 +1,16 @@
 """Three motion-vector embedders operating on coded streams.
 
-All three are decode-side transforms: they replay candidate derivation
-exactly as a decoder would and rewrite records in place.
+All three rewrite records in place, and every stream they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
-  nudging it by one quarter-pel when needed.  The index is never touched.
-* `embed_index_threshold` hides bits in the candidate index of PUs whose two
-  candidates are close under an absolute-component distance, keeping every
-  reconstructed vector intact by recomputing the difference.
-* `embed_index_adaptive` hides a requested payload density in the PUs where
-  an index flip is cheapest (smallest rate gap), a greedy stand-in for a
-  trellis-coded assignment, again preserving every reconstructed vector.
+  nudging it by one quarter-pel when needed, then decodes its output.
+* `embed_index_threshold` walks the decode and hides bits in the index of
+  PUs whose two candidates are close under an absolute-component distance,
+  keeping every reconstructed vector intact by recomputing the difference.
+* `embed_index_adaptive` reads the analyzer's rated walk and hides a
+  requested payload density in the PUs where an index flip is cheapest
+  (smallest rate gap), a greedy stand-in for a trellis-coded assignment,
+  again preserving every reconstructed vector.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .analyzer import iter_pu_checks
 from .codec import decode_walk
 from .core import CandidatePair, Mvd, MVD_MAX, MVD_MIN, rate_of
-from .errors import CapacityError
 from .stream import SequenceStream
 
 
@@ -152,7 +152,9 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
 
     All randomness is drawn per record, keyed to decode order, so the PUs
     selected at a lower strength are a subset of those at a higher one under
-    the same seed, and each keeps the same component and payload bit.
+    the same seed, and each keeps the same component and payload bit.  The
+    output is decoded whole, so a malformed input, or a nudge that pushes a
+    later vector out of range, raises `MalformedStreamError`.
     """
     if cfg.method is not EmbedMethod.MVD_PARITY:
         raise ValueError(f"config method {cfg.method} does not match embed_mvd_parity")
@@ -177,7 +179,10 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
             continue
         report._count_modified(record.frame_index)
         out.append(dataclasses.replace(record, mvd=new_mvd))
-    return SequenceStream(stream.header, out), report
+    stego = SequenceStream(stream.header, out)
+    for _ in decode_walk(stego):
+        pass
+    return stego, report
 
 
 def embed_index_threshold(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
@@ -222,36 +227,26 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
 
     Every PU's flip cost is the gap between its two candidate rates.  The
     requested bit count lands in the PUs with the smallest gaps (decode order
-    breaks ties), assigned greedily.  Raises `CapacityError` when the stream
-    cannot host the request.
+    breaks ties), assigned greedily.  `capacity_bpap` is at most 1, so the
+    request never exceeds the PU count.
     """
     if cfg.method is not EmbedMethod.INDEX_ADAPTIVE:
         raise ValueError(f"config method {cfg.method} does not match embed_index_adaptive")
     payload = PayloadBits(cfg.payload, random.Random(cfg.rng_seed).getrandbits(64))
 
-    walked = list(decode_walk(stream))
-    n = len(walked)
+    checks = list(iter_pu_checks(stream))
+    n = len(checks)
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
-    # raw binary fraction of 0.1 would tip the ceiling to 4
-    target = math.ceil(Fraction(repr(cfg.capacity_bpap)) * n) if n else 0
-    # defensive: EmbedConfig keeps capacity_bpap in [0, 1], so no valid config gets here
-    if target > n:
-        raise CapacityError(
-            f"requested {target} bits but only {n} PUs can host one",
-            requested_bits=target,
-            achievable_bits=n,
-        )
-
-    gaps = []
-    for _, cands, mv in walked:
-        rate0, rate1 = map(rate_of, cands.mvds(mv))
-        gaps.append(abs(rate0 - rate1))
+    # raw binary fraction of 0.1 would tip the ceiling to 4; float() first,
+    # because a numpy scalar's repr is not a number
+    target = math.ceil(Fraction(repr(float(cfg.capacity_bpap))) * n)
+    gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
     # a stable sort keeps decode order among equal gaps
     chosen = {k: j for j, k in enumerate(sorted(range(n), key=gaps.__getitem__)[:target])}
 
     report = EmbedReport(EmbedMethod.INDEX_ADAPTIVE, pus_visited=n, bits_embedded=target)
     out = []
-    for k, (record, cands, mv) in enumerate(walked):
+    for k, (record, cands, mv, _, _) in enumerate(checks):
         j = chosen.get(k)
         if j is None:
             out.append(record)

@@ -9,6 +9,7 @@ encoding from a raster-order walk that searches one PU at a time.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mvpo import (
     CandidatePair,
@@ -29,6 +30,7 @@ from mvpo import (
     select_mvp,
     synthesize,
 )
+from mvpo.core import MV_MAX, MV_MIN
 from mvpo.stream import GOP_IPPP
 
 
@@ -147,3 +149,33 @@ def encode_synth(
     params = RdParams(qp=qp, search_range=search_range, pu_size=pu_size)
     stream, field = encode_sequence(synthesize(spec), params)
     return stream, field, params
+
+
+# components a decoder must accept at the edges of the vector range
+_MV_COMPONENTS = st.one_of(
+    st.sampled_from([MV_MIN, MV_MIN + 1, MV_MAX - 1, MV_MAX, 0]),
+    st.integers(MV_MIN, MV_MAX),
+)
+
+
+@st.composite
+def valid_streams(draw) -> SequenceStream:
+    """A decodable stream of 1-3 x 1-3 PUs of size 16 over 2-3 frames, vectors near +-8192.
+
+    Each PU draws the vector it should reconstruct to and a candidate index;
+    replaying `derive_candidates` then gives the difference that codes it.
+    """
+    ps = 16
+    cols, rows, frames = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    header = StreamHeader(cols * ps, rows * ps, ps, qp=25, gop=GOP_IPPP, frame_count=frames)
+    field = MvField(header.width, header.height, ps)
+    records = []
+    for f in range(1, frames):
+        for by in range(0, header.height, ps):
+            for bx in range(0, header.width, ps):
+                mv = MotionVector(draw(_MV_COMPONENTS), draw(_MV_COMPONENTS))
+                idx = draw(st.integers(0, 1))
+                mvp = derive_candidates(field, f, bx, by)[idx]
+                field.put(f, bx, by, mv)
+                records.append(PuRecord(f, bx, by, idx, Mvd(mv.x - mvp.x, mv.y - mvp.y)))
+    return SequenceStream(header, records)

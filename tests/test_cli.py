@@ -6,9 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from mvpo import CapacityError
+from mvpo import SequenceStream, read_stream, write_stream
 from mvpo.cli import (
-    EXIT_CAPACITY,
     EXIT_IO,
     EXIT_MALFORMED,
     EXIT_OK,
@@ -143,18 +142,27 @@ def test_malformed_stream_is_exit_3(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
-def test_capacity_error_maps_to_exit_4(tmp_path, monkeypatch, capsys):
-    cover = _encode(tmp_path)
-    import mvpo.cli
-
-    def _boom(path):
-        raise CapacityError("nope", requested_bits=9, achievable_bits=1)
-
-    monkeypatch.setattr(mvpo.cli, "load_stream", _boom)
-    code = main(["embed", "--in", str(cover), "--method", "tar3", "--bpap", "1",
-                 "--out", str(tmp_path / "x.mvpo")])
-    assert code == EXIT_CAPACITY
-    assert "capacity" in capsys.readouterr().err
+@pytest.mark.parametrize("damage", ["swapped", "short"])
+def test_records_out_of_order_or_short_are_exit_3_for_every_reader(tmp_path, capsys, damage):
+    cover = read_stream(_encode(tmp_path, synth="pattern=shift,size=32x32,frames=3").read_bytes())
+    records = list(cover.records)
+    if damage == "swapped":
+        records[0], records[1] = records[1], records[0]
+    else:
+        records.pop()
+    bad = tmp_path / "bad.mvpo"
+    bad.write_bytes(write_stream(SequenceStream(cover.header, records)))
+    before = sorted(tmp_path.iterdir())
+    for command in (
+        ["embed", "--method", "tar1", "--e", "0.5"],
+        ["embed", "--method", "tar2", "--T", "4"],
+        ["embed", "--method", "tar3", "--bpap", "0.5"],
+        ["analyze", "--format", "json"],
+    ):
+        code = main([*command, "--in", str(bad), "--out", str(tmp_path / "out.mvpo")])
+        assert code == EXIT_MALFORMED, command
+        assert "malformed" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before  # no artifact, no sidecar
 
 
 def test_usage_errors_exit_1():
@@ -167,6 +175,13 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as info:
         main(["embed", "--in", "x", "--method", "tar9", "--out", "y"])
     assert info.value.code == EXIT_USAGE
+
+
+def test_verbose_flag_is_an_unknown_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["-v", "analyze", "--in", "x"])
+    assert info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
 def test_encode_without_source_is_usage_error(tmp_path, capsys):

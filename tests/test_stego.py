@@ -2,18 +2,22 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvpo import (
     CandidatePair,
-    CapacityError,
     EmbedConfig,
     EmbedMethod,
+    MalformedStreamError,
     MotionVector,
     Mvd,
     PuRecord,
     SequenceStream,
     Verdict,
+    decode_walk,
     embed,
     embed_index_adaptive,
     embed_index_threshold,
@@ -26,7 +30,7 @@ from mvpo import (
 from mvpo.stego import _parity_adjust
 from mvpo.stream import GOP_IPPP, StreamHeader
 
-from mvpo_testutil import encode_synth, scaffold_stream
+from mvpo_testutil import encode_synth, scaffold_stream, valid_streams
 
 
 def _cover() -> SequenceStream:
@@ -274,11 +278,18 @@ def test_adaptive_embed_zero_capacity_is_identity():
     assert write_stream(stego) == write_stream(cover)
 
 
-def test_capacity_error_carries_counts():
-    err = CapacityError("too much", requested_bits=10, achievable_bits=4)
-    assert err.requested_bits == 10
-    assert err.achievable_bits == 4
-    assert "too much" in str(err)
+def test_adaptive_embed_reads_numpy_capacities_as_floats():
+    cover, _, _ = encode_synth("shift", size=(80, 32), frames=2)
+    assert cover.n_records == 10
+    # 0.3 * 10 is exactly 3 bits; float32's nearest value to 0.3 lies just above it
+    for bpap, expected_bits in ((np.float64(0.3), 3), (np.float32(0.3), 4)):
+        cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=2)
+        stego, report = embed_index_adaptive(cover, cfg)
+        as_float = dataclasses.replace(cfg, capacity_bpap=float(bpap))
+        stego_float, report_float = embed_index_adaptive(cover, as_float)
+        assert report.bits_embedded == expected_bits
+        assert report == report_float
+        assert write_stream(stego) == write_stream(stego_float)
 
 
 def test_embed_dispatcher_routes_all_methods():
@@ -291,3 +302,54 @@ def test_embed_dispatcher_routes_all_methods():
         stego, report = embed(cover, cfg)
         assert report.method is cfg.method
         assert stego.n_records == cover.n_records
+
+
+# ---------------------------------------------------------------- every output decodes
+
+def _near_bound_pair() -> SequenceStream:
+    """A 32x16 two-PU stream whose tar1 nudges (payload 0) move the second vector to -8194."""
+    header = StreamHeader(32, 16, 16, qp=25, gop=GOP_IPPP, frame_count=2)
+    return SequenceStream(header, [PuRecord(1, 0, 0, 0, Mvd(-8187, 0)), PuRecord(1, 16, 0, 0, Mvd(-5, 0))])
+
+
+def test_parity_embed_refuses_an_output_that_would_not_decode():
+    stream = _near_bound_pair()
+    assert len(list(decode_walk(stream))) == 2  # the input decodes: -8187, then -8192
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=1.0, payload=[0])
+    with pytest.raises(MalformedStreamError, match=r"at \(1, 16, 0\).*-8194 outside \[-8192, 8191\]"):
+        embed_mvd_parity(stream, cfg)
+
+
+_PAYLOADS = st.none() | st.lists(st.integers(0, 1), min_size=1, max_size=4)
+
+
+@settings(max_examples=60)
+@given(valid_streams(), st.floats(0, 1), st.integers(0, 2**32), _PAYLOADS)
+@example(_near_bound_pair(), 1.0, 0, [0])
+def test_parity_embed_output_decodes_or_is_refused(stream, e, seed, payload):
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=e, rng_seed=seed, payload=payload)
+    try:
+        stego, _ = embed_mvd_parity(stream, cfg)
+    except MalformedStreamError as exc:
+        # the input decodes, so only a nudged vector leaving the range is refused
+        assert "reconstructed vector out of range" in str(exc)
+        return
+    assert len(list(decode_walk(stego))) == stream.n_records
+
+
+@settings(max_examples=60)
+@given(
+    valid_streams(),
+    st.integers(0, 3) | st.integers(0, 2 * 8192),
+    st.floats(0, 1),
+    st.integers(0, 2**32),
+    _PAYLOADS,
+)
+def test_index_embedders_output_decodes_to_the_same_field(stream, threshold, bpap, seed, payload):
+    field = reconstruct_mvs(stream)
+    for cfg in (
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=threshold, rng_seed=seed, payload=payload),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=seed, payload=payload),
+    ):
+        stego, _ = embed(stream, cfg)
+        assert reconstruct_mvs(stego) == field
