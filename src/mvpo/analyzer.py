@@ -70,8 +70,10 @@ class FeatureReport:
 
 
 def _rate(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> PuCheck:
-    rates = [rate_of(mvd) for mvd in cands.mvds(mv)]
-    return PuCheck(record, cands, mv, rates[record.idx], rates[1 - record.idx])
+    chosen, other = map(rate_of, cands.mvds(mv))
+    if record.idx:
+        chosen, other = other, chosen
+    return PuCheck(record, cands, mv, chosen, other)
 
 
 def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> bool:

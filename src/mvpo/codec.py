@@ -5,7 +5,8 @@ the previous reconstructed frame, integer-pel full search over SAD plus a
 weighted motion rate, and a two-entry predictor candidate list rebuilt from
 already-decoded vectors.
 
-The decoder walks PUs in raster order.  The encoder walks each P-frame one
+The decoder walks PUs in raster order, stepping frame and block counters,
+and keeps the vectors of two frames.  The encoder walks each P-frame one
 anti-diagonal of PUs at a time (equal bx/ps + by/ps) and searches a whole
 diagonal in one batched `motion_estimate` call.  The order is exact: a PU's
 candidates read only its left and above neighbours, both on the previous
@@ -16,7 +17,8 @@ out in raster order, and candidate lists agree on both sides by construction.
 
 Once per P-frame the encoder lays the reconstructed reference out as a
 `window_table`, in which every candidate block is one contiguous run of
-samples; the previous frame's table is dropped before the next is built.
+samples; the previous frame's table is dropped before the next is built.  A
+PU whose window exceeds one batch's byte budget is searched in bands of rows.
 """
 
 from __future__ import annotations
@@ -96,13 +98,11 @@ def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: i
         raise MalformedStreamError(
             f"block ({block_x}, {block_y}) outside the {field.width}x{field.height} grid"
         )
-    left = field.get(frame_index, block_x - ps, block_y) if block_x else None
-    above = field.get(frame_index, block_x, block_y - ps) if block_y else None
-    a = left if left is not None else ZERO_MV
-    b = above if above is not None else ZERO_MV
+    get = field._mvs.get
+    a = get((frame_index, block_x - ps, block_y), ZERO_MV) if block_x else ZERO_MV
+    b = get((frame_index, block_x, block_y - ps), ZERO_MV) if block_y else ZERO_MV
     if a == b:
-        colocated = field.get(frame_index - 1, block_x, block_y)
-        b = colocated if colocated is not None else ZERO_MV
+        b = get((frame_index - 1, block_x, block_y), ZERO_MV)
     return CandidatePair(a, b)
 
 
@@ -175,10 +175,18 @@ def motion_estimate(
     """
     # each axis searches at most 2R+1 positions, and never more than the frame has
     span_x, span_y = (min(2 * params.search_range + 1, k) for k in table.shape[:2])
-    step = max(1, _BATCH_BYTES // (span_x * span_y * table[0, 0].nbytes))
+    row_bytes = span_x * table[0, 0].nbytes
+    step = max(1, _BATCH_BYTES // (span_y * row_bytes))
+    # a PU whose window alone exceeds the budget is searched a band of dy rows at a
+    # time; bands run in raster order, so the earlier one keeps a full (cost, key) tie
+    rows = max(1, min(span_y, _BATCH_BYTES // row_bytes))
     found: list[tuple[MotionVector, int]] = []
     for i in range(0, len(origins), step):
-        found += _search(cur, table, origins[i : i + step], starts[i : i + step], cands[i : i + step], params)
+        batch = (cur, table, origins[i : i + step], starts[i : i + step], cands[i : i + step], params)
+        best = _search(*batch, 0, rows)
+        for r in range(rows, span_y, rows):
+            best = [b if b[:2] <= p[:2] else p for b, p in zip(best, _search(*batch, r, r + rows))]
+        found += [(MotionVector(4 * x, 4 * y), sad) for _, _, x, y, sad in best]
     return found
 
 
@@ -189,8 +197,10 @@ def _search(
     starts: Sequence[MotionVector],
     cands: Sequence[CandidatePair],
     params: RdParams,
-) -> list[tuple[MotionVector, int]]:
-    """`motion_estimate` for a batch that gathers at most `_BATCH_BYTES` of blocks."""
+    row0: int,
+    row1: int,
+) -> list[tuple[float, int, int, int, int]]:
+    """Each PU's best (cost, key, dx, dy, SAD) in rows [row0, row1) of its window, in one batch."""
     ps, reach = params.pu_size, params.search_range
     n = len(origins)
     o = np.array(origins, dtype=np.int64).reshape(n, 2)
@@ -203,7 +213,8 @@ def _search(
     low, high = o - extent + 1, o
     lo = np.minimum(np.maximum(s - reach, low), high)
     hi = np.minimum(np.maximum(s + reach, low), high)
-    dxs, dys = (lo[:, k, None] + np.arange(min(2 * reach + 1, extent[k])) for k in (0, 1))  # ascending
+    dxs = lo[:, 0, None] + np.arange(min(2 * reach + 1, extent[0]))  # ascending
+    dys = lo[:, 1, None] + np.arange(row0, min(row1, 2 * reach + 1, extent[1]))
     inside = (dys <= hi[:, 1, None])[:, :, None] & (dxs <= hi[:, 0, None])[:, None, :]
     # padding reads a block inside the frame, then costs +inf
     px, py = np.maximum(o[:, 0, None] - dxs, 0), np.maximum(o[:, 1, None] - dys, 0)
@@ -216,18 +227,17 @@ def _search(
 
     cost = sad + params.lambda_motion * _rates(dxs, dys, c)
     cost[~inside] = np.inf
-    keep = cost == cost.min(axis=(1, 2), keepdims=True)
+    low_cost = cost.min(axis=(1, 2), keepdims=True)
+    keep = cost == low_cost
     # among the cheapest, order by (SAD, |dy|, |dx|) packed in one int64; argmin keeps
     # the first in raster order.  SAD < 2**31 for 64x64 PUs of 8-bit samples, and
     # |d| < 2**16 inside the window of any frame whose size fits a stream header.
     key = (sad.astype(np.int64) << 32) | (np.abs(dys)[:, :, None] << 16) | np.abs(dxs)[:, None, :]
     best = np.where(keep, key, np.iinfo(np.int64).max).reshape(n, -1).argmin(axis=1)
     iy, ix = np.divmod(best, dxs.shape[1])
-    rows = np.arange(n)
-    return [
-        (MotionVector(4 * x, 4 * y), v)
-        for x, y, v in zip(dxs[rows, ix].tolist(), dys[rows, iy].tolist(), sad[rows, iy, ix].tolist())
-    ]
+    pus = np.arange(n)
+    columns = (low_cost.ravel(), key[pus, iy, ix], dxs[pus, ix], dys[pus, iy], sad[pus, iy, ix])
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def select_mvp(mv: MotionVector, cands: CandidatePair) -> tuple[int, Mvd]:
@@ -288,18 +298,12 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     return SequenceStream(header, records), field
 
 
-def _raster_positions(header: StreamHeader) -> Iterator[tuple[int, int, int]]:
-    for f in range(1, header.frame_count):
-        for by in range(0, header.height, header.pu_size):
-            for bx in range(0, header.width, header.pu_size):
-                yield f, bx, by
-
-
 def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePair, MotionVector]]:
     """Replay a stream in decode order, yielding each PU with its candidates and vector.
 
     Enforces exactly one record per PU of every P-frame, in raster order, and
-    rejects reconstructed vectors that leave the representable range.
+    rejects reconstructed vectors that leave the representable range.  It
+    holds the vectors of the current and previous frame only, which candidates read.
     """
     header = stream.header
     expected_n = (header.frame_count - 1) * header.pus_per_frame
@@ -307,19 +311,27 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
         raise MalformedStreamError(
             f"record count {stream.n_records} does not cover the grid (expected {expected_n})"
         )
-    field = MvField(header.width, header.height, header.pu_size)
-    for record, (f, bx, by) in zip(stream.records, _raster_positions(header)):
-        got = (record.frame_index, record.block_x, record.block_y)
-        if got != (f, bx, by):
+    ps, width, height = header.pu_size, header.width, header.height
+    field = MvField(width, height, ps)
+    f, bx, by = 1, 0, 0  # the raster position the next record must carry
+    for record in stream.records:
+        if record.block_x != bx or record.block_y != by or record.frame_index != f:
+            got = (record.frame_index, record.block_x, record.block_y)
             raise MalformedStreamError(f"record at {got} out of raster order, expected {(f, bx, by)}")
         cands = derive_candidates(field, f, bx, by)
-        mvp = cands[record.idx]
+        mvp, mvd = cands.mvp1 if record.idx else cands.mvp0, record.mvd
         try:
-            mv = MotionVector(record.mvd.dx + mvp.x, record.mvd.dy + mvp.y)
+            mv = MotionVector(mvd.dx + mvp.x, mvd.dy + mvp.y)
         except ValueError as exc:
-            raise MalformedStreamError(f"reconstructed vector out of range at {got}: {exc}") from exc
+            raise MalformedStreamError(f"reconstructed vector out of range at {(f, bx, by)}: {exc}") from exc
         field.put(f, bx, by, mv)
         yield record, cands, mv
+        bx += ps
+        if bx == width:
+            bx, by = 0, by + ps
+            if by == height:
+                by, f = 0, f + 1
+                field._mvs = {key: v for key, v in field._mvs.items() if key[0] == f - 1}
 
 
 def reconstruct_mvs(stream: SequenceStream) -> MvField:

@@ -3,6 +3,10 @@
 Motion vectors and their differences are integers in quarter-pel units.
 Rates are exact codeword lengths in bits, so every decision built on top
 of them reduces to integer comparisons and is reproducible everywhere.
+
+The value types here and `stream.PuRecord` are slotted frozen dataclasses.  Plain
+in-range ints cost their constructor one chained comparison; any other integral (a
+numpy int, a bool) is coerced, so every constructed field is a plain int.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ QP_MAX = 51
 PU_SIZES = (8, 16, 32, 64)
 
 
-def _as_int(value) -> int:
-    """Coerce any integral (including numpy ints) to a plain int."""
-    return operator.index(value)
+def _as_ints(value, *names: str) -> list[int]:
+    """Coerce the named integral fields of a frozen value (numpy ints, bools) to plain ints in place."""
+    ints = [operator.index(getattr(value, name)) for name in names]
+    for name, v in zip(names, ints):
+        object.__setattr__(value, name, v)
+    return ints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionVector:
     """A reconstructed motion vector in quarter-pel units."""
 
@@ -36,19 +43,18 @@ class MotionVector:
     y: int
 
     def __post_init__(self):
-        x = _as_int(self.x)
-        y = _as_int(self.y)
-        for v in (x, y):
+        x, y = self.x, self.y
+        if type(x) is int is type(y) and MV_MIN <= x <= MV_MAX >= y >= MV_MIN:
+            return
+        for v in _as_ints(self, "x", "y"):
             if not MV_MIN <= v <= MV_MAX:
                 raise ValueError(f"motion vector component {v} outside [{MV_MIN}, {MV_MAX}]")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
 
 ZERO_MV = MotionVector(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mvd:
     """A coded motion vector difference in quarter-pel units."""
 
@@ -56,16 +62,15 @@ class Mvd:
     dy: int
 
     def __post_init__(self):
-        dx = _as_int(self.dx)
-        dy = _as_int(self.dy)
-        for v in (dx, dy):
+        dx, dy = self.dx, self.dy
+        if type(dx) is int is type(dy) and MVD_MIN <= dx <= MVD_MAX >= dy >= MVD_MIN:
+            return
+        for v in _as_ints(self, "dx", "dy"):
             if not MVD_MIN <= v <= MVD_MAX:
                 raise ValueError(f"mvd component {v} outside [{MVD_MIN}, {MVD_MAX}]")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePair:
     """The two-entry predictor candidate list signalled by a one-bit index."""
 
@@ -130,7 +135,7 @@ class RdParams:
 
 def ue_bits(code_num: int) -> int:
     """Codeword length of an unsigned zero-order Exp-Golomb code."""
-    code_num = _as_int(code_num)
+    code_num = operator.index(code_num)
     if code_num < 0:
         raise ValueError(f"codeNum {code_num} must be >= 0")
     return 2 * ((code_num + 1).bit_length() - 1) + 1
@@ -138,9 +143,9 @@ def ue_bits(code_num: int) -> int:
 
 def se_bits(value: int) -> int:
     """Codeword length of a signed value under the standard zigzag mapping."""
-    value = _as_int(value)
-    code_num = 2 * value - 1 if value > 0 else -2 * value
-    return ue_bits(code_num)
+    value = operator.index(value)
+    # codeNum + 1 of the zigzag code: 2v - 1 + 1 for v > 0, -2v + 1 otherwise
+    return 2 * ((2 * value if value > 0 else 1 - 2 * value).bit_length() - 1) + 1
 
 
 def rate_of(mvd: Mvd) -> int:

@@ -5,16 +5,19 @@ version, geometry, coding parameters, counts) followed by one 16-byte record
 per PU.  Readers reject rather than guess: bad magic, unknown version,
 truncation, count mismatches, and out-of-range fields each raise a distinct
 `MalformedStreamError`.
+
+The records are read as one numpy structured array and validated at once, column
+by column; a failure names the first bad record and the first check it fails.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -28,22 +31,24 @@ MAGIC = b"MVPO"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHHHBBBIQ")  # magic, version, width, height, pu, qp, gop, frames, records
-_RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved; one hex-dump row each
+_RECORD = np.dtype([("frame", "<u4"), ("bx", "<u2"), ("by", "<u2"), ("idx", "u1"), ("pad", "u1"),
+                    ("dx", "<i2"), ("dy", "<i2"), ("reserved", "<u2")])  # <IHHBBhhH, one hex-dump row each
+# the record column of each PuRecord field
+_COLUMNS = {"frame": attrgetter("frame_index"), "bx": attrgetter("block_x"), "by": attrgetter("block_y"),
+            "idx": attrgetter("idx"), "dx": attrgetter("mvd.dx"), "dy": attrgetter("mvd.dy")}
 
 HEADER_SIZE = _HEADER.size
-RECORD_SIZE = _RECORD.size
+RECORD_SIZE = _RECORD.itemsize
 
 
 def write_stream(stream: SequenceStream) -> bytes:
     """Serialize a stream to bytes; identical streams serialize identically."""
     h = stream.header
-    out = io.BytesIO()
-    out.write(
-        _HEADER.pack(MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, stream.n_records)
-    )
-    for r in stream.records:
-        out.write(_RECORD.pack(r.frame_index, r.block_x, r.block_y, r.idx, 0, r.mvd.dx, r.mvd.dy, 0))
-    return out.getvalue()
+    table = np.zeros(stream.n_records, _RECORD)  # pad and reserved stay zero
+    for name, get in _COLUMNS.items():
+        table[name] = list(map(get, stream.records))
+    fields = (MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, stream.n_records)
+    return _HEADER.pack(*fields) + table.tobytes()
 
 
 def read_stream(data: bytes) -> SequenceStream:
@@ -65,23 +70,33 @@ def read_stream(data: bytes) -> SequenceStream:
     if len(data) > expected:
         raise MalformedStreamError(f"record count mismatch: {len(data) - expected} trailing bytes")
 
-    records = []
-    for fields in _RECORD.iter_unpack(data[HEADER_SIZE:]):
-        frame_index, block_x, block_y, idx, pad, dx, dy, reserved = fields
+    table = np.frombuffer(data, _RECORD, n_records, HEADER_SIZE)
+    bx, by = table["bx"], table["by"]
+    bad = (table["pad"] != 0) | (table["reserved"] != 0) | (table["frame"] >= frame_count)
+    bad |= (bx > width - pu_size) | (by > height - pu_size) | (bx % pu_size != 0) | (by % pu_size != 0)
+    bad |= table["idx"] > 1
+    if bad.any():  # name the first bad record's first failing check, in a record-by-record reader's order
+        k = int(bad.argmax())
+        frame_index, block_x, block_y, idx, pad, dx, dy, reserved = table[k].tolist()
         if pad != 0:
-            raise MalformedStreamError(f"nonzero pad byte {pad} in record {len(records)}")
+            raise MalformedStreamError(f"nonzero pad byte {pad} in record {k}")
         if reserved != 0:
-            raise MalformedStreamError(f"nonzero reserved field {reserved} in record {len(records)}")
+            raise MalformedStreamError(f"nonzero reserved field {reserved} in record {k}")
         if frame_index >= frame_count:
-            raise MalformedStreamError(f"record {len(records)} frame {frame_index} >= frame_count {frame_count}")
+            raise MalformedStreamError(f"record {k} frame {frame_index} >= frame_count {frame_count}")
         if block_x + pu_size > width or block_y + pu_size > height or block_x % pu_size or block_y % pu_size:
-            raise MalformedStreamError(
-                f"record {len(records)} block ({block_x}, {block_y}) off the {width}x{height} grid"
-            )
+            raise MalformedStreamError(f"record {k} block ({block_x}, {block_y}) off the {width}x{height} grid")
         try:
-            records.append(PuRecord(frame_index, block_x, block_y, idx, Mvd(dx, dy)))
+            PuRecord(frame_index, block_x, block_y, idx, Mvd(dx, dy))
         except ValueError as exc:
-            raise MalformedStreamError(f"invalid record {len(records)}: {exc}") from exc
+            raise MalformedStreamError(f"invalid record {k}: {exc}") from exc
+    # records with equal differences share one Mvd: a stream has far fewer distinct ones than records
+    dx, dy = table["dx"], table["dy"]
+    packed = dx.astype(np.int32) << 16 | dy.view(np.uint16)
+    _, first, which = np.unique(packed, return_index=True, return_inverse=True)
+    mvds = list(map(Mvd, dx[first].tolist(), dy[first].tolist()))
+    columns = [table[name].tolist() for name in ("frame", "bx", "by", "idx")]
+    records = [PuRecord(f, x, y, i, mvds[k]) for f, x, y, i, k in zip(*columns, which.tolist())]
     return SequenceStream(header, records)
 
 

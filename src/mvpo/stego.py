@@ -15,7 +15,6 @@ All three rewrite records in place, and every stream they return decodes.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import random
@@ -26,7 +25,7 @@ from typing import Callable, Sequence
 from .analyzer import iter_pu_checks
 from .codec import decode_walk
 from .core import CandidatePair, Mvd, MVD_MAX, MVD_MIN, rate_of
-from .stream import SequenceStream
+from .stream import PuRecord, SequenceStream
 
 
 class EmbedMethod(enum.Enum):
@@ -178,7 +177,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
             out.append(record)
             continue
         report._count_modified(record.frame_index)
-        out.append(dataclasses.replace(record, mvd=new_mvd))
+        out.append(PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd))
     stego = SequenceStream(stream.header, out)
     for _ in decode_walk(stego):
         pass
@@ -218,7 +217,7 @@ def embed_index_threshold(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Seq
         rate0, rate1 = map(rate_of, mvds)
         if rate0 != rate1:
             report.flips_rate_asymmetric += 1
-        out.append(dataclasses.replace(record, idx=bit, mvd=mvds[bit]))
+        out.append(PuRecord(record.frame_index, record.block_x, record.block_y, bit, mvds[bit]))
     return SequenceStream(stream.header, out), report
 
 
@@ -258,7 +257,7 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
         report._count_modified(record.frame_index)
         if gaps[k]:
             report.flips_rate_asymmetric += 1
-        out.append(dataclasses.replace(record, idx=bit, mvd=cands.mvds(mv)[bit]))
+        out.append(PuRecord(record.frame_index, record.block_x, record.block_y, bit, cands.mvds(mv)[bit]))
     return SequenceStream(stream.header, out), report
 
 

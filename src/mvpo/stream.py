@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mvd, PU_SIZES, QP_MAX, QP_MIN, _as_int
+from .core import Mvd, PU_SIZES, QP_MAX, QP_MIN, _as_ints
 
 GOP_IPPP = 0
 GOP_NAMES = {GOP_IPPP: "IPPP"}
@@ -41,7 +41,7 @@ class Plane:
         return f"Plane({self.width}x{self.height})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PuRecord:
     """One inter-coded PU: grid position, signalled index, coded difference."""
 
@@ -52,10 +52,12 @@ class PuRecord:
     mvd: Mvd
 
     def __post_init__(self):
-        object.__setattr__(self, "frame_index", _as_int(self.frame_index))
-        object.__setattr__(self, "block_x", _as_int(self.block_x))
-        object.__setattr__(self, "block_y", _as_int(self.block_y))
-        object.__setattr__(self, "idx", _as_int(self.idx))
+        f, x, y, idx = self.frame_index, self.block_x, self.block_y, self.idx
+        if type(f) is int is type(x) is type(y) is type(idx) and (
+            0 <= f <= _U32_MAX and 0 <= x <= _U16_MAX >= y >= 0 <= idx <= 1
+        ):
+            return
+        _as_ints(self, "frame_index", "block_x", "block_y", "idx")
         if not 0 <= self.frame_index <= _U32_MAX:
             raise ValueError(f"frame_index {self.frame_index} outside u32 range")
         if not 0 <= self.block_x <= _U16_MAX or not 0 <= self.block_y <= _U16_MAX:

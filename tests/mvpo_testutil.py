@@ -2,11 +2,14 @@
 
 The oracles here are deliberately independent of the implementation:
 codeword lengths come from literally constructing the prefix code as a
-string, motion search from a double loop with scalar arithmetic, and
-encoding from a raster-order walk that searches one PU at a time.
+string, motion search from a double loop with scalar arithmetic,
+encoding from a raster-order walk that searches one PU at a time, and
+stream parsing from a loop that unpacks and checks one record at a time.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
@@ -31,6 +34,8 @@ from mvpo import (
     synthesize,
 )
 from mvpo.core import MV_MAX, MV_MIN
+from mvpo.errors import MalformedStreamError
+from mvpo.formats import _HEADER, HEADER_SIZE, MAGIC, VERSION
 from mvpo.stream import GOP_IPPP
 
 
@@ -109,6 +114,48 @@ def encode_oracle(frames: list[Plane], params: RdParams) -> SequenceStream:
                 recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
         ref = recon
     return SequenceStream(StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames)), records)
+
+
+_RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved
+
+
+def read_stream_oracle(data: bytes) -> SequenceStream:
+    """Reference parser: unpack and check one record at a time, stopping at the first bad one."""
+    if len(data) < HEADER_SIZE:
+        raise MalformedStreamError(f"truncated stream: {len(data)} bytes, header needs {HEADER_SIZE}")
+    magic, version, width, height, pu_size, qp, gop, frame_count, n_records = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise MalformedStreamError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise MalformedStreamError(f"unsupported version {version}")
+    try:
+        header = StreamHeader(width, height, pu_size, qp, gop, frame_count)
+    except ValueError as exc:
+        raise MalformedStreamError(f"invalid header field: {exc}") from exc
+    expected = HEADER_SIZE + _RECORD.size * n_records
+    if len(data) < expected:
+        raise MalformedStreamError(f"truncated stream: {len(data)} bytes, {n_records} records need {expected}")
+    if len(data) > expected:
+        raise MalformedStreamError(f"record count mismatch: {len(data) - expected} trailing bytes")
+
+    records = []
+    for fields in _RECORD.iter_unpack(data[HEADER_SIZE:]):
+        frame_index, block_x, block_y, idx, pad, dx, dy, reserved = fields
+        if pad != 0:
+            raise MalformedStreamError(f"nonzero pad byte {pad} in record {len(records)}")
+        if reserved != 0:
+            raise MalformedStreamError(f"nonzero reserved field {reserved} in record {len(records)}")
+        if frame_index >= frame_count:
+            raise MalformedStreamError(f"record {len(records)} frame {frame_index} >= frame_count {frame_count}")
+        if block_x + pu_size > width or block_y + pu_size > height or block_x % pu_size or block_y % pu_size:
+            raise MalformedStreamError(
+                f"record {len(records)} block ({block_x}, {block_y}) off the {width}x{height} grid"
+            )
+        try:
+            records.append(PuRecord(frame_index, block_x, block_y, idx, Mvd(dx, dy)))
+        except ValueError as exc:
+            raise MalformedStreamError(f"invalid record {len(records)}: {exc}") from exc
+    return SequenceStream(header, records)
 
 
 SCAFFOLD_LEFT = MotionVector(3, 9)

@@ -1,6 +1,9 @@
 """Codec model against a brute-force search oracle, plus walk validation."""
 
 import dataclasses
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +399,31 @@ def test_batch_larger_than_one_search_call_matches_oracle():
     _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
 
 
+def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
+    # PU 64 on a 128x128 plane covers up to 65 x 65 positions, more than one
+    # batch's byte budget, so each window is searched a few dy rows at a time
+    ps = 64
+    assert 65 * 65 * ps * ps > _BATCH_BYTES > 2 * 65 * ps * ps
+    params = RdParams(qp=25, search_range=1000, pu_size=ps)
+    # flat: dy = -2 and dy = +2 tie in cost, SAD, |dy| and |dx| in different
+    # bands, and raster order keeps the earlier band's dy = -2
+    flat = np.full((128, 128), 90, dtype=np.uint8)
+    tie = CandidatePair(MotionVector(0, 8), MotionVector(0, -8))
+    (found,) = motion_estimate(flat, window_table(flat, ps), [(32, 32)], [ZERO_MV], [tie], params)
+    assert found == (MotionVector(0, -8), 0) == _oracle(flat, flat, 32, 32, ZERO_MV, tie, params)
+    # dy = -3 and dy = +2 tie in cost only, and the later band's smaller |dy| wins
+    near = CandidatePair(MotionVector(0, -12), MotionVector(0, 8))
+    (found,) = motion_estimate(flat, window_table(flat, ps), [(32, 32)], [ZERO_MV], [near], params)
+    assert found == (MotionVector(0, 8), 0) == _oracle(flat, flat, 32, 32, ZERO_MV, near, params)
+    rng = np.random.default_rng(25)
+    ref = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
+    cur = np.roll(ref, (3, -5), axis=(0, 1))
+    origins = [(0, 0), (64, 0), (32, 32), (64, 64)]
+    starts = [ZERO_MV, MotionVector(-20, 12), MotionVector(40, -40), MotionVector(8, 8)]
+    cands = [CandidatePair(s, MotionVector(-20, 12)) for s in starts]
+    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+
+
 # ---------------------------------------------------------------- encoding
 
 def test_encode_static_sequence_emits_zero_motion():
@@ -481,6 +509,55 @@ def test_encode_with_search_range_wider_than_the_frame_matches_oracle():
     frames = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 64, 64, 2, seed=5))
     params = RdParams(qp=25, search_range=1000, pu_size=16)
     assert write_stream(encode_sequence(frames, params)[0]) == write_stream(encode_oracle(frames, params))
+
+
+_BOUNDED_ENCODE = """
+import resource, sys
+sys.path[:0] = {path!r}
+from mvpo import RdParams, SynthPattern, SynthSpec, encode_sequence, synthesize, write_stream
+frames = synthesize(SynthSpec(SynthPattern.NOISE_TEXTURE, 192, 128, 2, seed=3))
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + {budget}, resource.getrlimit(resource.RLIMIT_AS)[1]))
+stream, _ = encode_sequence(frames, RdParams(qp=25, search_range=1000, pu_size=64))
+sys.stdout.buffer.write(write_stream(stream))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_one_wide_pu_searches_in_bounded_memory():
+    # one 64x64 PU at range 1000 on a 192x128 frame covers 129 x 65 positions:
+    # 34 MB of blocks plus 68 MB of differences if gathered at once.  Split
+    # into rows of displacements, the whole encode fits in 48 MB more than
+    # the child had mapped before it, and writes the oracle's bytes.
+    child = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_ENCODE.format(path=sys.path, budget=48 << 20)],
+        capture_output=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr.decode()[-2000:]
+    frames = synthesize(SynthSpec(SynthPattern.NOISE_TEXTURE, 192, 128, 2, seed=3))
+    assert child.stdout == write_stream(encode_oracle(frames, RdParams(qp=25, search_range=1000, pu_size=64)))
+
+
+def _walk_peak_bytes(frames: int) -> int:
+    header = StreamHeader(64, 64, 8, qp=25, frame_count=frames)
+    grid = [(bx, by) for by in range(0, 64, 8) for bx in range(0, 64, 8)]
+    records = [PuRecord(f, bx, by, 0, Mvd(4, -4)) for f in range(1, frames) for bx, by in grid]
+    stream = SequenceStream(header, records)
+    tracemalloc.start()
+    try:
+        for _ in decode_walk(stream):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_walk_memory_does_not_grow_with_frames():
+    # candidates read the current and the previous frame only, so the walk
+    # holds two frames of vectors however long the stream is
+    assert _walk_peak_bytes(40) < 1.5 * _walk_peak_bytes(4)
 
 
 def test_encode_requires_two_frames_and_uniform_geometry():

@@ -1,6 +1,8 @@
 """Bit model against an independent codeword-construction oracle, plus value types."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from mvpo import (
     CandidatePair,
     MotionVector,
     Mvd,
+    PuRecord,
     RdParams,
     ZERO_MV,
     motion_lambda,
@@ -131,6 +134,62 @@ def test_vector_types_coerce_numpy_ints():
     mv = MotionVector(np.int64(4), np.int16(-4))
     assert (mv.x, mv.y) == (4, -4)
     assert isinstance(mv.x, int)
+
+
+# plain ints on both sides of every bound, and the integral types a caller may pass instead
+_EDGES = sorted({b + d for b in (MV_MIN, MV_MAX, MVD_MIN, MVD_MAX, 0, 1) for d in (-1, 0, 1)})
+_INTEGRALS = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64, bool, int]
+
+
+def _as(kind, value: int):
+    """`value` as `kind` where that type holds it exactly, else as a plain int."""
+    if kind is bool:
+        return bool(value) if value in (0, 1) else value
+    if kind is int:
+        return value
+    info = np.iinfo(kind)
+    return kind(value) if info.min <= value <= info.max else value
+
+
+def _assert_coerces(cls, plain: tuple, passed: tuple):
+    """`cls(*passed)` equals `cls(*plain)` with plain-int fields, or raises its exact error."""
+    try:
+        want = cls(*plain)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            cls(*passed)
+        return
+    got = cls(*passed)
+    assert got == want and hash(got) == hash(want)
+    fields = [getattr(got, f.name) for f in dataclasses.fields(got)]
+    assert all(type(v) is int for v in fields if not isinstance(v, Mvd)), fields
+
+
+@given(
+    st.sampled_from([MotionVector, Mvd]),
+    st.sampled_from(_EDGES),
+    st.sampled_from(_EDGES),
+    st.sampled_from(_INTEGRALS),
+    st.sampled_from(_INTEGRALS),
+)
+def test_value_types_coerce_integrals_at_the_bounds(cls, a, b, kind_a, kind_b):
+    _assert_coerces(cls, (a, b), (_as(kind_a, a), _as(kind_b, b)))
+
+
+_U16_EDGES = [-1, 0, 1, 16, 0xFFFF, 0x10000]
+_U32_EDGES = [-1, 0, 1, 0xFFFF, 0x10000, 0xFFFFFFFF, 0x100000000]
+
+
+@given(
+    st.tuples(
+        st.sampled_from(_U32_EDGES), st.sampled_from(_U16_EDGES), st.sampled_from(_U16_EDGES), st.integers(-1, 2)
+    ),
+    st.lists(st.sampled_from(_INTEGRALS), min_size=4, max_size=4),
+)
+def test_pu_record_coerces_integrals_at_the_bounds(fields, kinds):
+    mvd = Mvd(MVD_MIN, MVD_MAX)
+    passed = tuple(_as(kind, v) for kind, v in zip(kinds, fields))
+    _assert_coerces(PuRecord, (*fields, mvd), (*passed, mvd))
 
 
 def test_vector_types_reject_floats():

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -31,7 +31,7 @@ from mvpo import (
 from mvpo.formats import HEADER_SIZE, MAGIC, RECORD_SIZE, VERSION
 from mvpo.stream import Plane
 
-from mvpo_testutil import encode_synth, scaffold_stream
+from mvpo_testutil import encode_synth, read_stream_oracle, scaffold_stream, valid_streams
 
 
 # ---------------------------------------------------------------- layout
@@ -208,11 +208,62 @@ def test_read_rejects_off_grid_blocks():
         read_stream(bytes(data))
 
 
+def test_read_names_the_first_bad_record_and_its_first_failing_check():
+    # record 2 breaks every field check; clearing them one at a time walks
+    # the checks in a reader's order, while record 3's bad pad never shows
+    data = bytearray(_valid_bytes())
+    struct.pack_into("<IHHBBhhH", data, HEADER_SIZE + 2 * RECORD_SIZE, 7, 8, 16, 2, 5, 0, 0, 9)
+    data[HEADER_SIZE + 3 * RECORD_SIZE + 9] = 1
+    for field, offset, size, message in [
+        ("pad", 9, 1, "nonzero pad byte 5 in record 2"),
+        ("reserved", 14, 2, "nonzero reserved field 9 in record 2"),
+        ("frame", 0, 4, "record 2 frame 7 >= frame_count 2"),
+        ("block_x", 4, 2, "record 2 block (8, 16) off the 32x32 grid"),
+        ("idx", 8, 1, "invalid record 2: idx 2 not in {0, 1}"),
+    ]:
+        with pytest.raises(MalformedStreamError) as exc:
+            read_stream(bytes(data))
+        assert str(exc.value) == message, field
+        start = HEADER_SIZE + 2 * RECORD_SIZE + offset
+        data[start : start + size] = bytes(size) if field != "frame" else (1).to_bytes(4, "little")
+    with pytest.raises(MalformedStreamError, match="nonzero pad byte 1 in record 3$"):
+        read_stream(bytes(data))
+
+
 def test_read_rejects_invalid_index():
     data = bytearray(_valid_bytes())
     data[HEADER_SIZE + 8] = 2
     with pytest.raises(MalformedStreamError, match="idx"):
         read_stream(bytes(data))
+
+
+@st.composite
+def _overwritten_streams(draw) -> bytes:
+    """A decodable stream's bytes with 1-3 of its record bytes overwritten, often in one record."""
+    data = bytearray(write_stream(draw(valid_streams())))
+    n = (len(data) - HEADER_SIZE) // RECORD_SIZE
+    first = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.one_of(st.just(first), st.integers(0, n - 1)))
+        offset = draw(st.integers(0, RECORD_SIZE - 1))
+        data[HEADER_SIZE + k * RECORD_SIZE + offset] = draw(st.one_of(st.integers(0, 3), st.integers(0, 255)))
+    return bytes(data)
+
+
+@settings(max_examples=300)
+@given(_overwritten_streams())
+def test_read_stream_matches_record_by_record_oracle(data):
+    # the columnwise checks name the record and the check the record-by-record reader names first
+    try:
+        want = read_stream_oracle(data)
+    except MalformedStreamError as exc:
+        with pytest.raises(MalformedStreamError) as got:
+            read_stream(data)
+        assert str(got.value) == str(exc)
+        return
+    got = read_stream(data)
+    assert (got.header, got.records) == (want.header, want.records)
+    assert all(type(v) is int for r in got.records for v in (r.frame_index, r.block_x, r.block_y, r.idx, r.mvd.dx))
 
 
 def test_single_byte_corruption_never_crashes():
