@@ -17,8 +17,12 @@ out in raster order, and candidate lists agree on both sides by construction.
 
 Once per P-frame the encoder lays the reconstructed reference out as a
 `window_table`, in which every candidate block is one contiguous run of
-samples; the previous frame's table is dropped before the next is built.  A
-PU whose window exceeds one batch's byte budget is searched in bands of rows.
+samples; the previous frame's table is dropped before the next is built.
+Windows are clamped to the frame and to the pel range a vector can carry.
+SAD is exact in narrow integers: |a - b| = max(a, b) - min(a, b) in uint8,
+summed 256 samples at a time in uint16.  One search call works within a
+fixed byte budget that holds a whole CIF diagonal; a PU whose window exceeds
+it is searched in bands of rows.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     CandidatePair,
+    MV_MAX,
+    MV_MIN,
     MotionVector,
     Mvd,
     RdParams,
@@ -113,9 +119,17 @@ def seed_candidate(cands: CandidatePair) -> MotionVector:
     return cands.mvp1 if r1 < r0 else cands.mvp0
 
 
-# bytes of candidate blocks one numpy batch gathers at most: eight 16x16 PUs at
-# search range 8 in uint8 samples (their int16 differences take twice that)
-_BATCH_BYTES = 4 * 17 * 17 * 16 * 16 * 2
+# working memory of one search call: two bytes per sample of its candidate
+# blocks, the gathered blocks (then min(block, current)) and max(block, current);
+# a whole CIF anti-diagonal of 18 16x16 PUs at search range 8 fits
+_BATCH_BYTES = 18 * 17 * 17 * 16 * 16 * 2
+# |a - b| <= 255 for 8-bit samples, so a uint16 sum of this many cannot wrap
+_CHUNK = 256
+# the pel displacements a quarter-pel vector can carry
+_PEL_MIN, _PEL_MAX = MV_MIN // 4, MV_MAX // 4
+# bounds |4 * d - c| for such a displacement d and any candidate c
+_RATE_LIMIT = -4 * _PEL_MIN - MV_MIN
+_NO_KEY = np.iinfo(np.int64).max
 
 
 def window_table(ref: np.ndarray, pu_size: int) -> np.ndarray:
@@ -132,9 +146,9 @@ def window_table(ref: np.ndarray, pu_size: int) -> np.ndarray:
 
 
 @functools.cache
-def _se_bits_table(limit: int) -> np.ndarray:
-    """`se_bits(v)` at index `v + limit` for every v in [-limit, limit]; read-only and shared."""
-    table = np.array([se_bits(v) for v in range(-limit, limit + 1)], dtype=np.int16)
+def _se_bits_table() -> np.ndarray:
+    """`se_bits(v)` at index `v + _RATE_LIMIT` for every |v| <= _RATE_LIMIT; read-only and shared."""
+    table = np.array([se_bits(v) for v in range(-_RATE_LIMIT, _RATE_LIMIT + 1)], dtype=np.int16)
     table.flags.writeable = False
     return table
 
@@ -142,16 +156,14 @@ def _se_bits_table(limit: int) -> np.ndarray:
 def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Bits to signal every displacement of a batch against its cheaper candidate.
 
-    `dxs` and `dys` are (n, k_x) and (n, k_y) pel displacements, `cands` is
-    (n, 2, 2): the quarter-pel (x, y) of both candidates of each PU.  Returns
-    (n, k_y, k_x).
+    `dxs` and `dys` are (n, k_x) and (n, k_y) pel displacements inside the
+    vector range, `cands` is (n, 2, 2): the quarter-pel (x, y) of both
+    candidates of each PU.  Returns (n, k_y, k_x).
     """
-    vx = 4 * dxs[:, None, :] - cands[:, :, 0, None]
-    vy = 4 * dys[:, None, :] - cands[:, :, 1, None]
-    # power-of-two limits keep the number of cached tables logarithmic in the largest value
-    limit = 1 << int(max(np.abs(vx).max(), np.abs(vy).max())).bit_length()
-    table = _se_bits_table(limit)
-    return (table[vy + limit][:, :, :, None] + table[vx + limit][:, :, None, :]).min(axis=1) + 1
+    table = _se_bits_table()
+    bits_x = table[(4 * dxs + _RATE_LIMIT)[:, None, :] - cands[:, :, 0, None]]
+    bits_y = table[(4 * dys + _RATE_LIMIT)[:, None, :] - cands[:, :, 1, None]] + 1
+    return (bits_y[:, :, :, None] + bits_x[:, :, None, :]).min(axis=1)
 
 
 def motion_estimate(
@@ -167,25 +179,28 @@ def motion_estimate(
     PU i has its top-left corner at `origins[i]` = (x, y) in the current plane
     `cur` and searches the reference plane, given as its `window_table`
     `table`, in a window of +-search_range pels around `starts[i]`, clamped
-    to the frame.  The rate term charges each displacement the cheaper of its
+    to the frame and to the pel range [MV_MIN // 4, MV_MAX // 4] a vector
+    can carry.  The rate term charges each displacement the cheaper of its
     two differences against `cands[i]`.  Cost ties fall back to smaller SAD,
     then smaller |dy|, then smaller |dx|, then first position in raster scan
     order.  Returns one (vector in quarter-pel units, SAD) per PU; each PU's
     result is independent of the others in the batch.
     """
-    # each axis searches at most 2R+1 positions, and never more than the frame has
-    span_x, span_y = (min(2 * params.search_range + 1, k) for k in table.shape[:2])
-    row_bytes = span_x * table[0, 0].nbytes
+    # each axis searches at most 2R+1 positions, and never more than the frame
+    # has or a vector can reach
+    span_x, span_y = (min(2 * params.search_range + 1, k, _PEL_MAX - _PEL_MIN + 1) for k in table.shape[:2])
+    row_bytes = span_x * table.shape[2] * 2
     step = max(1, _BATCH_BYTES // (span_y * row_bytes))
     # a PU whose window alone exceeds the budget is searched a band of dy rows at a
     # time; bands run in raster order, so the earlier one keeps a full (cost, key) tie
     rows = max(1, min(span_y, _BATCH_BYTES // row_bytes))
     found: list[tuple[MotionVector, int]] = []
     for i in range(0, len(origins), step):
-        batch = (cur, table, origins[i : i + step], starts[i : i + step], cands[i : i + step], params)
+        batch = (cur, table, origins[i : i + step], starts[i : i + step], cands[i : i + step], params, span_x)
         best = _search(*batch, 0, rows)
         for r in range(rows, span_y, rows):
-            best = [b if b[:2] <= p[:2] else p for b, p in zip(best, _search(*batch, r, r + rows))]
+            band = _search(*batch, r, min(r + rows, span_y))
+            best = [b if b[:2] <= p[:2] else p for b, p in zip(best, band)]
         found += [(MotionVector(4 * x, 4 * y), sad) for _, _, x, y, sad in best]
     return found
 
@@ -197,44 +212,51 @@ def _search(
     starts: Sequence[MotionVector],
     cands: Sequence[CandidatePair],
     params: RdParams,
+    span_x: int,
     row0: int,
     row1: int,
 ) -> list[tuple[float, int, int, int, int]]:
-    """Each PU's best (cost, key, dx, dy, SAD) in rows [row0, row1) of its window, in one batch."""
+    """Each PU's best (cost, key, dx, dy, SAD) in rows [row0, row1) of its window, in one batch.
+
+    Each window is `span_x` positions wide, padded past its right edge as below.
+    """
     ps, reach = params.pu_size, params.search_range
     n = len(origins)
-    o = np.array(origins, dtype=np.int64).reshape(n, 2)
-    s = np.array([(v.x, v.y) for v in starts], dtype=np.int64).reshape(n, 2) // 4
-    c = np.array([((p.mvp0.x, p.mvp0.y), (p.mvp1.x, p.mvp1.y)) for p in cands], dtype=np.int64).reshape(n, 2, 2)
+    a = np.array(
+        [(x, y, v.x, v.y, p.mvp0.x, p.mvp0.y, p.mvp1.x, p.mvp1.y) for (x, y), v, p in zip(origins, starts, cands)],
+        dtype=np.int64,
+    ).reshape(n, 8)
+    o, s, c = a[:, :2], a[:, 2:4] >> 2, a[:, 4:].reshape(n, 2, 2)
 
     # displacement d maps the current block to the reference block at (pos - d);
-    # each axis searches [lo, hi] inside the frame, padded to that axis's span
-    extent = np.array(table.shape[:2])
-    low, high = o - extent + 1, o
+    # each axis searches [lo, hi] inside the frame and the vector range.  Past hi
+    # an axis repeats hi up to its span: a repeat ties its original in every key
+    # and comes later in raster order, so it is never picked over it.
+    low = np.maximum(o - table.shape[:2] + 1, _PEL_MIN)
+    high = np.minimum(o, _PEL_MAX)
     lo = np.minimum(np.maximum(s - reach, low), high)
     hi = np.minimum(np.maximum(s + reach, low), high)
-    dxs = lo[:, 0, None] + np.arange(min(2 * reach + 1, extent[0]))  # ascending
-    dys = lo[:, 1, None] + np.arange(row0, min(row1, 2 * reach + 1, extent[1]))
-    inside = (dys <= hi[:, 1, None])[:, :, None] & (dxs <= hi[:, 0, None])[:, None, :]
-    # padding reads a block inside the frame, then costs +inf
-    px, py = np.maximum(o[:, 0, None] - dxs, 0), np.maximum(o[:, 1, None] - dys, 0)
+    dxs = np.minimum(lo[:, 0, None] + np.arange(span_x), hi[:, 0, None])
+    dys = np.minimum(lo[:, 1, None] + np.arange(row0, row1), hi[:, 1, None])
 
-    blocks = table[px[:, None, :], py[:, :, None]]  # (n, dy, dx, ps * ps)
-    current = np.stack([cur[y : y + ps, x : x + ps] for x, y in origins]).reshape(n, -1)
-    diff = np.subtract(blocks, current[:, None, None], dtype=np.int16)
-    np.abs(diff, out=diff)
-    sad = diff.sum(axis=-1, dtype=np.int32)
+    blocks = table[(o[:, 0, None] - dxs)[:, None, :], (o[:, 1, None] - dys)[:, :, None]]  # (n, dy, dx, ps * ps)
+    w = cur.shape[1]
+    current = cur.ravel()[(o[:, 1] * w + o[:, 0])[:, None, None] + np.arange(0, ps * w, w)[:, None] + np.arange(ps)]
+    current = current.reshape(n, 1, 1, -1)
+    # |a - b| = max(a, b) - min(a, b) stays in uint8, and sums of _CHUNK samples fit uint16
+    diff = np.maximum(blocks, current)
+    diff -= np.minimum(blocks, current, out=blocks)
+    chunk = min(_CHUNK, ps * ps)
+    sad = diff.reshape(*diff.shape[:3], -1, chunk).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
 
     cost = sad + params.lambda_motion * _rates(dxs, dys, c)
-    cost[~inside] = np.inf
     low_cost = cost.min(axis=(1, 2), keepdims=True)
-    keep = cost == low_cost
     # among the cheapest, order by (SAD, |dy|, |dx|) packed in one int64; argmin keeps
     # the first in raster order.  SAD < 2**31 for 64x64 PUs of 8-bit samples, and
-    # |d| < 2**16 inside the window of any frame whose size fits a stream header.
-    key = (sad.astype(np.int64) << 32) | (np.abs(dys)[:, :, None] << 16) | np.abs(dxs)[:, None, :]
-    best = np.where(keep, key, np.iinfo(np.int64).max).reshape(n, -1).argmin(axis=1)
-    iy, ix = np.divmod(best, dxs.shape[1])
+    # |d| <= 2048 < 2**16 inside the vector range.
+    key = (sad << 32) | ((np.abs(dys) << 16)[:, :, None] | np.abs(dxs)[:, None, :])
+    best = np.where(cost == low_cost, key, _NO_KEY).reshape(n, -1).argmin(axis=1)
+    iy, ix = np.divmod(best, span_x)
     pus = np.arange(n)
     columns = (low_cost.ravel(), key[pus, iy, ix], dxs[pus, ix], dys[pus, iy], sad[pus, iy, ix])
     return list(zip(*(c.tolist() for c in columns)))

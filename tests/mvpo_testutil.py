@@ -71,8 +71,9 @@ def me_oracle(
     def clamp(center: int, lo: int, hi: int) -> tuple[int, int]:
         return min(max(center - reach, lo), hi), min(max(center + reach, lo), hi)
 
-    dx_lo, dx_hi = clamp(start.x // 4, block_x - (w - ps), block_x)
-    dy_lo, dy_hi = clamp(start.y // 4, block_y - (h - ps), block_y)
+    # inside the frame, and inside the pel range a vector can represent
+    dx_lo, dx_hi = clamp(start.x // 4, max(block_x - (w - ps), MV_MIN // 4), min(block_x, MV_MAX // 4))
+    dy_lo, dy_hi = clamp(start.y // 4, max(block_y - (h - ps), MV_MIN // 4), min(block_y, MV_MAX // 4))
 
     best_key = None
     best = None

@@ -26,6 +26,7 @@ from mvpo import (
     derive_candidates,
     encode_sequence,
     motion_estimate,
+    optimal_rate,
     rate_of,
     reconstruct_mvs,
     seed_candidate,
@@ -387,16 +388,34 @@ def test_batch_with_whole_lambda_ties_sad_against_rate(lam):
 
 
 def test_batch_larger_than_one_search_call_matches_oracle():
-    # 42 PUs of 8x8 at range 8 exceed one numpy batch's byte budget, so the batch is split
+    # 96 PUs of 8x8 at range 8, at two working bytes per candidate sample,
+    # exceed one search call's byte budget, so the batch is split
     rng = np.random.default_rng(23)
-    ref = rng.integers(0, 256, size=(56, 48), dtype=np.uint8)
+    ref = rng.integers(0, 256, size=(64, 96), dtype=np.uint8)
     cur = np.roll(ref, (-1, 2), axis=(0, 1))
     params = RdParams(qp=12, search_range=8, pu_size=8)
-    origins = [(bx, by) for by in range(0, 56, 8) for bx in range(0, 48, 8)]
-    assert len(origins) * 17 * 17 * 8 * 8 > _BATCH_BYTES
+    origins = [(bx, by) for by in range(0, 64, 8) for bx in range(0, 96, 8)]
+    assert len(origins) * 17 * 17 * 8 * 8 * 2 > _BATCH_BYTES
     starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
     cands = [CandidatePair(s, ZERO_MV) for s in starts]
     _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+
+
+@pytest.mark.parametrize("ps", [8, 16, 32, 64])
+def test_sad_at_saturation_is_exact_at_every_pu_size(ps):
+    # every sample differs by 255, the largest SAD a PU can have: ps * ps * 255
+    params = RdParams(qp=25, search_range=3, pu_size=ps)
+    zero = CandidatePair(ZERO_MV, ZERO_MV)
+    dark, bright = np.zeros((2 * ps, 2 * ps), dtype=np.uint8), np.full((2 * ps, 2 * ps), 255, dtype=np.uint8)
+    origins = [(0, 0), (ps, 0), (0, ps), (ps, ps)]
+    found = motion_estimate(dark, window_table(bright, ps), origins, [ZERO_MV] * 4, [zero] * 4, params)
+    assert [sad for _, sad in found] == [ps * ps * 255] * 4
+    _assert_batch_matches_oracle(dark, bright, origins, [ZERO_MV] * 4, [zero] * 4, params)
+    # a 0/255 checkerboard against its inverse, where the only position is d = 0
+    board = (np.indices((ps, ps)).sum(axis=0) % 2 * 255).astype(np.uint8)
+    for cur, ref in ((board, 255 - board), (255 - board, board)):
+        found = _search_one(cur, ref, 0, 0, ZERO_MV, zero, params)
+        assert found == (ZERO_MV, ps * ps * 255) == _oracle(cur, ref, 0, 0, ZERO_MV, zero, params)
 
 
 def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
@@ -405,12 +424,12 @@ def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
     ps = 64
     assert 65 * 65 * ps * ps > _BATCH_BYTES > 2 * 65 * ps * ps
     params = RdParams(qp=25, search_range=1000, pu_size=ps)
-    # flat: dy = -2 and dy = +2 tie in cost, SAD, |dy| and |dx| in different
-    # bands, and raster order keeps the earlier band's dy = -2
+    # flat: dy = -3 and dy = +3 tie in cost, SAD, |dy| and |dx| in different
+    # bands, and raster order keeps the earlier band's dy = -3
     flat = np.full((128, 128), 90, dtype=np.uint8)
-    tie = CandidatePair(MotionVector(0, 8), MotionVector(0, -8))
+    tie = CandidatePair(MotionVector(0, 12), MotionVector(0, -12))
     (found,) = motion_estimate(flat, window_table(flat, ps), [(32, 32)], [ZERO_MV], [tie], params)
-    assert found == (MotionVector(0, -8), 0) == _oracle(flat, flat, 32, 32, ZERO_MV, tie, params)
+    assert found == (MotionVector(0, -12), 0) == _oracle(flat, flat, 32, 32, ZERO_MV, tie, params)
     # dy = -3 and dy = +2 tie in cost only, and the later band's smaller |dy| wins
     near = CandidatePair(MotionVector(0, -12), MotionVector(0, 8))
     (found,) = motion_estimate(flat, window_table(flat, ps), [(32, 32)], [ZERO_MV], [near], params)
@@ -509,6 +528,27 @@ def test_encode_with_search_range_wider_than_the_frame_matches_oracle():
     frames = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 64, 64, 2, seed=5))
     params = RdParams(qp=25, search_range=1000, pu_size=16)
     assert write_stream(encode_sequence(frames, params)[0]) == write_stream(encode_oracle(frames, params))
+
+
+def test_search_window_stays_inside_the_vector_range():
+    # a static 2304x16 clip whose last PU moves to where the block 2136 pels
+    # to its left was: 4 * 2136 = 8544 quarter-pels is past MV_MAX, so the
+    # window stops at 2047 pels and the stream still encodes and decodes
+    rng = np.random.default_rng(26)
+    ref = rng.integers(0, 256, size=(16, 2304), dtype=np.uint8)
+    cur = ref.copy()
+    cur[:, 2288:] = ref[:, 152:168]
+    params = RdParams(qp=25, search_range=2200, pu_size=16)
+    stream, field = encode_sequence([Plane(ref), Plane(cur)], params)
+    assert all(MV_MIN <= v <= MV_MAX for mv in field.as_dict().values() for v in (mv.x, mv.y))
+    assert read_stream(write_stream(stream)).records == stream.records
+    assert reconstruct_mvs(stream) == field
+    assert optimal_rate(stream).optimal_rate_pct == 100.0
+    # the moved PU searched the clamped window the oracle searches
+    last = derive_candidates(field, 1, 2288, 0)
+    found = _search_one(cur, ref, 2288, 0, seed_candidate(last), last, params)
+    assert found == _oracle(cur, ref, 2288, 0, seed_candidate(last), last, params)
+    assert found[0] == field.get(1, 2288, 0)
 
 
 _BOUNDED_ENCODE = """
