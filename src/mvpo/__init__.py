@@ -12,6 +12,7 @@ from .analyzer import (
 )
 from .codec import (
     MvField,
+    block_sums,
     decode_walk,
     derive_candidates,
     encode_sequence,

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success (including an indeterminate verdict, which warns on
 stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream (also
-a tar1 output that would not decode).  Outputs are written only after a
-command has fully succeeded, and every artifact gets a sidecar or inline
-record of the invocation that produced it, so reruns are auditable.  Each
-file is written whole through a temp file and a rename, a sidecar just
-before the file it describes and put back if that file's rename fails.
+a tar1 output that would not decode), 70 internal error: any other failure
+is a fault in mvpo and is reported with its traceback.  Outputs are written
+only after a command has fully succeeded, and every artifact gets a sidecar
+or inline record of the invocation that produced it, so reruns are
+auditable.  Each file is written whole through a temp file and a rename, a
+sidecar just before the file it describes and put back if that file's rename
+fails.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import __version__
 from .analyzer import optimal_rate
@@ -44,6 +47,19 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_MALFORMED = 3
+EXIT_INTERNAL = 70  # sysexits.h EX_SOFTWARE
+
+
+class UsageError(Exception):
+    """A command-line value the command cannot run with."""
+
+
+def _from_args(make, *args, **kwargs):
+    """Build a value object from command-line values; a value it rejects is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,11 +79,11 @@ def _to_json(doc: dict) -> str:
 
 def _load_frames(args):
     if bool(args.synth) == bool(args.yuv):
-        raise ValueError("encode needs exactly one of --synth or --yuv")
+        raise UsageError("encode needs exactly one of --synth or --yuv")
     if args.synth:
         return synthesize(parse_synth_spec(args.synth))
     if not args.size:
-        raise ValueError("--yuv needs --size WxH")
+        raise UsageError("--yuv needs --size WxH")
     w, h = _parse_size(args.size)
     frames = args.frames
     if frames is None:
@@ -81,7 +97,7 @@ def _load_frames(args):
 
 def cmd_encode(args) -> int:
     frames = _load_frames(args)
-    params = RdParams(qp=args.qp, search_range=args.search_range, pu_size=args.pu_size)
+    params = _from_args(RdParams, qp=args.qp, search_range=args.search_range, pu_size=args.pu_size)
     stream, _ = encode_sequence(frames, params)
     meta = _invocation(
         "encode",
@@ -106,8 +122,8 @@ def cmd_embed(args) -> int:
     tag = METHOD_TAGS[args.method]
     value = getattr(args, tag.param)
     if value is None:
-        raise ValueError(f"--method {args.method} needs --{tag.param}")
-    stego, report = embed(stream, tag.config(value, args.seed))
+        raise UsageError(f"--method {args.method} needs --{tag.param}")
+    stego, report = embed(stream, _from_args(tag.config, value, args.seed))
     doc = report.to_dict()
     params = {t.param: getattr(args, t.param) for t in METHOD_TAGS.values()}
     doc["invocation"] = _invocation(
@@ -201,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"mvpo: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InputError, OSError) as exc:
@@ -210,6 +226,11 @@ def main(argv=None) -> int:
     except MalformedStreamError as exc:
         print(f"mvpo: malformed stream: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except Exception as exc:
+        # not a fault of the arguments or the input: say so, with the traceback to report
+        traceback.print_exc()
+        print(f"mvpo: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

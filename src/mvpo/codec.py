@@ -17,12 +17,15 @@ out in raster order, and candidate lists agree on both sides by construction.
 
 Once per P-frame the encoder lays the reconstructed reference out as a
 `window_table`, in which every candidate block is one contiguous run of
-samples; the previous frame's table is dropped before the next is built.
-Windows are clamped to the frame and to the pel range a vector can carry.
-SAD is exact in narrow integers: |a - b| = max(a, b) - min(a, b) in uint8,
-summed 256 samples at a time in uint16.  One search call works within a
-fixed byte budget that holds a whole CIF diagonal; a PU whose window exceeds
-it is searched in bands of rows.
+samples, and as the int32 `block_sums` of those blocks; the previous frame's
+tables are dropped before the next are built, and the reconstruction is one
+gather of each PU's reference block from the table.  The search centres each
+window on the candidate `seed_candidate` picks and clamps it to the frame and
+to the pel range a vector can carry.  SAD is exact in narrow integers:
+|a - b| = 2 max(a, b) - a - b, so a block's SAD is twice the sum of its
+uint8 maxima, summed 256 samples at a time in uint16, less the two block
+sums.  One search call works within a fixed byte budget that holds a whole
+CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
 """
 
 from __future__ import annotations
@@ -119,11 +122,11 @@ def seed_candidate(cands: CandidatePair) -> MotionVector:
     return cands.mvp1 if r1 < r0 else cands.mvp0
 
 
-# working memory of one search call: two bytes per sample of its candidate
-# blocks, the gathered blocks (then min(block, current)) and max(block, current);
-# a whole CIF anti-diagonal of 18 16x16 PUs at search range 8 fits
-_BATCH_BYTES = 18 * 17 * 17 * 16 * 16 * 2
-# |a - b| <= 255 for 8-bit samples, so a uint16 sum of this many cannot wrap
+# working memory of one search call: one byte per sample of its candidate
+# blocks, gathered and then overwritten with max(block, current); a whole CIF
+# anti-diagonal of 18 16x16 PUs at search range 8 fits
+_BATCH_BYTES = 18 * 17 * 17 * 16 * 16
+# max(a, b) <= 255 for 8-bit samples, so a uint16 sum of this many cannot wrap
 _CHUNK = 256
 # the pel displacements a quarter-pel vector can carry
 _PEL_MIN, _PEL_MAX = MV_MIN // 4, MV_MAX // 4
@@ -145,12 +148,40 @@ def window_table(ref: np.ndarray, pu_size: int) -> np.ndarray:
     return sliding_window_view(bands.reshape(len(bands), -1), ps * ps, axis=1)[:, ::ps]
 
 
+def block_sums(ref: np.ndarray, pu_size: int) -> np.ndarray:
+    """The sample sum of every `pu_size` x `pu_size` block of `ref`, indexed like its `window_table`.
+
+    Returns a C-contiguous int32 (W - ps + 1, H - ps + 1) array whose entry
+    [x, y] is `ref[y : y + ps, x : x + ps].sum()`.  Sums over runs of 1, 2,
+    4, ... samples double along y, then along x, so `pu_size` must be a power
+    of two, as every PU size is; no temporary is wider than int32.
+    """
+    if pu_size < 1 or pu_size & (pu_size - 1):
+        raise ValueError(f"pu_size {pu_size} is not a power of two")
+    sums = ref.T.astype(np.int32, order="C")
+    run = 1
+    while run < pu_size:
+        sums = sums[:, :-run] + sums[:, run:]
+        run *= 2
+    run = 1
+    while run < pu_size:
+        sums = sums[:-run] + sums[run:]
+        run *= 2
+    return sums
+
+
 @functools.cache
 def _se_bits_table() -> np.ndarray:
     """`se_bits(v)` at index `v + _RATE_LIMIT` for every |v| <= _RATE_LIMIT; read-only and shared."""
     table = np.array([se_bits(v) for v in range(-_RATE_LIMIT, _RATE_LIMIT + 1)], dtype=np.int16)
     table.flags.writeable = False
     return table
+
+
+@functools.cache
+def _se_bits_list() -> list[int]:
+    """`_se_bits_table()` as a list, for lookups one value at a time."""
+    return _se_bits_table().tolist()
 
 
 def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -169,8 +200,8 @@ def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
 def motion_estimate(
     cur: np.ndarray,
     table: np.ndarray,
+    sums: np.ndarray,
     origins: Sequence[tuple[int, int]],
-    starts: Sequence[MotionVector],
     cands: Sequence[CandidatePair],
     params: RdParams,
 ) -> list[tuple[MotionVector, int]]:
@@ -178,55 +209,63 @@ def motion_estimate(
 
     PU i has its top-left corner at `origins[i]` = (x, y) in the current plane
     `cur` and searches the reference plane, given as its `window_table`
-    `table`, in a window of +-search_range pels around `starts[i]`, clamped
-    to the frame and to the pel range [MV_MIN // 4, MV_MAX // 4] a vector
-    can carry.  The rate term charges each displacement the cheaper of its
-    two differences against `cands[i]`.  Cost ties fall back to smaller SAD,
-    then smaller |dy|, then smaller |dx|, then first position in raster scan
-    order.  Returns one (vector in quarter-pel units, SAD) per PU; each PU's
-    result is independent of the others in the batch.
+    `table` and its `block_sums` `sums`, in a window of +-search_range pels
+    around `seed_candidate(cands[i])`, clamped to the frame and to the pel
+    range [MV_MIN // 4, MV_MAX // 4] a vector can carry.  The rate term
+    charges each displacement the cheaper of its two differences against
+    `cands[i]`.  Cost ties fall back to smaller SAD, then smaller |dy|, then
+    smaller |dx|, then first position in raster scan order.  Returns one
+    (vector in quarter-pel units, SAD) per PU; each PU's result is
+    independent of the others in the batch.
     """
     # each axis searches at most 2R+1 positions, and never more than the frame
     # has or a vector can reach
     span_x, span_y = (min(2 * params.search_range + 1, k, _PEL_MAX - _PEL_MIN + 1) for k in table.shape[:2])
-    row_bytes = span_x * table.shape[2] * 2
+    row_bytes = span_x * table.shape[2]
     step = max(1, _BATCH_BYTES // (span_y * row_bytes))
     # a PU whose window alone exceeds the budget is searched a band of dy rows at a
     # time; bands run in raster order, so the earlier one keeps a full (cost, key) tie
     rows = max(1, min(span_y, _BATCH_BYTES // row_bytes))
     found: list[tuple[MotionVector, int]] = []
     for i in range(0, len(origins), step):
-        batch = (cur, table, origins[i : i + step], starts[i : i + step], cands[i : i + step], params, span_x)
+        batch = (cur, table, sums, origins[i : i + step], cands[i : i + step], params, span_x)
         best = _search(*batch, 0, rows)
         for r in range(rows, span_y, rows):
             band = _search(*batch, r, min(r + rows, span_y))
             best = [b if b[:2] <= p[:2] else p for b, p in zip(best, band)]
-        found += [(MotionVector(4 * x, 4 * y), sad) for _, _, x, y, sad in best]
+        found += [(MotionVector(4 * x, 4 * y), key >> 32) for _, key, x, y in best]
     return found
 
 
 def _search(
     cur: np.ndarray,
     table: np.ndarray,
+    sums: np.ndarray,
     origins: Sequence[tuple[int, int]],
-    starts: Sequence[MotionVector],
     cands: Sequence[CandidatePair],
     params: RdParams,
     span_x: int,
     row0: int,
     row1: int,
-) -> list[tuple[float, int, int, int, int]]:
-    """Each PU's best (cost, key, dx, dy, SAD) in rows [row0, row1) of its window, in one batch.
+) -> list[tuple[float, int, int, int]]:
+    """Each PU's best (cost, key, dx, dy) in rows [row0, row1) of its window, in one batch.
+
+    The key packs (SAD, |dy|, |dx|), the SAD in its bits from 32 up.
 
     Each window is `span_x` positions wide, padded past its right edge as below.
     """
     ps, reach = params.pu_size, params.search_range
     n = len(origins)
-    a = np.array(
-        [(x, y, v.x, v.y, p.mvp0.x, p.mvp0.y, p.mvp1.x, p.mvp1.y) for (x, y), v, p in zip(origins, starts, cands)],
-        dtype=np.int64,
-    ).reshape(n, 8)
-    o, s, c = a[:, :2], a[:, 2:4] >> 2, a[:, 4:].reshape(n, 2, 2)
+    bits, lim = _se_bits_list(), _RATE_LIMIT
+    fields = []
+    for (x, y), p in zip(origins, cands):
+        c0, c1 = p.mvp0, p.mvp1
+        # the window centre is `seed_candidate`'s pick: the candidate whose own
+        # code is shorter, the first on a tie
+        s = c1 if bits[c1.x + lim] + bits[c1.y + lim] < bits[c0.x + lim] + bits[c0.y + lim] else c0
+        fields.append((x, y, s.x >> 2, s.y >> 2, c0.x, c0.y, c1.x, c1.y))
+    a = np.array(fields, dtype=np.int64).reshape(n, 8)
+    o, s, c = a[:, :2], a[:, 2:4], a[:, 4:].reshape(n, 2, 2)
 
     # displacement d maps the current block to the reference block at (pos - d);
     # each axis searches [lo, hi] inside the frame and the vector range.  Past hi
@@ -238,16 +277,20 @@ def _search(
     hi = np.minimum(np.maximum(s + reach, low), high)
     dxs = np.minimum(lo[:, 0, None] + np.arange(span_x), hi[:, 0, None])
     dys = np.minimum(lo[:, 1, None] + np.arange(row0, row1), hi[:, 1, None])
+    xs, ys = (o[:, 0, None] - dxs)[:, None, :], (o[:, 1, None] - dys)[:, :, None]
 
-    blocks = table[(o[:, 0, None] - dxs)[:, None, :], (o[:, 1, None] - dys)[:, :, None]]  # (n, dy, dx, ps * ps)
+    blocks = table[xs, ys]  # (n, dy, dx, ps * ps)
     w = cur.shape[1]
-    current = cur.ravel()[(o[:, 1] * w + o[:, 0])[:, None, None] + np.arange(0, ps * w, w)[:, None] + np.arange(ps)]
-    current = current.reshape(n, 1, 1, -1)
-    # |a - b| = max(a, b) - min(a, b) stays in uint8, and sums of _CHUNK samples fit uint16
-    diff = np.maximum(blocks, current)
-    diff -= np.minimum(blocks, current, out=blocks)
+    offsets = (np.arange(0, ps * w, w)[:, None] + np.arange(ps)).ravel()  # a block's samples in `cur`, row by row
+    current = cur.ravel()[(o[:, 1] * w + o[:, 0])[:, None] + offsets]  # (n, ps * ps)
+    # |a - b| = 2 max(a, b) - a - b: the maxima stay in uint8 and sums of _CHUNK
+    # of them fit uint16; the block sums come from `sums`, the current ones from here
+    np.maximum(blocks, current[:, None, None, :], out=blocks)
     chunk = min(_CHUNK, ps * ps)
-    sad = diff.reshape(*diff.shape[:3], -1, chunk).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
+    sad = blocks.reshape(*blocks.shape[:3], -1, chunk).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
+    sad <<= 1
+    sad -= sums[xs, ys]
+    sad -= current.sum(axis=1, dtype=np.int64)[:, None, None]
 
     cost = sad + params.lambda_motion * _rates(dxs, dys, c)
     low_cost = cost.min(axis=(1, 2), keepdims=True)
@@ -258,7 +301,7 @@ def _search(
     best = np.where(cost == low_cost, key, _NO_KEY).reshape(n, -1).argmin(axis=1)
     iy, ix = np.divmod(best, span_x)
     pus = np.arange(n)
-    columns = (low_cost.ravel(), key[pus, iy, ix], dxs[pus, ix], dys[pus, iy], sad[pus, iy, ix])
+    columns = (low_cost.ravel(), key[pus, iy, ix], dxs[pus, ix], dys[pus, iy])
     return list(zip(*(c.tolist() for c in columns)))
 
 
@@ -289,7 +332,10 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     if w % ps or h % ps:
         raise InputError(f"{w}x{h} frames are not a multiple of pu_size {ps}")
 
-    header = StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames))
+    try:
+        header = StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames))
+    except ValueError as exc:  # frames wider or taller than a stream can describe
+        raise InputError(f"{w}x{h} frames do not fit a stream: {exc}") from exc
     field = MvField(w, h, ps)
     records: list[PuRecord] = []
     cols, rows = w // ps, h // ps
@@ -301,22 +347,23 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     ref = frames[0].data
     for f in range(1, len(frames)):
         cur = frames[f].data
-        table = window_table(ref, ps)
-        recon = np.empty_like(ref)
+        table, sums = window_table(ref, ps), block_sums(ref, ps)
         coded: list[PuRecord | None] = [None] * (cols * rows)
+        sources: list[tuple[int, int]] = [(0, 0)] * (cols * rows)  # the reference block each PU copies
         for diagonal in diagonals:
             cands = [derive_candidates(field, f, bx, by) for bx, by in diagonal]
-            starts = [seed_candidate(c) for c in cands]
-            found = motion_estimate(cur, table, diagonal, starts, cands, params)
+            found = motion_estimate(cur, table, sums, diagonal, cands, params)
             for (bx, by), pair, (mv, _) in zip(diagonal, cands, found):
                 idx, mvd = select_mvp(mv, pair)
                 field.put(f, bx, by, mv)
-                coded[(by // ps) * cols + bx // ps] = PuRecord(f, bx, by, idx, mvd)
-                ry, rx = by - mv.y // 4, bx - mv.x // 4
-                recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
+                k = (by // ps) * cols + bx // ps
+                coded[k] = PuRecord(f, bx, by, idx, mvd)
+                sources[k] = (bx - mv.x // 4, by - mv.y // 4)
         records += coded
-        ref = recon
-        del table  # one table alive per encode: drop it before the next frame builds its own
+        # the reconstruction is each PU's reference block, gathered in raster order
+        xs, ys = np.array(sources).T
+        ref = table[xs, ys].reshape(rows, cols, ps, ps).swapaxes(1, 2).reshape(h, w)
+        del table, sums  # one table alive per encode: drop it before the next frame builds its own
     return SequenceStream(header, records), field
 
 

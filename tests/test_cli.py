@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mvpo import SequenceStream, read_stream, write_stream
+from mvpo import cli
 from mvpo.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_MALFORMED,
     EXIT_OK,
@@ -124,6 +126,31 @@ def test_missing_parameter_for_method_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "needs --e" in capsys.readouterr().err
     assert not (tmp_path / "x.mvpo").exists()
+
+
+def test_rejected_parameter_values_are_usage_errors(tmp_path, capsys):
+    # RdParams and the method config reject these values: exit 1 with their own message
+    out = tmp_path / "x.mvpo"
+    assert main(["encode", "--synth", SYNTH, "--qp", "99", "--out", str(out)]) == EXIT_USAGE
+    assert "mvpo: error: qp 99 outside [0, 51]" in capsys.readouterr().err
+    cover = _encode(tmp_path)
+    code = main(["embed", "--in", str(cover), "--method", "tar1", "--e", "1.5", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "mvpo: error: strength_e 1.5 must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_fault_inside_the_program_is_an_internal_error_not_a_usage_error(tmp_path, monkeypatch, capsys):
+    def _broken(frames, params):
+        raise ValueError("index 7 out of range")
+
+    monkeypatch.setattr(cli, "encode_sequence", _broken)
+    code = main(["encode", "--synth", SYNTH, "--out", str(tmp_path / "x.mvpo")])
+    assert code == EXIT_INTERNAL != EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "mvpo: internal error: ValueError: index 7 out of range" in err
+    assert "Traceback" in err and "mvpo: error:" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_is_io_error_without_partial_output(tmp_path, capsys):

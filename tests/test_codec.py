@@ -22,6 +22,7 @@ from mvpo import (
     SynthPattern,
     SynthSpec,
     ZERO_MV,
+    block_sums,
     decode_walk,
     derive_candidates,
     encode_sequence,
@@ -36,6 +37,7 @@ from mvpo import (
     write_stream,
     read_stream,
 )
+from mvpo import codec
 from mvpo.codec import _BATCH_BYTES, _rates
 from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import InputError
@@ -140,22 +142,34 @@ def test_select_mvp_result_is_never_beaten():
 
 # ---------------------------------------------------------------- search oracle
 
-def _search_one(cur, ref, bx, by, start, cands, params):
+def _estimate(cur, ref, origins, cands, params):
+    """`motion_estimate` over the reference tables the encoder builds for each P-frame."""
+    ps = params.pu_size
+    return motion_estimate(cur, window_table(ref, ps), block_sums(ref, ps), origins, cands, params)
+
+
+def _search_one(cur, ref, bx, by, cands, params):
     """A one-PU batch, the same call the encoder makes for a whole anti-diagonal."""
-    (found,) = motion_estimate(cur, window_table(ref, params.pu_size), [(bx, by)], [start], [cands], params)
+    (found,) = _estimate(cur, ref, [(bx, by)], [cands], params)
     return found
 
 
-def _oracle(cur, ref, bx, by, start, cands, params):
+def _oracle(cur, ref, bx, by, cands, params):
+    """The brute-force search around the window centre the encoder seeds: `seed_candidate`."""
     ps = params.pu_size
-    return me_oracle(cur[by : by + ps, bx : bx + ps], ref, bx, by, start, cands, params)
+    return me_oracle(cur[by : by + ps, bx : bx + ps], ref, bx, by, seed_candidate(cands), cands, params)
 
 
-def _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params):
-    found = motion_estimate(cur, window_table(ref, params.pu_size), origins, starts, cands, params)
+def _assert_batch_matches_oracle(cur, ref, origins, cands, params):
+    found = _estimate(cur, ref, origins, cands, params)
     assert len(found) == len(origins)
-    for (bx, by), start, pair, got in zip(origins, starts, cands, found):
-        assert got == _oracle(cur, ref, bx, by, start, pair, params), (bx, by, start, pair)
+    for (bx, by), pair, got in zip(origins, cands, found):
+        assert got == _oracle(cur, ref, bx, by, pair, params), (bx, by, pair)
+
+
+def _centred(start):
+    """A pair whose window centre is `start`: its mirror codes in as many bits, and a tie keeps the first."""
+    return CandidatePair(start, MotionVector(-start.x, -start.y))
 
 
 def _place(block, shape, bx, by):
@@ -171,13 +185,12 @@ def _random_case(rng, ps, frame, reach):
     cur = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
     bx = int(rng.integers(0, w // ps)) * ps
     by = int(rng.integers(0, h // ps)) * ps
-    start = MotionVector(int(rng.integers(-40, 41)), int(rng.integers(-40, 41)))
     cands = CandidatePair(
         MotionVector(int(rng.integers(-24, 25)) * 4, int(rng.integers(-24, 25)) * 4),
-        MotionVector(int(rng.integers(-24, 25)), int(rng.integers(-24, 25))),
+        MotionVector(int(rng.integers(-40, 41)), int(rng.integers(-40, 41))),
     )
     params = RdParams(qp=int(rng.integers(10, 40)), search_range=reach, pu_size=ps)
-    return cur, ref, bx, by, start, cands, params
+    return cur, ref, bx, by, cands, params
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -202,13 +215,12 @@ def test_motion_estimate_matches_oracle_on_flat_planes(seed):
     cur = np.zeros((24, 24), dtype=np.uint8)
     bx = int(rng.integers(0, 3)) * 8
     by = int(rng.integers(0, 3)) * 8
-    start = MotionVector(int(rng.integers(-12, 13)), int(rng.integers(-12, 13)))
     cands = CandidatePair(
-        MotionVector(int(rng.integers(-8, 9)), int(rng.integers(-8, 9))),
+        MotionVector(int(rng.integers(-12, 13)), int(rng.integers(-12, 13))),
         MotionVector(int(rng.integers(-8, 9)), int(rng.integers(-8, 9))),
     )
     params = RdParams(qp=25, search_range=3, pu_size=8)
-    case = (cur, ref, bx, by, start, cands, params)
+    case = (cur, ref, bx, by, cands, params)
     assert _search_one(*case) == _oracle(*case)
 
 
@@ -219,7 +231,7 @@ def test_motion_estimate_matches_oracle_low_contrast(seed):
     ref = (rng.integers(0, 2, size=(24, 24)) * 255).astype(np.uint8)
     cur = _place((rng.integers(0, 2, size=(8, 8)) * 255).astype(np.uint8), ref.shape, 8, 8)
     params = RdParams(qp=30, search_range=3, pu_size=8)
-    case = (cur, ref, 8, 8, ZERO_MV, CandidatePair(ZERO_MV, ZERO_MV), params)
+    case = (cur, ref, 8, 8, CandidatePair(ZERO_MV, ZERO_MV), params)
     assert _search_one(*case) == _oracle(*case)
 
 
@@ -250,7 +262,7 @@ def test_motion_estimate_window_clamps_at_corners():
     params = RdParams(qp=25, search_range=3, pu_size=8)
     # start far outside the valid displacement range still searches a window
     for start in (MotionVector(400, 400), MotionVector(-400, -400)):
-        case = (cur, ref, 0, 0, start, CandidatePair(ZERO_MV, ZERO_MV), params)
+        case = (cur, ref, 0, 0, _centred(start), params)
         mv, sad = _search_one(*case)
         assert (mv, sad) == _oracle(*case)
         assert -((24 - 8)) * 4 <= mv.x <= 0 and -((24 - 8)) * 4 <= mv.y <= 0
@@ -262,7 +274,7 @@ def test_motion_estimate_finds_exact_shift():
     # current block content sits one pel right and two down in the frame
     cur = _place(ref[8 - 2 : 16 - 2, 8 - 1 : 16 - 1], ref.shape, 8, 8)
     params = RdParams(qp=25, search_range=4, pu_size=8)
-    mv, sad = _search_one(cur, ref, 8, 8, ZERO_MV, CandidatePair(ZERO_MV, ZERO_MV), params)
+    mv, sad = _search_one(cur, ref, 8, 8, CandidatePair(ZERO_MV, ZERO_MV), params)
     assert sad == 0
     assert mv == MotionVector(4, 8)
 
@@ -290,6 +302,33 @@ def test_window_table_holds_every_block_as_one_contiguous_run(ps, extra_w, extra
             assert np.array_equal(table[x, y], ref[y : y + ps, x : x + ps].ravel()), (x, y)
 
 
+@settings(max_examples=40)
+@given(
+    ps=st.sampled_from((8, 16, 32, 64)),
+    extra_w=st.integers(0, 20),
+    extra_h=st.integers(0, 20),
+    seed=st.integers(0, 2**16),
+)
+@example(ps=8, extra_w=0, extra_h=13, seed=1)   # width == ps: one column of windows
+@example(ps=64, extra_w=7, extra_h=0, seed=2)   # height == ps: one row of windows
+@example(ps=32, extra_w=0, extra_h=0, seed=3)   # a single window
+def test_block_sums_hold_the_sum_of_every_window_table_entry(ps, extra_w, extra_h, seed):
+    w, h = ps + extra_w, ps + extra_h
+    ref = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+    table, sums = window_table(ref, ps), block_sums(ref, ps)
+    assert sums.shape == table.shape[:2]
+    assert sums.dtype == np.int32 and sums.flags.c_contiguous
+    for x in range(w - ps + 1):
+        for y in range(h - ps + 1):
+            assert sums[x, y] == int(table[x, y].sum(dtype=np.int64)), (x, y)
+
+
+def test_block_sums_need_a_power_of_two_pu_size():
+    # sums double from runs of 1 sample, so only widths 2**k are reachable
+    with pytest.raises(ValueError, match="12 is not a power of two"):
+        block_sums(np.zeros((24, 24), dtype=np.uint8), 12)
+
+
 # ---------------------------------------------------------------- batched search
 
 def test_batch_clamped_at_all_four_borders_matches_oracle():
@@ -300,7 +339,7 @@ def test_batch_clamped_at_all_four_borders_matches_oracle():
     cur = rng.integers(0, 256, size=(32, 40), dtype=np.uint8)
     params = RdParams(qp=22, search_range=4, pu_size=8)
     origins = [(0, 0), (32, 0), (0, 24), (32, 24), (16, 0), (0, 8), (32, 16), (24, 24), (16, 16)]
-    starts = [
+    centres = [
         MotionVector(-20, -20),   # towards the top-left corner
         MotionVector(40, -8),     # right edge, window cut on the right and top
         MotionVector(-4, 48),     # bottom-left
@@ -311,11 +350,13 @@ def test_batch_clamped_at_all_four_borders_matches_oracle():
         MotionVector(2, 21),      # bottom edge only
         MotionVector(-3, 5),      # interior, full window
     ]
+    _assert_batch_matches_oracle(cur, ref, origins, [_centred(c) for c in centres], params)
+    # the same windows, now priced against a second candidate drawn at random
     cands = [
-        CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
-        for a, b, c, d in rng.integers(-20, 21, size=(len(origins), 4))
+        CandidatePair(c, MotionVector(int(x), int(y)))
+        for c, (x, y) in zip(centres, rng.integers(-20, 21, size=(len(origins), 2)))
     ]
-    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+    _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
 def test_batch_with_differing_starts_matches_oracle():
@@ -323,14 +364,14 @@ def test_batch_with_differing_starts_matches_oracle():
     ref = rng.integers(0, 256, size=(48, 64), dtype=np.uint8)
     cur = np.roll(ref, (1, -2), axis=(0, 1))
     params = RdParams(qp=30, search_range=5, pu_size=16)
-    # one PU per cell of the 4x3 grid, each searched around its own start
+    # one PU per cell of the 4x3 grid, each searched around its own seed
     origins = [(bx, by) for by in range(0, 48, 16) for bx in range(0, 64, 16)]
-    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-60, 61, size=(len(origins), 2))]
     cands = [
         CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
-        for a, b, c, d in rng.integers(-40, 41, size=(len(origins), 4))
+        for a, b, c, d in rng.integers(-60, 61, size=(len(origins), 4))
     ]
-    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+    assert len({seed_candidate(pair) for pair in cands}) == len(origins)
+    _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
 def test_batch_on_flat_plane_resolves_ties_at_each_level():
@@ -346,11 +387,10 @@ def test_batch_on_flat_plane_resolves_ties_at_each_level():
         CandidatePair(ZERO_MV, MotionVector(8, 0)),    # dx = 0 and dx = 2 tie
         CandidatePair(MotionVector(4, 0), MotionVector(-4, 0)),  # dx = -1 and dx = 1 tie
     ]
-    starts = [ZERO_MV] * 4
-    found = motion_estimate(flat, window_table(flat, params.pu_size), origins, starts, cands, params)
+    found = _estimate(flat, flat, origins, cands, params)
     assert [mv for mv, _ in found] == [ZERO_MV, ZERO_MV, ZERO_MV, MotionVector(-4, 0)]
     assert all(sad == 0 for _, sad in found)
-    _assert_batch_matches_oracle(flat, flat, origins, starts, cands, params)
+    _assert_batch_matches_oracle(flat, flat, origins, cands, params)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -362,12 +402,11 @@ def test_batch_on_two_level_planes_matches_oracle(seed):
     cur = (rng.integers(0, 2, size=(32, 32)) * 255).astype(np.uint8)
     params = RdParams(qp=int(rng.integers(0, 52)), search_range=3, pu_size=8)
     origins = [(bx, by) for by in range(0, 32, 8) for bx in range(0, 32, 8)]
-    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-16, 17, size=(len(origins), 2))]
     cands = [
         CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
-        for a, b, c, d in rng.integers(-8, 9, size=(len(origins), 4))
+        for a, b, c, d in rng.integers(-16, 17, size=(len(origins), 4))
     ]
-    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+    _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
@@ -379,43 +418,44 @@ def test_batch_with_whole_lambda_ties_sad_against_rate(lam):
     cur = rng.integers(0, 3, size=(32, 32), dtype=np.uint8)
     params = RdParams(qp=25, lambda_motion=lam, search_range=4, pu_size=8)
     origins = [(bx, by) for by in range(0, 32, 8) for bx in range(0, 32, 8)]
-    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
     cands = [
         CandidatePair(MotionVector(int(a), int(b)), MotionVector(int(c), int(d)))
         for a, b, c, d in rng.integers(-12, 13, size=(len(origins), 4))
     ]
-    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+    _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
 def test_batch_larger_than_one_search_call_matches_oracle():
-    # 96 PUs of 8x8 at range 8, at two working bytes per candidate sample,
+    # 96 PUs of 8x8 at range 8, at one working byte per candidate sample,
     # exceed one search call's byte budget, so the batch is split
     rng = np.random.default_rng(23)
     ref = rng.integers(0, 256, size=(64, 96), dtype=np.uint8)
     cur = np.roll(ref, (-1, 2), axis=(0, 1))
     params = RdParams(qp=12, search_range=8, pu_size=8)
     origins = [(bx, by) for by in range(0, 64, 8) for bx in range(0, 96, 8)]
-    assert len(origins) * 17 * 17 * 8 * 8 * 2 > _BATCH_BYTES
-    starts = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
-    cands = [CandidatePair(s, ZERO_MV) for s in starts]
-    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+    assert len(origins) * 17 * 17 * 8 * 8 > _BATCH_BYTES
+    centres = [MotionVector(int(x), int(y)) for x, y in rng.integers(-12, 13, size=(len(origins), 2))]
+    _assert_batch_matches_oracle(cur, ref, origins, [_centred(c) for c in centres], params)
 
 
 @pytest.mark.parametrize("ps", [8, 16, 32, 64])
 def test_sad_at_saturation_is_exact_at_every_pu_size(ps):
-    # every sample differs by 255, the largest SAD a PU can have: ps * ps * 255
+    # SAD = 2 * sum(max) - sum(ref) - sum(cur).  On equal all-255 planes every
+    # 256-sample sum of maxima sits at the uint16 limit, 65,280, and the terms
+    # must cancel to 0.  All-0 against all-255, either way round, differs by
+    # 255 in every sample, the largest SAD a PU can have: ps * ps * 255
     params = RdParams(qp=25, search_range=3, pu_size=ps)
     zero = CandidatePair(ZERO_MV, ZERO_MV)
-    dark, bright = np.zeros((2 * ps, 2 * ps), dtype=np.uint8), np.full((2 * ps, 2 * ps), 255, dtype=np.uint8)
+    dark, bright = (np.full((2 * ps, 2 * ps), v, dtype=np.uint8) for v in (0, 255))
     origins = [(0, 0), (ps, 0), (0, ps), (ps, ps)]
-    found = motion_estimate(dark, window_table(bright, ps), origins, [ZERO_MV] * 4, [zero] * 4, params)
-    assert [sad for _, sad in found] == [ps * ps * 255] * 4
-    _assert_batch_matches_oracle(dark, bright, origins, [ZERO_MV] * 4, [zero] * 4, params)
+    for cur, ref, sad in ((bright, bright, 0), (dark, bright, ps * ps * 255), (bright, dark, ps * ps * 255)):
+        assert [got for _, got in _estimate(cur, ref, origins, [zero] * 4, params)] == [sad] * 4
+        _assert_batch_matches_oracle(cur, ref, origins, [zero] * 4, params)
     # a 0/255 checkerboard against its inverse, where the only position is d = 0
     board = (np.indices((ps, ps)).sum(axis=0) % 2 * 255).astype(np.uint8)
     for cur, ref in ((board, 255 - board), (255 - board, board)):
-        found = _search_one(cur, ref, 0, 0, ZERO_MV, zero, params)
-        assert found == (ZERO_MV, ps * ps * 255) == _oracle(cur, ref, 0, 0, ZERO_MV, zero, params)
+        found = _search_one(cur, ref, 0, 0, zero, params)
+        assert found == (ZERO_MV, ps * ps * 255) == _oracle(cur, ref, 0, 0, zero, params)
 
 
 def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
@@ -428,19 +468,19 @@ def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
     # bands, and raster order keeps the earlier band's dy = -3
     flat = np.full((128, 128), 90, dtype=np.uint8)
     tie = CandidatePair(MotionVector(0, 12), MotionVector(0, -12))
-    (found,) = motion_estimate(flat, window_table(flat, ps), [(32, 32)], [ZERO_MV], [tie], params)
-    assert found == (MotionVector(0, -12), 0) == _oracle(flat, flat, 32, 32, ZERO_MV, tie, params)
+    found = _search_one(flat, flat, 32, 32, tie, params)
+    assert found == (MotionVector(0, -12), 0) == _oracle(flat, flat, 32, 32, tie, params)
     # dy = -3 and dy = +2 tie in cost only, and the later band's smaller |dy| wins
     near = CandidatePair(MotionVector(0, -12), MotionVector(0, 8))
-    (found,) = motion_estimate(flat, window_table(flat, ps), [(32, 32)], [ZERO_MV], [near], params)
-    assert found == (MotionVector(0, 8), 0) == _oracle(flat, flat, 32, 32, ZERO_MV, near, params)
+    found = _search_one(flat, flat, 32, 32, near, params)
+    assert found == (MotionVector(0, 8), 0) == _oracle(flat, flat, 32, 32, near, params)
     rng = np.random.default_rng(25)
     ref = rng.integers(0, 256, size=(128, 128), dtype=np.uint8)
     cur = np.roll(ref, (3, -5), axis=(0, 1))
     origins = [(0, 0), (64, 0), (32, 32), (64, 64)]
-    starts = [ZERO_MV, MotionVector(-20, 12), MotionVector(40, -40), MotionVector(8, 8)]
-    cands = [CandidatePair(s, MotionVector(-20, 12)) for s in starts]
-    _assert_batch_matches_oracle(cur, ref, origins, starts, cands, params)
+    firsts = [ZERO_MV, MotionVector(-20, 12), MotionVector(40, -40), MotionVector(8, 8)]
+    cands = [CandidatePair(v, MotionVector(-20, 12)) for v in firsts]
+    _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
 # ---------------------------------------------------------------- encoding
@@ -465,6 +505,24 @@ def test_encode_global_shift_recovers_motion():
         for bx in (32, 48):
             for by in (0, 16, 32, 48):
                 assert field.get(f, bx, by) == MotionVector(4, 0)
+
+
+def test_encode_searches_one_batch_per_anti_diagonal(monkeypatch):
+    # each P-frame makes one motion_estimate call per anti-diagonal of the PU
+    # grid, and each call one _search; per-call costs are read per diagonal
+    calls = {"motion_estimate": 0, "_search": 0}
+    for name in calls:
+        real = getattr(codec, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(codec, name, counted)
+    cols, rows, frames = 6, 4, 4
+    clip = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 16 * cols, 16 * rows, frames, seed=2))
+    encode_sequence(clip, RdParams(qp=25, search_range=8, pu_size=16))
+    assert calls == {"motion_estimate": (cols + rows - 1) * (frames - 1), "_search": (cols + rows - 1) * (frames - 1)}
 
 
 def _oracle_positions(w, h, ps, reach):
@@ -546,8 +604,8 @@ def test_search_window_stays_inside_the_vector_range():
     assert optimal_rate(stream).optimal_rate_pct == 100.0
     # the moved PU searched the clamped window the oracle searches
     last = derive_candidates(field, 1, 2288, 0)
-    found = _search_one(cur, ref, 2288, 0, seed_candidate(last), last, params)
-    assert found == _oracle(cur, ref, 2288, 0, seed_candidate(last), last, params)
+    found = _search_one(cur, ref, 2288, 0, last, params)
+    assert found == _oracle(cur, ref, 2288, 0, last, params)
     assert found[0] == field.get(1, 2288, 0)
 
 
@@ -567,11 +625,11 @@ sys.stdout.buffer.write(write_stream(stream))
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_one_wide_pu_searches_in_bounded_memory():
     # one 64x64 PU at range 1000 on a 192x128 frame covers 129 x 65 positions:
-    # 34 MB of blocks plus 68 MB of differences if gathered at once.  Split
-    # into rows of displacements, the whole encode fits in 48 MB more than
-    # the child had mapped before it, and writes the oracle's bytes.
+    # 34 MB of blocks if gathered at once.  Split into rows of displacements,
+    # the whole encode fits in 24 MB more than the child had mapped before it,
+    # and writes the oracle's bytes.
     child = subprocess.run(
-        [sys.executable, "-c", _BOUNDED_ENCODE.format(path=sys.path, budget=48 << 20)],
+        [sys.executable, "-c", _BOUNDED_ENCODE.format(path=sys.path, budget=24 << 20)],
         capture_output=True,
         timeout=300,
     )
@@ -613,6 +671,10 @@ def test_encode_requires_two_frames_and_uniform_geometry():
     odd = [Plane(np.zeros((40, 40), dtype=np.uint8))] * 2
     with pytest.raises(InputError):
         encode_sequence(odd, RdParams(pu_size=16))
+    # wider than the 16-bit width field of a stream header
+    wide = [Plane(np.zeros((16, 65536), dtype=np.uint8))] * 2
+    with pytest.raises(InputError, match="65536x16 frames do not fit a stream"):
+        encode_sequence(wide, RdParams(pu_size=16))
 
 
 def test_encoded_streams_are_selection_optimal_by_construction():
