@@ -30,7 +30,6 @@ from .core import (
     ZERO_MV,
     motion_lambda,
     rate_of,
-    rd_cost,
     se_bits,
     ue_bits,
 )

@@ -10,6 +10,7 @@ check depends on codeword lengths alone, never on the Lagrangian multiplier.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -94,29 +95,20 @@ def _verdict(n_pus: int, n_optimal: int) -> Verdict:
 
 
 def optimal_rate(stream: SequenceStream) -> FeatureReport:
-    """Single-pass analysis: count optimal PUs, tally per frame, list violations."""
-    n_pus = 0
-    n_optimal = 0
-    frame_counts: dict[int, list[int]] = {}
-    violations: list[tuple[int, int, int]] = []
-    for check in iter_pu_checks(stream):
-        record = check.record
-        tally = frame_counts.setdefault(record.frame_index, [0, 0])
-        n_pus += 1
-        tally[0] += 1
-        if check.optimal:
-            n_optimal += 1
-            tally[1] += 1
-        else:
-            violations.append((record.frame_index, record.block_x, record.block_y))
-    per_frame = {f: FrameTally(n, k) for f, (n, k) in sorted(frame_counts.items())}
-    return FeatureReport(
-        n_pus=n_pus,
-        n_optimal=n_optimal,
-        verdict=_verdict(n_pus, n_optimal),
-        per_frame=per_frame,
-        violations=violations,
-    )
+    """List the violations; the walk checks one record per PU of each P-frame, so the counts follow."""
+    violations = [
+        (check.record.frame_index, check.record.block_x, check.record.block_y)
+        for check in iter_pu_checks(stream)
+        if not check.optimal
+    ]
+    n_pus = stream.n_records
+    n_optimal = n_pus - len(violations)
+    bad = Counter(f for f, _, _ in violations)
+    pus_per_frame = stream.header.pus_per_frame
+    per_frame = {
+        f: FrameTally(pus_per_frame, pus_per_frame - bad[f]) for f in range(1, stream.header.frame_count)
+    }
+    return FeatureReport(n_pus, n_optimal, _verdict(n_pus, n_optimal), per_frame, violations)
 
 
 def classify(report: FeatureReport) -> Verdict:

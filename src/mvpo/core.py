@@ -151,12 +151,3 @@ def se_bits(value: int) -> int:
 def rate_of(mvd: Mvd) -> int:
     """Bits to signal one PU's motion: both difference components plus the index bit."""
     return se_bits(mvd.dx) + se_bits(mvd.dy) + 1
-
-
-def rd_cost(distortion: float, rate_bits: int, params: RdParams) -> float:
-    """Lagrangian cost of a coding choice: distortion plus weighted rate."""
-    if distortion < 0:
-        raise ValueError("distortion must be >= 0")
-    if rate_bits < 0:
-        raise ValueError("rate_bits must be >= 0")
-    return distortion + params.lambda_motion * rate_bits

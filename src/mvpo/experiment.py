@@ -38,6 +38,13 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise InputError(f"bad size {text!r}, expected WxH") from exc
 
 
+def _parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"bad {key} value {text.strip()!r}, expected an integer") from exc
+
+
 def _parse_kv(text: str) -> dict[str, str]:
     out = {}
     for part in text.split(","):
@@ -62,8 +69,8 @@ def parse_synth_spec(text: str) -> SynthSpec:
     if "size" not in kv or "frames" not in kv:
         raise InputError(f"synth spec needs size= and frames=: {text!r}")
     width, height = _parse_size(kv.pop("size"))
-    frames = int(kv.pop("frames"))
-    seed = int(kv.pop("seed", "0"))
+    frames = _parse_int("frames", kv.pop("frames"))
+    seed = _parse_int("seed", kv.pop("seed", "0"))
     ax, ay = _parse_size(kv.pop("amp", "1x0"))
     if kv:
         raise InputError(f"unknown synth spec fields {sorted(kv)}")
@@ -92,7 +99,7 @@ def parse_sequence_source(text: str) -> SequenceSource:
         if "size" not in kv or "frames" not in kv:
             raise InputError(f"yuv source needs size= and frames=: {text!r}")
         width, height = _parse_size(kv["size"])
-        spec = YuvSpec(width, height, int(kv["frames"]))
+        spec = YuvSpec(width, height, _parse_int("frames", kv["frames"]))
         path = kv["yuv"]
         return SequenceSource(name=os.path.basename(path), yuv_path=path, yuv_spec=spec)
     spec = parse_synth_spec(text)
@@ -110,6 +117,13 @@ class ExperimentPlan:
     search_range: int = 8
     seed: int = 0
     out: str = "results.csv"
+
+    def rd_params(self) -> dict[int, RdParams]:
+        """The coding parameters of each qp; a value `RdParams` rejects is an input error."""
+        try:
+            return {qp: RdParams(qp, search_range=self.search_range, pu_size=self.pu_size) for qp in self.qps}
+        except ValueError as exc:
+            raise InputError(f"plan {exc}") from exc
 
 
 def _grid_value(key: str, tag: MethodTag, text: str) -> float | int:
@@ -153,16 +167,18 @@ def parse_plan(text: str) -> ExperimentPlan:
     for name, tag in METHOD_TAGS.items():
         key = f"{name}_{tag.param.lower()}"
         grids[name] = _list(key, DEFAULT_GRIDS[name], functools.partial(_grid_value, key, tag))
-    return ExperimentPlan(
+    plan = ExperimentPlan(
         sequences=sequences,
-        qps=_list("qp", [25], int),
+        qps=_list("qp", [25], functools.partial(_parse_int, "qp")),
         methods=methods,
         grids=grids,
-        pu_size=int(fields.get("pu_size", "16")),
-        search_range=int(fields.get("search_range", "8")),
-        seed=int(fields.get("seed", "0")),
+        pu_size=_parse_int("pu_size", fields.get("pu_size", "16")),
+        search_range=_parse_int("search_range", fields.get("search_range", "8")),
+        seed=_parse_int("seed", fields.get("seed", "0")),
         out=fields.get("out", "results.csv"),
     )
+    plan.rd_params()  # like the grid values, checked before any encode
+    return plan
 
 
 @dataclass(frozen=True)
@@ -200,7 +216,7 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], list[str]]:
     """Run the whole grid; returns the sorted cell rows and any per-item errors."""
-    params = {qp: RdParams(qp=qp, search_range=plan.search_range, pu_size=plan.pu_size) for qp in plan.qps}
+    params = plan.rd_params()
     errors: list[str] = []
 
     def _encode(source: SequenceSource, qp: int) -> SequenceStream:

@@ -1,6 +1,7 @@
 """Three motion-vector embedders operating on coded streams.
 
-All three rewrite records in place, and every stream they return decodes.
+Each maps input records to output records, keeping the input record object
+where it changes nothing, and every stream they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
   nudging it by one quarter-pel when needed, then decodes its output.
@@ -18,13 +19,14 @@ from __future__ import annotations
 import enum
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .analyzer import iter_pu_checks
 from .codec import decode_walk
-from .core import CandidatePair, Mvd, MVD_MAX, MVD_MIN, rate_of
+from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
 from .stream import PuRecord, SequenceStream
 
 
@@ -92,10 +94,6 @@ class EmbedReport:
     flips_rate_asymmetric: int = 0
     per_frame_modified: dict[int, int] = field(default_factory=dict)
 
-    def _count_modified(self, frame_index: int) -> None:
-        self.pus_modified += 1
-        self.per_frame_modified[frame_index] = self.per_frame_modified.get(frame_index, 0) + 1
-
     def to_dict(self) -> dict:
         return {
             "method": self.method.value,
@@ -146,6 +144,28 @@ def _parity_adjust(mvd: Mvd, use_x: bool, bit: int) -> Mvd:
     return min(options, key=rate_of)  # min() keeps the first of a tie: the -1 step
 
 
+def _flip(record: PuRecord, cands: CandidatePair, mv: MotionVector, bit: int) -> PuRecord:
+    """The record that signals `mv` against candidate `bit`: the input itself if it already does."""
+    if bit == record.idx:
+        return record
+    return PuRecord(record.frame_index, record.block_x, record.block_y, bit, cands.mvds(mv)[bit])
+
+
+def _stego(
+    method: EmbedMethod, stream: SequenceStream, out: list[PuRecord], bits: int
+) -> tuple[SequenceStream, EmbedReport]:
+    """The stream of `out` and its report, counted from the records that are new objects.
+
+    An index flip keeps the vector, so a flipped pair's differences are its two candidate differences.
+    """
+    changed = [(a, b) for a, b in zip(stream.records, out) if a is not b]
+    asymmetric = sum(1 for a, b in changed if a.idx != b.idx and rate_of(a.mvd) != rate_of(b.mvd))
+    per_frame = Counter(b.frame_index for _, b in changed)
+    report = EmbedReport(method, pus_visited=len(out), pus_modified=len(changed), bits_embedded=bits,
+                         flips_rate_asymmetric=asymmetric, per_frame_modified=dict(per_frame))
+    return SequenceStream(stream.header, out), report
+
+
 def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
     """Select each PU with probability `strength_e` and host one parity bit there.
 
@@ -162,23 +182,18 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     coin = random.Random(master.getrandbits(64))
     payload = PayloadBits(cfg.payload, master.getrandbits(64))
 
-    report = EmbedReport(EmbedMethod.MVD_PARITY)
     out = []
+    bits = 0
     for k, record in enumerate(stream.records):
         u = select.random()
         use_x = coin.getrandbits(1) == 1
-        report.pus_visited += 1
-        if u >= cfg.strength_e:
-            out.append(record)
-            continue
-        report.bits_embedded += 1
-        new_mvd = _parity_adjust(record.mvd, use_x, payload.bit_at(k))
-        if new_mvd == record.mvd:
-            out.append(record)
-            continue
-        report._count_modified(record.frame_index)
-        out.append(PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd))
-    stego = SequenceStream(stream.header, out)
+        if u < cfg.strength_e:
+            bits += 1
+            new_mvd = _parity_adjust(record.mvd, use_x, payload.bit_at(k))
+            if new_mvd != record.mvd:
+                record = PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd)
+        out.append(record)
+    stego, report = _stego(EmbedMethod.MVD_PARITY, stream, out, bits)
     for _ in decode_walk(stego):
         pass
     return stego, report
@@ -196,29 +211,18 @@ def embed_index_threshold(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Seq
         raise ValueError(f"config method {cfg.method} does not match embed_index_threshold")
     payload = PayloadBits(cfg.payload, random.Random(cfg.rng_seed).getrandbits(64))
 
-    report = EmbedReport(EmbedMethod.INDEX_THRESHOLD)
     out = []
+    bits = 0
     for record, cands, mv in decode_walk(stream):
-        report.pus_visited += 1
         if cfg.threshold_T == 0:
             eligible = cands.identical
         else:
             eligible = t_value(cands) <= cfg.threshold_T
-        if not eligible:
-            out.append(record)
-            continue
-        bit = payload.bit_at(report.bits_embedded)
-        report.bits_embedded += 1
-        if bit == record.idx:
-            out.append(record)
-            continue
-        report._count_modified(record.frame_index)
-        mvds = cands.mvds(mv)
-        rate0, rate1 = map(rate_of, mvds)
-        if rate0 != rate1:
-            report.flips_rate_asymmetric += 1
-        out.append(PuRecord(record.frame_index, record.block_x, record.block_y, bit, mvds[bit]))
-    return SequenceStream(stream.header, out), report
+        if eligible:
+            record = _flip(record, cands, mv, payload.bit_at(bits))
+            bits += 1
+        out.append(record)
+    return _stego(EmbedMethod.INDEX_THRESHOLD, stream, out, bits)
 
 
 def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
@@ -243,22 +247,13 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
     # a stable sort keeps decode order among equal gaps
     chosen = {k: j for j, k in enumerate(sorted(range(n), key=gaps.__getitem__)[:target])}
 
-    report = EmbedReport(EmbedMethod.INDEX_ADAPTIVE, pus_visited=n, bits_embedded=target)
     out = []
     for k, (record, cands, mv, _, _) in enumerate(checks):
         j = chosen.get(k)
-        if j is None:
-            out.append(record)
-            continue
-        bit = payload.bit_at(j)
-        if bit == record.idx:
-            out.append(record)
-            continue
-        report._count_modified(record.frame_index)
-        if gaps[k]:
-            report.flips_rate_asymmetric += 1
-        out.append(PuRecord(record.frame_index, record.block_x, record.block_y, bit, cands.mvds(mv)[bit]))
-    return SequenceStream(stream.header, out), report
+        if j is not None:
+            record = _flip(record, cands, mv, payload.bit_at(j))
+        out.append(record)
+    return _stego(EmbedMethod.INDEX_ADAPTIVE, stream, out, target)
 
 
 def embed(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:

@@ -50,6 +50,8 @@ class SynthSpec:
             raise InputError(f"bad dimensions {self.width}x{self.height}")
         if self.frame_count < 1:
             raise InputError(f"frame_count {self.frame_count} must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed {self.seed} must be >= 0")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

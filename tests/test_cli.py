@@ -320,3 +320,38 @@ def test_experiment_bad_grid_value_is_input_error_before_encoding(tmp_path, monk
     err = capsys.readouterr().err
     assert "tar1_e" in err and "1.5" in err
     assert not results.exists()
+
+
+_BAD_FIELDS = [
+    ("synth", "pattern=shift,size=64x64,frames=abc", "frames"),
+    ("synth", "pattern=shift,size=64x64,frames=3,seed=x", "seed"),
+    ("synth", "pattern=shift,size=64x64,frames=3,seed=-1", "seed"),
+    ("plan", f"sequences = {SYNTH}\npu_size = 12\n", "pu_size"),
+    ("plan", f"sequences = {SYNTH}\nsearch_range = 0\n", "search_range"),
+    ("plan", f"sequences = {SYNTH}\nqp = 25, abc\n", "qp"),
+    ("plan", f"sequences = {SYNTH}\nqp = 25, 99\n", "qp"),
+    ("plan", f"sequences = {SYNTH}\nseed = x\n", "seed"),
+    ("plan", "sequences = pattern=shift,size=64x64,frames=x\n", "frames"),
+    ("plan", "sequences = yuv=clip.yuv,size=64x64,frames=x\n", "frames"),
+]
+
+
+@pytest.mark.parametrize("kind, text, key", _BAD_FIELDS)
+def test_malformed_synth_and_plan_fields_exit_2_before_encoding(tmp_path, monkeypatch, capsys, kind, text, key):
+    import mvpo.experiment
+
+    def _no_encode(*args):
+        raise AssertionError("encoded before the input was validated")
+
+    monkeypatch.setattr(cli, "encode_sequence", _no_encode)
+    monkeypatch.setattr(mvpo.experiment, "encode_sequence", _no_encode)
+    if kind == "synth":
+        argv = ["encode", "--synth", text, "--out", str(tmp_path / "out.mvpo")]
+    else:
+        (tmp_path / "plan.txt").write_text(text)
+        argv = ["experiment", "--plan", str(tmp_path / "plan.txt"), "--out", str(tmp_path / "results.csv")]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("mvpo: error: ") and key in err
+    # no stream, CSV or sidecar: the plan is all the directory holds
+    assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "synth" else ["plan.txt"])

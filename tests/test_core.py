@@ -18,7 +18,6 @@ from mvpo import (
     ZERO_MV,
     motion_lambda,
     rate_of,
-    rd_cost,
     se_bits,
     ue_bits,
 )
@@ -244,12 +243,3 @@ def test_rd_params_validation():
         RdParams(search_range=0)
     with pytest.raises(ValueError):
         RdParams(lambda_motion=0.0)
-
-
-def test_rd_cost():
-    params = RdParams(qp=25, lambda_motion=2.0)
-    assert rd_cost(10.0, 3, params) == 16.0
-    with pytest.raises(ValueError):
-        rd_cost(-1.0, 3, params)
-    with pytest.raises(ValueError):
-        rd_cost(1.0, -3, params)

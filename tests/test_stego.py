@@ -1,6 +1,7 @@
 """The three embedders: selection rules, modification rules, invariants."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mvpo import (
     embed_index_adaptive,
     embed_index_threshold,
     embed_mvd_parity,
+    iter_pu_checks,
     optimal_rate,
     reconstruct_mvs,
     t_value,
@@ -353,3 +355,56 @@ def test_index_embedders_output_decodes_to_the_same_field(stream, threshold, bpa
     ):
         stego, _ = embed(stream, cfg)
         assert reconstruct_mvs(stego) == field
+
+
+# ---------------------------------------------------------------- reports against a recount
+
+@st.composite
+def _covers(draw) -> SequenceStream:
+    """A small synthetic cover: 1-4 x 1-3 PUs of size 8 or 16 over 2-4 frames."""
+    ps = draw(st.sampled_from((8, 16)))
+    stream, _, _ = encode_synth(
+        draw(st.sampled_from(("shift", "objects", "noise"))),
+        size=(ps * draw(st.integers(1, 4)), ps * draw(st.integers(1, 3))),
+        frames=draw(st.integers(2, 4)),
+        seed=draw(st.integers(0, 99)),
+        amp=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
+        qp=draw(st.sampled_from((20, 25, 30))),
+        pu_size=ps,
+        search_range=4,
+    )
+    return stream
+
+
+def _checked_analysis(stream):
+    """`optimal_rate(stream)`, its per-frame tallies checked against a per-PU recount."""
+    recount = {}
+    for check in iter_pu_checks(stream):
+        n, k = recount.get(check.record.frame_index, (0, 0))
+        recount[check.record.frame_index] = (n + 1, k + check.optimal)
+    report = optimal_rate(stream)
+    assert {f: (t.n_pus, t.n_optimal) for f, t in report.per_frame.items()} == recount
+    return report
+
+
+@settings(max_examples=30)
+@given(_covers(), st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**32))
+def test_reports_match_a_recount_of_the_records(cover, e, bpap, seed):
+    assert _checked_analysis(cover).verdict is Verdict.COVER
+    for cfg in (
+        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=e, rng_seed=seed),
+        *(EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=t, rng_seed=seed) for t in (0, 1, 5, 1000)),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=seed),
+    ):
+        stego, report = embed(cover, cfg)
+        changed = [b for a, b in zip(cover.records, stego.records) if a != b]
+        assert report.pus_visited == stego.n_records == cover.n_records
+        assert report.pus_modified == len(changed)
+        assert report.per_frame_modified == Counter(b.frame_index for b in changed)
+        analysis = _checked_analysis(stego)
+        if cfg.method is EmbedMethod.MVD_PARITY:
+            assert report.flips_rate_asymmetric == 0
+        else:
+            # a flip keeps every vector and candidate, so in an all-optimal
+            # cover each flip that costs bits is exactly one violation
+            assert analysis.n_pus - analysis.n_optimal == report.flips_rate_asymmetric
