@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .codec import decode_walk
-from .core import CandidatePair, MotionVector, rate_of
+from .core import CandidatePair, MotionVector, Mvd, rate_of
 from .stream import PuRecord, SequenceStream
 
 
@@ -27,7 +27,11 @@ class Verdict(enum.Enum):
 
 
 class PuCheck(NamedTuple):
-    """One PU's decode-side rates: the signalled candidate versus the alternative."""
+    """One PU's decode-side rates: the signalled candidate versus the alternative.
+
+    In a `decode_walk` triple `mv == cands[record.idx] + record.mvd`, so the chosen
+    rate prices `record.mvd` and the other rate `mv` less the other candidate.
+    """
 
     record: PuRecord
     cands: CandidatePair
@@ -71,14 +75,16 @@ class FeatureReport:
 
 
 def _rate(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> PuCheck:
-    chosen, other = map(rate_of, cands.mvds(mv))
-    if record.idx:
-        chosen, other = other, chosen
-    return PuCheck(record, cands, mv, chosen, other)
+    other = cands.mvp0 if record.idx else cands.mvp1
+    return PuCheck(record, cands, mv, rate_of(record.mvd), rate_of(Mvd(mv.x - other.x, mv.y - other.y)))
 
 
 def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> bool:
-    """True when the signalled candidate's difference codes in no more bits than the other's."""
+    """True when the signalled candidate's difference codes in no more bits than the other's.
+
+    `mv` must be what the record reconstructs to, `cands[record.idx] + record.mvd`,
+    as in a `decode_walk` triple: the signalled difference is read from the record.
+    """
     return _rate(record, cands, mv).optimal
 
 

@@ -84,7 +84,7 @@ def _load_frames(args):
         return synthesize(parse_synth_spec(args.synth))
     if not args.size:
         raise UsageError("--yuv needs --size WxH")
-    w, h = _parse_size(args.size)
+    w, h = _parse_size("size", args.size)
     frames = args.frames
     if frames is None:
         frame_bytes = w * h * 3 // 2

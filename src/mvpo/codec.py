@@ -30,7 +30,6 @@ CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,14 +37,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     CandidatePair,
+    MVD_MIN,
     MV_MAX,
     MV_MIN,
     MotionVector,
     Mvd,
     RdParams,
     ZERO_MV,
+    _SE_BITS,
+    _SE_BITS_TABLE,
     rate_of,
-    se_bits,
 )
 from .errors import InputError, MalformedStreamError
 from .stream import GOP_IPPP, Plane, PuRecord, SequenceStream, StreamHeader
@@ -170,18 +171,8 @@ def block_sums(ref: np.ndarray, pu_size: int) -> np.ndarray:
     return sums
 
 
-@functools.cache
-def _se_bits_table() -> np.ndarray:
-    """`se_bits(v)` at index `v + _RATE_LIMIT` for every |v| <= _RATE_LIMIT; read-only and shared."""
-    table = np.array([se_bits(v) for v in range(-_RATE_LIMIT, _RATE_LIMIT + 1)], dtype=np.int16)
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _se_bits_list() -> list[int]:
-    """`_se_bits_table()` as a list, for lookups one value at a time."""
-    return _se_bits_table().tolist()
+# `se_bits(v)` at index `v + _RATE_LIMIT` for every |v| <= _RATE_LIMIT: a read-only view of core's table
+_RATE_BITS = _SE_BITS_TABLE[-MVD_MIN - _RATE_LIMIT : -MVD_MIN + _RATE_LIMIT + 1]
 
 
 def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -191,9 +182,8 @@ def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
     vector range, `cands` is (n, 2, 2): the quarter-pel (x, y) of both
     candidates of each PU.  Returns (n, k_y, k_x).
     """
-    table = _se_bits_table()
-    bits_x = table[(4 * dxs + _RATE_LIMIT)[:, None, :] - cands[:, :, 0, None]]
-    bits_y = table[(4 * dys + _RATE_LIMIT)[:, None, :] - cands[:, :, 1, None]] + 1
+    bits_x = _RATE_BITS[(4 * dxs + _RATE_LIMIT)[:, None, :] - cands[:, :, 0, None]]
+    bits_y = _RATE_BITS[(4 * dys + _RATE_LIMIT)[:, None, :] - cands[:, :, 1, None]] + 1
     return (bits_y[:, :, :, None] + bits_x[:, :, None, :]).min(axis=1)
 
 
@@ -256,7 +246,7 @@ def _search(
     """
     ps, reach = params.pu_size, params.search_range
     n = len(origins)
-    bits, lim = _se_bits_list(), _RATE_LIMIT
+    bits, lim = _SE_BITS, -MVD_MIN
     fields = []
     for (x, y), p in zip(origins, cands):
         c0, c1 = p.mvp0, p.mvp1
@@ -382,6 +372,7 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
         )
     ps, width, height = header.pu_size, header.width, header.height
     field = MvField(width, height, ps)
+    shared: dict[tuple[int, int], MotionVector] = {}  # equal vectors share one object
     f, bx, by = 1, 0, 0  # the raster position the next record must carry
     for record in stream.records:
         if record.block_x != bx or record.block_y != by or record.frame_index != f:
@@ -389,11 +380,15 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
             raise MalformedStreamError(f"record at {got} out of raster order, expected {(f, bx, by)}")
         cands = derive_candidates(field, f, bx, by)
         mvp, mvd = cands.mvp1 if record.idx else cands.mvp0, record.mvd
-        try:
-            mv = MotionVector(mvd.dx + mvp.x, mvd.dy + mvp.y)
-        except ValueError as exc:
-            raise MalformedStreamError(f"reconstructed vector out of range at {(f, bx, by)}: {exc}") from exc
-        field.put(f, bx, by, mv)
+        x, y = mvd.dx + mvp.x, mvd.dy + mvp.y
+        mv = shared.get((x, y))
+        if mv is None:
+            try:
+                mv = MotionVector(x, y)
+            except ValueError as exc:
+                raise MalformedStreamError(f"reconstructed vector out of range at {(f, bx, by)}: {exc}") from exc
+            shared[x, y] = mv
+        field._mvs[f, bx, by] = mv
         yield record, cands, mv
         bx += ps
         if bx == width:

@@ -4,16 +4,28 @@ Motion vectors and their differences are integers in quarter-pel units.
 Rates are exact codeword lengths in bits, so every decision built on top
 of them reduces to integer comparisons and is reproducible everywhere.
 
-The value types here and `stream.PuRecord` are slotted frozen dataclasses.  Plain
-in-range ints cost their constructor one chained comparison; any other integral (a
-numpy int, a bool) is coerced, so every constructed field is a plain int.
+The value types here and `stream.PuRecord` are slotted frozen dataclasses with
+hand-written constructors.  Plain in-range ints cost a constructor one chained
+comparison; any other integral (a numpy int, a bool) is coerced with
+`operator.index`, so every stored field is a plain int.  Each field is stored
+through its slot's descriptor (`_slot_setters`), which the dataclass-generated
+constructor would do through `object.__setattr__`, one attribute lookup per
+field.  `dataclasses.replace` builds through the same constructor, so it
+re-validates; equality, hashing, repr, pickling and the frozen guard are the
+dataclass's own.
+
+`rate_of` prices a difference with two lookups in one table of `se_bits` over
+the whole difference component range; the encoder's vectorised rate term reads
+a view of the same table.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 # Component bounds for reconstructed vectors and coded differences.
 # A difference of two in-bound vectors always fits the coded range.
@@ -27,55 +39,65 @@ QP_MAX = 51
 PU_SIZES = (8, 16, 32, 64)
 
 
-def _as_ints(value, *names: str) -> list[int]:
-    """Coerce the named integral fields of a frozen value (numpy ints, bools) to plain ints in place."""
-    ints = [operator.index(getattr(value, name)) for name in names]
-    for name, v in zip(names, ints):
-        object.__setattr__(value, name, v)
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each field's slot descriptor, in field order: stores that bypass the frozen guard."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+def _in_range(what: str, low: int, high: int, *values) -> list[int]:
+    """Coerce integral `values` (numpy ints, bools) to plain ints, each checked against [low, high]."""
+    ints = [operator.index(v) for v in values]
+    for v in ints:
+        if not low <= v <= high:
+            raise ValueError(f"{what} {v} outside [{low}, {high}]")
     return ints
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MotionVector:
     """A reconstructed motion vector in quarter-pel units."""
 
     x: int
     y: int
 
-    def __post_init__(self):
-        x, y = self.x, self.y
-        if type(x) is int is type(y) and MV_MIN <= x <= MV_MAX >= y >= MV_MIN:
-            return
-        for v in _as_ints(self, "x", "y"):
-            if not MV_MIN <= v <= MV_MAX:
-                raise ValueError(f"motion vector component {v} outside [{MV_MIN}, {MV_MAX}]")
+    def __init__(self, x: int, y: int):
+        if not (type(x) is int is type(y) and MV_MIN <= x <= MV_MAX >= y >= MV_MIN):
+            x, y = _in_range("motion vector component", MV_MIN, MV_MAX, x, y)
+        _set_mv_x(self, x)
+        _set_mv_y(self, y)
 
 
+_set_mv_x, _set_mv_y = _slot_setters(MotionVector)
 ZERO_MV = MotionVector(0, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Mvd:
     """A coded motion vector difference in quarter-pel units."""
 
     dx: int
     dy: int
 
-    def __post_init__(self):
-        dx, dy = self.dx, self.dy
-        if type(dx) is int is type(dy) and MVD_MIN <= dx <= MVD_MAX >= dy >= MVD_MIN:
-            return
-        for v in _as_ints(self, "dx", "dy"):
-            if not MVD_MIN <= v <= MVD_MAX:
-                raise ValueError(f"mvd component {v} outside [{MVD_MIN}, {MVD_MAX}]")
+    def __init__(self, dx: int, dy: int):
+        if not (type(dx) is int is type(dy) and MVD_MIN <= dx <= MVD_MAX >= dy >= MVD_MIN):
+            dx, dy = _in_range("mvd component", MVD_MIN, MVD_MAX, dx, dy)
+        _set_mvd_dx(self, dx)
+        _set_mvd_dy(self, dy)
 
 
-@dataclass(frozen=True, slots=True)
+_set_mvd_dx, _set_mvd_dy = _slot_setters(Mvd)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CandidatePair:
     """The two-entry predictor candidate list signalled by a one-bit index."""
 
     mvp0: MotionVector
     mvp1: MotionVector
+
+    def __init__(self, mvp0: MotionVector, mvp1: MotionVector):
+        _set_mvp0(self, mvp0)
+        _set_mvp1(self, mvp1)
 
     def __getitem__(self, idx: int) -> MotionVector:
         if idx == 0:
@@ -104,6 +126,9 @@ class CandidatePair:
         """
         a, b = self.mvp0, self.mvp1
         return Mvd(mv.x - a.x, mv.y - a.y), Mvd(mv.x - b.x, mv.y - b.y)
+
+
+_set_mvp0, _set_mvp1 = _slot_setters(CandidatePair)
 
 
 def motion_lambda(qp: int) -> float:
@@ -148,6 +173,23 @@ def se_bits(value: int) -> int:
     return 2 * ((2 * value if value > 0 else 1 - 2 * value).bit_length() - 1) + 1
 
 
+def _se_bits_table() -> np.ndarray:
+    """`se_bits(v)` at index `v - MVD_MIN` for every difference component v, read-only.
+
+    se_bits(v) is 2 * bit_length(|v|) + 1.  Bit length 0 holds the magnitude 0 and bit
+    length k > 0 the 2**(k - 1) magnitudes [2**(k - 1), 2**k), so `by_magnitude[m]`,
+    se_bits(m) for m < 2**16, is 17 runs of the lengths 1, 3, ..., 33: no per-value call.
+    """
+    by_magnitude = np.repeat(np.arange(1, 35, 2, dtype=np.int16), [1] + [2 ** (k - 1) for k in range(1, 17)])
+    table = np.concatenate((by_magnitude[-MVD_MIN:0:-1], by_magnitude[: MVD_MAX + 1]))
+    table.flags.writeable = False
+    return table
+
+
+_SE_BITS_TABLE = _se_bits_table()
+_SE_BITS = _SE_BITS_TABLE.tolist()  # the same table, for lookups one value at a time
+
+
 def rate_of(mvd: Mvd) -> int:
     """Bits to signal one PU's motion: both difference components plus the index bit."""
-    return se_bits(mvd.dx) + se_bits(mvd.dy) + 1
+    return _SE_BITS[mvd.dx - MVD_MIN] + _SE_BITS[mvd.dy - MVD_MIN] + 1

@@ -30,12 +30,12 @@ DEFAULT_GRIDS = {
 }
 
 
-def _parse_size(text: str) -> tuple[int, int]:
+def _parse_size(key: str, text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
         return int(w), int(h)
     except ValueError as exc:
-        raise InputError(f"bad size {text!r}, expected WxH") from exc
+        raise InputError(f"bad {key} {text!r}, expected WxH") from exc
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -68,10 +68,10 @@ def parse_synth_spec(text: str) -> SynthSpec:
                          f"{[p.value for p in SynthPattern]}: {text!r}") from exc
     if "size" not in kv or "frames" not in kv:
         raise InputError(f"synth spec needs size= and frames=: {text!r}")
-    width, height = _parse_size(kv.pop("size"))
+    width, height = _parse_size("size", kv.pop("size"))
     frames = _parse_int("frames", kv.pop("frames"))
     seed = _parse_int("seed", kv.pop("seed", "0"))
-    ax, ay = _parse_size(kv.pop("amp", "1x0"))
+    ax, ay = _parse_size("amp", kv.pop("amp", "1x0"))
     if kv:
         raise InputError(f"unknown synth spec fields {sorted(kv)}")
     return SynthSpec(pattern, width, height, frames, seed=seed, amplitude=(ax, ay))
@@ -98,7 +98,7 @@ def parse_sequence_source(text: str) -> SequenceSource:
     if "yuv" in kv:
         if "size" not in kv or "frames" not in kv:
             raise InputError(f"yuv source needs size= and frames=: {text!r}")
-        width, height = _parse_size(kv["size"])
+        width, height = _parse_size("size", kv["size"])
         spec = YuvSpec(width, height, _parse_int("frames", kv["frames"]))
         path = kv["yuv"]
         return SequenceSource(name=os.path.basename(path), yuv_path=path, yuv_spec=spec)
@@ -157,7 +157,10 @@ def parse_plan(text: str) -> ExperimentPlan:
     def _list(key: str, default: Iterable, conv) -> list:
         if key not in fields:
             return list(default)
-        return [conv(v) for v in fields[key].split(",") if v.strip()]
+        values = [conv(v) for v in fields[key].split(",") if v.strip()]
+        if not values:
+            raise InputError(f"plan {key} lists no values")
+        return values
 
     methods = _list("methods", ["cover"], lambda s: s.strip().lower())
     for m in methods:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mvd, PU_SIZES, QP_MAX, QP_MIN, _as_ints
+from .core import Mvd, PU_SIZES, QP_MAX, QP_MIN, _slot_setters
 
 GOP_IPPP = 0
 GOP_NAMES = {GOP_IPPP: "IPPP"}
@@ -41,7 +42,7 @@ class Plane:
         return f"Plane({self.width}x{self.height})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PuRecord:
     """One inter-coded PU: grid position, signalled index, coded difference."""
 
@@ -51,19 +52,27 @@ class PuRecord:
     idx: int
     mvd: Mvd
 
-    def __post_init__(self):
-        f, x, y, idx = self.frame_index, self.block_x, self.block_y, self.idx
-        if type(f) is int is type(x) is type(y) is type(idx) and (
-            0 <= f <= _U32_MAX and 0 <= x <= _U16_MAX >= y >= 0 <= idx <= 1
+    def __init__(self, frame_index: int, block_x: int, block_y: int, idx: int, mvd: Mvd):
+        f, x, y = frame_index, block_x, block_y
+        if not (
+            type(f) is int is type(x) is type(y) is type(idx)
+            and 0 <= f <= _U32_MAX and 0 <= x <= _U16_MAX >= y >= 0 <= idx <= 1
         ):
-            return
-        _as_ints(self, "frame_index", "block_x", "block_y", "idx")
-        if not 0 <= self.frame_index <= _U32_MAX:
-            raise ValueError(f"frame_index {self.frame_index} outside u32 range")
-        if not 0 <= self.block_x <= _U16_MAX or not 0 <= self.block_y <= _U16_MAX:
-            raise ValueError(f"block origin ({self.block_x}, {self.block_y}) outside u16 range")
-        if self.idx not in (0, 1):
-            raise ValueError(f"idx {self.idx} not in {{0, 1}}")
+            f, x, y, idx = map(operator.index, (f, x, y, idx))
+            if not 0 <= f <= _U32_MAX:
+                raise ValueError(f"frame_index {f} outside u32 range")
+            if not 0 <= x <= _U16_MAX or not 0 <= y <= _U16_MAX:
+                raise ValueError(f"block origin ({x}, {y}) outside u16 range")
+            if idx not in (0, 1):
+                raise ValueError(f"idx {idx} not in {{0, 1}}")
+        _set_frame_index(self, f)
+        _set_block_x(self, x)
+        _set_block_y(self, y)
+        _set_idx(self, idx)
+        _set_mvd(self, mvd)
+
+
+_set_frame_index, _set_block_x, _set_block_y, _set_idx, _set_mvd = _slot_setters(PuRecord)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import given
+
 from mvpo import (
     CandidatePair,
     MotionVector,
@@ -14,10 +16,11 @@ from mvpo import (
     is_locally_optimal,
     iter_pu_checks,
     optimal_rate,
+    rate_of,
 )
 from mvpo.analyzer import FeatureReport
 
-from mvpo_testutil import encode_synth, scaffold_stream
+from mvpo_testutil import encode_synth, scaffold_stream, valid_streams
 
 
 PAIR = CandidatePair(MotionVector(3, 9), MotionVector(3, 8))
@@ -38,6 +41,14 @@ def test_is_locally_optimal_counts_ties():
     pair = CandidatePair(MotionVector(4, 0), MotionVector(-4, 0))
     record = PuRecord(1, 0, 0, 1, Mvd(4, 0))
     assert is_locally_optimal(record, pair, MotionVector(0, 0))
+
+
+@given(valid_streams())
+def test_pu_check_rates_price_both_candidate_differences(stream):
+    for check in iter_pu_checks(stream):
+        rates = list(map(rate_of, check.cands.mvds(check.mv)))
+        idx = check.record.idx
+        assert (check.chosen_rate, check.other_rate) == (rates[idx], rates[1 - idx])
 
 
 def test_cover_stream_scores_exactly_100():

@@ -333,6 +333,10 @@ _BAD_FIELDS = [
     ("plan", f"sequences = {SYNTH}\nseed = x\n", "seed"),
     ("plan", "sequences = pattern=shift,size=64x64,frames=x\n", "frames"),
     ("plan", "sequences = yuv=clip.yuv,size=64x64,frames=x\n", "frames"),
+    ("plan", f"sequences = {SYNTH}\nqp =\n", "qp"),
+    ("plan", f"sequences = {SYNTH}\nmethods = ,\n", "methods"),
+    ("plan", f"sequences = {SYNTH}\ntar1_e =\n", "tar1_e"),
+    ("synth", "pattern=shift,size=32x32,frames=3,amp=abc", "amp"),
 ]
 
 
@@ -355,3 +359,16 @@ def test_malformed_synth_and_plan_fields_exit_2_before_encoding(tmp_path, monkey
     assert err.startswith("mvpo: error: ") and key in err
     # no stream, CSV or sidecar: the plan is all the directory holds
     assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "synth" else ["plan.txt"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--synth", "pattern=shift,size=32x32,frames=3,amp=abc"], "bad amp 'abc', expected WxH"),
+        (["--synth", "pattern=shift,size=abc,frames=3"], "bad size 'abc', expected WxH"),
+        (["--yuv", "clip.yuv", "--size", "abc"], "bad size 'abc', expected WxH"),
+    ],
+)
+def test_bad_size_names_the_field_it_parses(tmp_path, capsys, argv, message):
+    assert main(["encode", *argv, "--out", str(tmp_path / "out.mvpo")]) == EXIT_IO
+    assert capsys.readouterr().err == f"mvpo: error: {message}\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from mvpo import (
     se_bits,
     ue_bits,
 )
+from mvpo import codec, core
 from mvpo.core import MV_MAX, MV_MIN, MVD_MAX, MVD_MIN
 
 from mvpo_testutil import se_code_num, se_codeword, ue_codeword
@@ -110,6 +112,19 @@ def test_rate_of_is_components_plus_index_bit(dx, dy):
     assert r % 2 == 1  # two odd codeword lengths plus one index bit
 
 
+def test_rate_table_is_se_bits_over_every_mvd_component():
+    values = range(MVD_MIN, MVD_MAX + 1)
+    expected = [se_bits(v) for v in values]
+    assert core._SE_BITS == expected
+    assert core._SE_BITS_TABLE.tolist() == expected and not core._SE_BITS_TABLE.flags.writeable
+    assert [rate_of(Mvd(v, 0)) for v in values] == [b + 2 for b in expected]
+    assert [rate_of(Mvd(0, v)) for v in values] == [b + 2 for b in expected]
+    # the encoder's rate term reads a view of the same table, offset by its own limit
+    lim = codec._RATE_LIMIT
+    assert np.shares_memory(codec._RATE_BITS, core._SE_BITS_TABLE)
+    assert codec._RATE_BITS.tolist() == [se_bits(v) for v in range(-lim, lim + 1)]
+
+
 # ---------------------------------------------------------------- value types
 
 def test_motion_vector_bounds():
@@ -189,6 +204,27 @@ def test_pu_record_coerces_integrals_at_the_bounds(fields, kinds):
     mvd = Mvd(MVD_MIN, MVD_MAX)
     passed = tuple(_as(kind, v) for kind, v in zip(kinds, fields))
     _assert_coerces(PuRecord, (*fields, mvd), (*passed, mvd))
+
+
+def test_hand_written_constructors_keep_dataclass_behaviour():
+    mvd = Mvd(1, 2)
+    values = [MotionVector(1, 2), mvd, CandidatePair(ZERO_MV, MotionVector(1, 2)), PuRecord(1, 16, 0, 1, mvd)]
+    for value in values:
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert dataclasses.replace(value) == value and hash(dataclasses.replace(value)) == hash(value)
+    assert MotionVector(1, 2) != Mvd(1, 2)
+    assert repr(PuRecord(1, 16, 0, 1, mvd)) == "PuRecord(frame_index=1, block_x=16, block_y=0, idx=1, mvd=Mvd(dx=1, dy=2))"
+    # replace builds through the constructor: it coerces and re-validates
+    assert type(dataclasses.replace(mvd, dx=np.int16(-3)).dx) is int
+    with pytest.raises(ValueError, match="motion vector component"):
+        dataclasses.replace(MotionVector(1, 2), y=MV_MAX + 1)
+    with pytest.raises(ValueError, match="mvd component"):
+        dataclasses.replace(mvd, dx=MVD_MIN - 1)
+    with pytest.raises(ValueError, match="idx 2"):
+        dataclasses.replace(values[3], idx=2)
 
 
 def test_vector_types_reject_floats():
