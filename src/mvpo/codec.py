@@ -117,10 +117,10 @@ def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: i
 
 
 def seed_candidate(cands: CandidatePair) -> MotionVector:
-    """Pick the search window centre: the candidate cheaper to code, ties keep the first."""
-    # the code length of -v equals that of v, so this rates each candidate itself
-    r0, r1 = map(rate_of, cands.mvds(ZERO_MV))
-    return cands.mvp1 if r1 < r0 else cands.mvp0
+    """Pick the search window centre: the candidate whose own code is shorter, ties keep mvp0."""
+    c0, c1 = cands.mvp0, cands.mvp1
+    bits, lim = _SE_BITS, -MVD_MIN
+    return c1 if bits[c1.x + lim] + bits[c1.y + lim] < bits[c0.x + lim] + bits[c0.y + lim] else c0
 
 
 # working memory of one search call: one byte per sample of its candidate
@@ -246,13 +246,9 @@ def _search(
     """
     ps, reach = params.pu_size, params.search_range
     n = len(origins)
-    bits, lim = _SE_BITS, -MVD_MIN
     fields = []
     for (x, y), p in zip(origins, cands):
-        c0, c1 = p.mvp0, p.mvp1
-        # the window centre is `seed_candidate`'s pick: the candidate whose own
-        # code is shorter, the first on a tie
-        s = c1 if bits[c1.x + lim] + bits[c1.y + lim] < bits[c0.x + lim] + bits[c0.y + lim] else c0
+        s, c0, c1 = seed_candidate(p), p.mvp0, p.mvp1
         fields.append((x, y, s.x >> 2, s.y >> 2, c0.x, c0.y, c1.x, c1.y))
     a = np.array(fields, dtype=np.int64).reshape(n, 8)
     o, s, c = a[:, :2], a[:, 2:4], a[:, 4:].reshape(n, 2, 2)

@@ -23,13 +23,6 @@ from .stego import METHOD_TAGS, MethodTag, embed
 from .stream import Plane, SequenceStream
 from .synth import SynthPattern, SynthSpec, synthesize
 
-DEFAULT_GRIDS = {
-    "tar1": (0.1, 0.2, 0.3, 0.4, 0.5),
-    "tar2": (0, 1, 5, 20, 1000),
-    "tar3": (0.1, 0.2, 0.3, 0.4, 0.5),
-}
-
-
 def _parse_size(key: str, text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -169,7 +162,10 @@ def parse_plan(text: str) -> ExperimentPlan:
     grids = {}
     for name, tag in METHOD_TAGS.items():
         key = f"{name}_{tag.param.lower()}"
-        grids[name] = _list(key, DEFAULT_GRIDS[name], functools.partial(_grid_value, key, tag))
+        grids[name] = _list(key, tag.grid, functools.partial(_grid_value, key, tag))
+    seed = _parse_int("seed", fields.get("seed", "0"))
+    if seed < 0:  # checked here, like the grid values, so it fails before any encode
+        raise InputError(f"plan seed {seed} must be >= 0")
     plan = ExperimentPlan(
         sequences=sequences,
         qps=_list("qp", [25], functools.partial(_parse_int, "qp")),
@@ -177,7 +173,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         grids=grids,
         pu_size=_parse_int("pu_size", fields.get("pu_size", "16")),
         search_range=_parse_int("search_range", fields.get("search_range", "8")),
-        seed=_parse_int("seed", fields.get("seed", "0")),
+        seed=seed,
         out=fields.get("out", "results.csv"),
     )
     plan.rd_params()  # like the grid values, checked before any encode

@@ -72,24 +72,20 @@ def read_stream(data: bytes) -> SequenceStream:
 
     table = np.frombuffer(data, _RECORD, n_records, HEADER_SIZE)
     bx, by = table["bx"], table["by"]
-    bad = (table["pad"] != 0) | (table["reserved"] != 0) | (table["frame"] >= frame_count)
-    bad |= (bx > width - pu_size) | (by > height - pu_size) | (bx % pu_size != 0) | (by % pu_size != 0)
-    bad |= table["idx"] > 1
-    if bad.any():  # name the first bad record's first failing check, in a record-by-record reader's order
+    checks = (  # in a record-by-record reader's order, each message formatted with the record's fields
+        (table["pad"] != 0, "nonzero pad byte {pad} in record {k}"),
+        (table["reserved"] != 0, "nonzero reserved field {reserved} in record {k}"),
+        (table["frame"] >= frame_count, "record {k} frame {frame} >= frame_count {frame_count}"),
+        ((bx > width - pu_size) | (by > height - pu_size) | (bx % pu_size != 0) | (by % pu_size != 0),
+         "record {k} block ({bx}, {by}) off the {width}x{height} grid"),
+        (table["idx"] > 1, "invalid record {k}: idx {idx} not in {{0, 1}}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():  # name the first bad record's first failing check
         k = int(bad.argmax())
-        frame_index, block_x, block_y, idx, pad, dx, dy, reserved = table[k].tolist()
-        if pad != 0:
-            raise MalformedStreamError(f"nonzero pad byte {pad} in record {k}")
-        if reserved != 0:
-            raise MalformedStreamError(f"nonzero reserved field {reserved} in record {k}")
-        if frame_index >= frame_count:
-            raise MalformedStreamError(f"record {k} frame {frame_index} >= frame_count {frame_count}")
-        if block_x + pu_size > width or block_y + pu_size > height or block_x % pu_size or block_y % pu_size:
-            raise MalformedStreamError(f"record {k} block ({block_x}, {block_y}) off the {width}x{height} grid")
-        try:
-            PuRecord(frame_index, block_x, block_y, idx, Mvd(dx, dy))
-        except ValueError as exc:
-            raise MalformedStreamError(f"invalid record {k}: {exc}") from exc
+        message = next(message for mask, message in checks if mask[k])
+        record = dict(zip(_RECORD.names, table[k].tolist()), k=k, frame_count=frame_count)
+        raise MalformedStreamError(message.format(width=width, height=height, **record))
     # records with equal differences share one Mvd: a stream has far fewer distinct ones than records
     dx, dy = table["dx"], table["dy"]
     packed = dx.astype(np.int32) << 16 | dy.view(np.uint16)

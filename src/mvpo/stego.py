@@ -5,13 +5,14 @@ where it changes nothing, and every stream they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
   nudging it by one quarter-pel when needed, then decodes its output.
-* `embed_index_threshold` walks the decode and hides bits in the index of
-  PUs whose two candidates are close under an absolute-component distance,
-  keeping every reconstructed vector intact by recomputing the difference.
-* `embed_index_adaptive` reads the analyzer's rated walk and hides a
-  requested payload density in the PUs where an index flip is cheapest
-  (smallest rate gap), a greedy stand-in for a trellis-coded assignment,
-  again preserving every reconstructed vector.
+* `embed_index_threshold` and `embed_index_adaptive` hide bits in the
+  candidate index and differ only in the PUs, the slots, they choose:
+  tar2 walks the decode and takes the PUs whose two candidates are close
+  under an absolute-component distance; tar3 reads the analyzer's rated walk
+  and takes a requested payload density of the PUs where a flip is cheapest
+  (smallest rate gap), a greedy stand-in for a trellis-coded assignment.
+  One writer then puts payload bit j into the index of slot j, recomputing
+  the difference so every reconstructed vector survives.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class EmbedConfig:
     payload: Sequence[int] | None = None
 
     def __post_init__(self):
+        # random.Random(-s) seeds like Random(s), so a negative seed would alias a positive one
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed {self.rng_seed} must be >= 0")
         if self.method is EmbedMethod.MVD_PARITY:
             if self.strength_e is None or not 0.0 <= self.strength_e <= 1.0:
                 raise ValueError(f"strength_e {self.strength_e} must be in [0, 1]")
@@ -70,15 +74,16 @@ class MethodTag:
     param: str  # the CLI flag and the experiment's param column
     convert: Callable[[str], float | int]
     config_field: str
+    grid: tuple[float | int, ...]  # the experiment's default values
 
     def config(self, value: float | int, rng_seed: int = 0) -> EmbedConfig:
         return EmbedConfig(self.method, rng_seed=rng_seed, **{self.config_field: value})
 
 
 METHOD_TAGS = {
-    "tar1": MethodTag(EmbedMethod.MVD_PARITY, "e", float, "strength_e"),
-    "tar2": MethodTag(EmbedMethod.INDEX_THRESHOLD, "T", int, "threshold_T"),
-    "tar3": MethodTag(EmbedMethod.INDEX_ADAPTIVE, "bpap", float, "capacity_bpap"),
+    "tar1": MethodTag(EmbedMethod.MVD_PARITY, "e", float, "strength_e", (0.1, 0.2, 0.3, 0.4, 0.5)),
+    "tar2": MethodTag(EmbedMethod.INDEX_THRESHOLD, "T", int, "threshold_T", (0, 1, 5, 20, 1000)),
+    "tar3": MethodTag(EmbedMethod.INDEX_ADAPTIVE, "bpap", float, "capacity_bpap", (0.1, 0.2, 0.3, 0.4, 0.5)),
 }
 
 
@@ -106,20 +111,12 @@ class EmbedReport:
         }
 
 
-class PayloadBits:
-    """Random-access bit source: an explicit sequence (cycled) or a seeded PRNG."""
-
-    def __init__(self, bits: Sequence[int] | None, seed: int):
-        self._explicit = tuple(bits) if bits is not None else None
-        self._rng = random.Random(seed)
-        self._cache: list[int] = []
-
-    def bit_at(self, i: int) -> int:
-        if self._explicit is not None:
-            return self._explicit[i % len(self._explicit)]
-        while len(self._cache) <= i:
-            self._cache.append(self._rng.getrandbits(1))
-        return self._cache[i]
+def _payload(cfg: EmbedConfig, seed: int, n: int) -> list[int]:
+    """The first `n` payload bits: the explicit payload cycled, else `n` draws of a PRNG seeded `seed`."""
+    if cfg.payload is not None:
+        return [cfg.payload[j % len(cfg.payload)] for j in range(n)]
+    rng = random.Random(seed)
+    return [rng.getrandbits(1) for _ in range(n)]
 
 
 def t_value(cands: CandidatePair) -> int:
@@ -142,13 +139,6 @@ def _parity_adjust(mvd: Mvd, use_x: bool, bit: int) -> Mvd:
 
     options = [rebuilt(value + step) for step in (-1, +1) if MVD_MIN <= value + step <= MVD_MAX]
     return min(options, key=rate_of)  # min() keeps the first of a tie: the -1 step
-
-
-def _flip(record: PuRecord, cands: CandidatePair, mv: MotionVector, bit: int) -> PuRecord:
-    """The record that signals `mv` against candidate `bit`: the input itself if it already does."""
-    if bit == record.idx:
-        return record
-    return PuRecord(record.frame_index, record.block_x, record.block_y, bit, cands.mvds(mv)[bit])
 
 
 def _stego(
@@ -180,7 +170,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     master = random.Random(cfg.rng_seed)
     select = random.Random(master.getrandbits(64))
     coin = random.Random(master.getrandbits(64))
-    payload = PayloadBits(cfg.payload, master.getrandbits(64))
+    payload = _payload(cfg, master.getrandbits(64), stream.n_records)
 
     out = []
     bits = 0
@@ -189,7 +179,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
         use_x = coin.getrandbits(1) == 1
         if u < cfg.strength_e:
             bits += 1
-            new_mvd = _parity_adjust(record.mvd, use_x, payload.bit_at(k))
+            new_mvd = _parity_adjust(record.mvd, use_x, payload[k])
             if new_mvd != record.mvd:
                 record = PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd)
         out.append(record)
@@ -199,30 +189,41 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     return stego, report
 
 
+def _write_indices(
+    stream: SequenceStream, cfg: EmbedConfig, slots: list[tuple[int, CandidatePair, MotionVector]]
+) -> tuple[SequenceStream, EmbedReport]:
+    """Write payload bit j into the index of slot j = (record position, candidates, vector).
+
+    The new difference is taken against the newly signalled candidate, so the
+    vector survives; a record whose index already holds its bit is kept as is.
+    """
+    bits = _payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots))
+    out = list(stream.records)
+    for (k, cands, mv), bit in zip(slots, bits):
+        record = out[k]
+        if record.idx != bit:
+            mvp = cands[bit]
+            mvd = Mvd(mv.x - mvp.x, mv.y - mvp.y)
+            out[k] = PuRecord(record.frame_index, record.block_x, record.block_y, bit, mvd)
+    return _stego(cfg.method, stream, out, len(slots))
+
+
 def embed_index_threshold(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
-    """Write payload bits into the candidate index of close-candidate PUs.
+    """Write payload bits into the candidate index of close-candidate PUs, in decode order.
 
     A PU is eligible when its candidate distance is at most `threshold_T`; a
     threshold of zero additionally demands componentwise-identical candidates,
-    the population a zero distance is meant to capture.  The difference is
-    recomputed so every reconstructed vector survives unchanged.
+    the population a zero distance is meant to capture.
     """
     if cfg.method is not EmbedMethod.INDEX_THRESHOLD:
         raise ValueError(f"config method {cfg.method} does not match embed_index_threshold")
-    payload = PayloadBits(cfg.payload, random.Random(cfg.rng_seed).getrandbits(64))
-
-    out = []
-    bits = 0
-    for record, cands, mv in decode_walk(stream):
-        if cfg.threshold_T == 0:
-            eligible = cands.identical
-        else:
-            eligible = t_value(cands) <= cfg.threshold_T
-        if eligible:
-            record = _flip(record, cands, mv, payload.bit_at(bits))
-            bits += 1
-        out.append(record)
-    return _stego(EmbedMethod.INDEX_THRESHOLD, stream, out, bits)
+    limit = cfg.threshold_T
+    slots = [
+        (k, cands, mv)
+        for k, (_, cands, mv) in enumerate(decode_walk(stream))
+        if (cands.identical if limit == 0 else t_value(cands) <= limit)
+    ]
+    return _write_indices(stream, cfg, slots)
 
 
 def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
@@ -230,30 +231,20 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
 
     Every PU's flip cost is the gap between its two candidate rates.  The
     requested bit count lands in the PUs with the smallest gaps (decode order
-    breaks ties), assigned greedily.  `capacity_bpap` is at most 1, so the
-    request never exceeds the PU count.
+    breaks ties), assigned greedily in that order.  `capacity_bpap` is at
+    most 1, so the request never exceeds the PU count.
     """
     if cfg.method is not EmbedMethod.INDEX_ADAPTIVE:
         raise ValueError(f"config method {cfg.method} does not match embed_index_adaptive")
-    payload = PayloadBits(cfg.payload, random.Random(cfg.rng_seed).getrandbits(64))
-
     checks = list(iter_pu_checks(stream))
-    n = len(checks)
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
     # raw binary fraction of 0.1 would tip the ceiling to 4; float() first,
     # because a numpy scalar's repr is not a number
-    target = math.ceil(Fraction(repr(float(cfg.capacity_bpap))) * n)
+    target = math.ceil(Fraction(repr(float(cfg.capacity_bpap))) * len(checks))
     gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
     # a stable sort keeps decode order among equal gaps
-    chosen = {k: j for j, k in enumerate(sorted(range(n), key=gaps.__getitem__)[:target])}
-
-    out = []
-    for k, (record, cands, mv, _, _) in enumerate(checks):
-        j = chosen.get(k)
-        if j is not None:
-            record = _flip(record, cands, mv, payload.bit_at(j))
-        out.append(record)
-    return _stego(EmbedMethod.INDEX_ADAPTIVE, stream, out, target)
+    order = sorted(range(len(checks)), key=gaps.__getitem__)[:target]
+    return _write_indices(stream, cfg, [(k, checks[k].cands, checks[k].mv) for k in order])
 
 
 def embed(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:

@@ -140,6 +140,16 @@ def test_rejected_parameter_values_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_embed_seed_is_usage_error_without_output(tmp_path, capsys):
+    # random.Random(-1) seeds like Random(1): --seed -1 would write the --seed 1 stego
+    cover = _encode(tmp_path)
+    out = tmp_path / "x.mvpo"
+    code = main(["embed", "--in", str(cover), "--method", "tar1", "--e", "0.5", "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "mvpo: error: rng_seed -1 must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cover.mvpo", "cover.mvpo.meta.json"]
+
+
 def test_a_fault_inside_the_program_is_an_internal_error_not_a_usage_error(tmp_path, monkeypatch, capsys):
     def _broken(frames, params):
         raise ValueError("index 7 out of range")
@@ -209,6 +219,26 @@ def test_verbose_flag_is_an_unknown_flag(capsys):
         main(["-v", "analyze", "--in", "x"])
     assert info.value.code == EXIT_USAGE
     assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [1000, 0])
+def test_yuv_frame_count_needs_a_whole_number_of_frames(tmp_path, capsys, size):
+    # without --frames the count comes from the file size; 32x16 4:2:0 frames are 768 bytes
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(size))
+    code = main(["encode", "--yuv", str(clip), "--size", "32x16", "--out", str(tmp_path / "x.mvpo")])
+    assert code == EXIT_IO
+    assert f"size {size} is not a whole number of 32x16 4:2:0 frames" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.yuv"]
+
+
+def test_yuv_without_size_is_usage_error(tmp_path, capsys):
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(32 * 16 * 3 // 2))
+    code = main(["encode", "--yuv", str(clip), "--out", str(tmp_path / "x.mvpo")])
+    assert code == EXIT_USAGE
+    assert "--yuv needs --size WxH" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.yuv"]
 
 
 def test_encode_without_source_is_usage_error(tmp_path, capsys):
@@ -331,6 +361,7 @@ _BAD_FIELDS = [
     ("plan", f"sequences = {SYNTH}\nqp = 25, abc\n", "qp"),
     ("plan", f"sequences = {SYNTH}\nqp = 25, 99\n", "qp"),
     ("plan", f"sequences = {SYNTH}\nseed = x\n", "seed"),
+    ("plan", f"sequences = {SYNTH}\nmethods = cover,tar1\nseed = -1\n", "seed"),
     ("plan", "sequences = pattern=shift,size=64x64,frames=x\n", "frames"),
     ("plan", "sequences = yuv=clip.yuv,size=64x64,frames=x\n", "frames"),
     ("plan", f"sequences = {SYNTH}\nqp =\n", "qp"),

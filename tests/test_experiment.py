@@ -4,7 +4,8 @@ import pytest
 
 from mvpo import InputError, Verdict
 from mvpo.analyzer import FeatureReport
-from mvpo.experiment import DEFAULT_GRIDS, parse_plan, summarize
+from mvpo.experiment import parse_plan, summarize
+from mvpo.stego import METHOD_TAGS
 
 SEQ = "sequences = pattern=shift,size=32x32,frames=3\n"
 
@@ -25,7 +26,7 @@ def test_summarize_counts_at_100_exactly(reports, expected):
 
 def test_plan_grids_default_and_convert():
     plan = parse_plan(SEQ + "tar2_t = 3, 07\ntar3_bpap = 0.25\n")
-    assert plan.grids["tar1"] == list(DEFAULT_GRIDS["tar1"])
+    assert plan.grids["tar1"] == list(METHOD_TAGS["tar1"].grid)
     assert plan.grids["tar2"] == [3, 7]
     assert plan.grids["tar3"] == [0.25]
 

@@ -65,6 +65,9 @@ def test_config_validates_per_method():
         EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, payload=())
     with pytest.raises(ValueError):
         EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, payload=(0, 2))
+    # random.Random(-1) seeds like Random(1), so a negative seed would alias a positive one
+    with pytest.raises(ValueError, match=r"rng_seed -1 must be >= 0"):
+        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, rng_seed=-1)
     cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, payload=[1, 0])
     assert cfg.payload == (1, 0)
 
@@ -355,6 +358,34 @@ def test_index_embedders_output_decodes_to_the_same_field(stream, threshold, bpa
     ):
         stego, _ = embed(stream, cfg)
         assert reconstruct_mvs(stego) == field
+
+
+@settings(max_examples=60)
+@given(
+    valid_streams(),
+    st.integers(0, 3) | st.integers(0, 2 * 8192),
+    st.floats(0, 1),
+    st.lists(st.integers(0, 1), min_size=1, max_size=4),
+)
+def test_index_bits_read_back_from_the_stego_alone(stream, threshold, bpap, payload):
+    # a receiver re-derives the slots from the stego: a flip keeps every vector, so it
+    # changes neither a PU's candidates nor the gap between its two rates
+    for cfg in (
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=threshold, payload=payload),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, payload=payload),
+    ):
+        stego, report = embed(stream, cfg)
+        checks = list(iter_pu_checks(stego))
+        if cfg.method is EmbedMethod.INDEX_THRESHOLD:
+            slots = [
+                k for k, c in enumerate(checks)
+                if (c.cands.identical if threshold == 0 else t_value(c.cands) <= threshold)
+            ]
+            assert len(slots) == report.bits_embedded
+        else:
+            gaps = [abs(c.chosen_rate - c.other_rate) for c in checks]
+            slots = sorted(range(len(checks)), key=gaps.__getitem__)[: report.bits_embedded]
+        assert [checks[k].record.idx for k in slots] == [payload[j % len(payload)] for j in range(len(slots))]
 
 
 # ---------------------------------------------------------------- reports against a recount
