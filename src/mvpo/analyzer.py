@@ -13,7 +13,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .codec import decode_walk
 from .core import CandidatePair, MotionVector, Mvd, rate_of
@@ -100,11 +100,17 @@ def _verdict(n_pus: int, n_optimal: int) -> Verdict:
     return Verdict.COVER if n_optimal == n_pus else Verdict.STEGO
 
 
-def optimal_rate(stream: SequenceStream) -> FeatureReport:
-    """List the violations; the walk checks one record per PU of each P-frame, so the counts follow."""
+def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None) -> FeatureReport:
+    """List the violations; the walk checks one record per PU of each P-frame, so the counts follow.
+
+    `checks` is this stream's `iter_pu_checks` when the caller already holds
+    it, as the experiment does for a cover; without it the stream is replayed.
+    """
+    if checks is None:
+        checks = iter_pu_checks(stream)
     violations = [
         (check.record.frame_index, check.record.block_x, check.record.block_y)
-        for check in iter_pu_checks(stream)
+        for check in checks
         if not check.optimal
     ]
     n_pus = stream.n_records

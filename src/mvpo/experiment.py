@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from .analyzer import FeatureReport, optimal_rate
+from .analyzer import iter_pu_checks, optimal_rate
 from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
@@ -153,6 +153,10 @@ def parse_plan(text: str) -> ExperimentPlan:
         values = [conv(v) for v in fields[key].split(",") if v.strip()]
         if not values:
             raise InputError(f"plan {key} lists no values")
+        # a repeat would run its cells twice; values equal after conversion (0.1, 0.10) repeat too
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise InputError(f"plan {key} lists {value!r} twice")
         return values
 
     methods = _list("methods", ["cover"], lambda s: s.strip().lower())
@@ -192,14 +196,14 @@ class CellRow:
     prop_at_100_pct: float | None
 
 
-def summarize(reports: Iterable[FeatureReport]) -> tuple[float | None, float | None]:
-    """The two table statistics over a cell's sequence reports."""
-    counted = [r for r in reports if r.n_pus]
+def summarize(tallies: Iterable[tuple[int, int]]) -> tuple[float | None, float | None]:
+    """The two table statistics over a cell's (n_pus, n_optimal) per sequence, in sequence order."""
+    counted = [(n, k) for n, k in tallies if n]
     if not counted:
         return None, None
     # exact counts: a float percentage rounds to 100.0 with a violation left
-    at_100 = sum(1 for r in counted if r.n_optimal == r.n_pus)
-    return sum(r.optimal_rate_pct for r in counted) / len(counted), 100.0 * at_100 / len(counted)
+    at_100 = sum(1 for n, k in counted if k == n)
+    return sum(100.0 * k / n for n, k in counted) / len(counted), 100.0 * at_100 / len(counted)
 
 
 def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]]:
@@ -214,7 +218,14 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], list[str]]:
-    """Run the whole grid; returns the sorted cell rows and any per-item errors."""
+    """Run the whole grid; returns the sorted cell rows and any per-item errors.
+
+    The covers are encoded first.  Then each cover's cells run against one
+    held decode of it, `list(iter_pu_checks(cover))`, built when the first
+    cover, tar2 or tar3 cell reads it and dropped before the next cover; each
+    stego is still decoded by its own analysis.  Errors come encodes first,
+    then by cell, then by sequence.
+    """
     params = plan.rd_params()
     errors: list[str] = []
 
@@ -235,24 +246,34 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 covers[(si, qp)] = None
                 errors.append(f"encode {plan.sequences[si].name} qp={qp}: {exc}")
 
-    rows = []
-    for method, qp, param, value in _cells(plan):
-        cfg = None if method == "cover" else METHOD_TAGS[method].config(value, plan.seed)
-        reports = []
-        n_errors = 0
-        for si in range(len(plan.sequences)):
-            cover = covers[(si, qp)]
-            if cover is None:
-                n_errors += 1
+    cells = _cells(plan)
+    tallies: list[list[tuple[int, int]]] = [[] for _ in cells]  # per cell, in sequence order
+    n_errors = [0] * len(cells)
+    cell_errors: list[tuple[int, int, str]] = []  # (cell, sequence, message)
+    for (si, qp), cover in covers.items():
+        checks = None
+        for ci, (method, cell_qp, param, value) in enumerate(cells):
+            if cell_qp != qp:
                 continue
+            if cover is None:
+                n_errors[ci] += 1
+                continue
+            cfg = None if method == "cover" else METHOD_TAGS[method].config(value, plan.seed)
             try:
-                target = cover if cfg is None else embed(cover, cfg)[0]
-                reports.append(optimal_rate(target))
+                # tar1 decodes its own output, so only it leaves the held decode unread
+                if checks is None and method != "tar1":
+                    checks = list(iter_pu_checks(cover))
+                report = optimal_rate(cover, checks) if cfg is None else optimal_rate(embed(cover, cfg, checks)[0])
+                tallies[ci].append((report.n_pus, report.n_optimal))
             except MvpoError as exc:
-                n_errors += 1
-                errors.append(f"{method} {param}={value} qp={qp} {plan.sequences[si].name}: {exc}")
-        mean_pct, prop_100 = summarize(reports)
-        rows.append(CellRow(method, qp, param, str(value), len(reports), n_errors, mean_pct, prop_100))
+                n_errors[ci] += 1
+                cell_errors.append((ci, si, f"{method} {param}={value} qp={qp} {plan.sequences[si].name}: {exc}"))
+    errors.extend(message for _, _, message in sorted(cell_errors))
+
+    rows = []
+    for (method, qp, param, value), cell_tallies, n_err in zip(cells, tallies, n_errors):
+        mean_pct, prop_100 = summarize(cell_tallies)
+        rows.append(CellRow(method, qp, param, str(value), len(cell_tallies), n_err, mean_pct, prop_100))
     rows.sort(key=lambda r: (r.method, r.qp, r.param, _numeric(r.value)))
     return rows, errors
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .analyzer import iter_pu_checks
+from .analyzer import PuCheck, iter_pu_checks
 from .codec import decode_walk
 from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
 from .stream import PuRecord, SequenceStream
@@ -208,35 +208,45 @@ def _write_indices(
     return _stego(cfg.method, stream, out, len(slots))
 
 
-def embed_index_threshold(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
+def embed_index_threshold(
+    stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
+) -> tuple[SequenceStream, EmbedReport]:
     """Write payload bits into the candidate index of close-candidate PUs, in decode order.
 
     A PU is eligible when its candidate distance is at most `threshold_T`; a
     threshold of zero additionally demands componentwise-identical candidates,
-    the population a zero distance is meant to capture.
+    the population a zero distance is meant to capture.  `checks`, the
+    stream's `iter_pu_checks` when the caller holds it, replaces the walk;
+    without it the walk runs unrated.
     """
     if cfg.method is not EmbedMethod.INDEX_THRESHOLD:
         raise ValueError(f"config method {cfg.method} does not match embed_index_threshold")
     limit = cfg.threshold_T
+    steps = decode_walk(stream) if checks is None else ((c.record, c.cands, c.mv) for c in checks)
     slots = [
         (k, cands, mv)
-        for k, (_, cands, mv) in enumerate(decode_walk(stream))
+        for k, (_, cands, mv) in enumerate(steps)
         if (cands.identical if limit == 0 else t_value(cands) <= limit)
     ]
     return _write_indices(stream, cfg, slots)
 
 
-def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
+def embed_index_adaptive(
+    stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
+) -> tuple[SequenceStream, EmbedReport]:
     """Host `capacity_bpap` bits per PU in the cheapest index flips.
 
     Every PU's flip cost is the gap between its two candidate rates.  The
     requested bit count lands in the PUs with the smallest gaps (decode order
     breaks ties), assigned greedily in that order.  `capacity_bpap` is at
-    most 1, so the request never exceeds the PU count.
+    most 1, so the request never exceeds the PU count.  `checks` is the
+    stream's `list(iter_pu_checks(stream))` when the caller holds it; without
+    it the stream is replayed.
     """
     if cfg.method is not EmbedMethod.INDEX_ADAPTIVE:
         raise ValueError(f"config method {cfg.method} does not match embed_index_adaptive")
-    checks = list(iter_pu_checks(stream))
+    if checks is None:
+        checks = list(iter_pu_checks(stream))
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
     # raw binary fraction of 0.1 would tip the ceiling to 4; float() first,
     # because a numpy scalar's repr is not a number
@@ -247,10 +257,18 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
     return _write_indices(stream, cfg, [(k, checks[k].cands, checks[k].mv) for k in order])
 
 
-def embed(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
-    """Dispatch to the embedder matching `cfg.method`."""
+def embed(
+    stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
+) -> tuple[SequenceStream, EmbedReport]:
+    """Dispatch to the embedder matching `cfg.method`.
+
+    `checks`, when given, must be `list(iter_pu_checks(stream))`: a caller
+    that holds the stream's decode (the experiment, for each cover) passes it
+    so tar2 and tar3 do not replay the stream again.  tar1 ignores it, since
+    it decodes its own output, not its input.
+    """
     if cfg.method is EmbedMethod.MVD_PARITY:
         return embed_mvd_parity(stream, cfg)
     if cfg.method is EmbedMethod.INDEX_THRESHOLD:
-        return embed_index_threshold(stream, cfg)
-    return embed_index_adaptive(stream, cfg)
+        return embed_index_threshold(stream, cfg, checks)
+    return embed_index_adaptive(stream, cfg, checks)

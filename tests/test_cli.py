@@ -367,6 +367,11 @@ _BAD_FIELDS = [
     ("plan", f"sequences = {SYNTH}\nqp =\n", "qp"),
     ("plan", f"sequences = {SYNTH}\nmethods = ,\n", "methods"),
     ("plan", f"sequences = {SYNTH}\ntar1_e =\n", "tar1_e"),
+    # a repeated list value would run its cells twice
+    ("plan", f"sequences = {SYNTH}\nqp = 25, 25\n", "qp"),
+    ("plan", f"sequences = {SYNTH}\nmethods = cover, cover\n", "methods"),
+    ("plan", f"sequences = {SYNTH}\nmethods = cover, tar2\ntar2_t = 5, 5\n", "tar2_t"),
+    ("plan", f"sequences = {SYNTH}\nmethods = tar1\ntar1_e = 0.1, 0.10\n", "tar1_e"),
     ("synth", "pattern=shift,size=32x32,frames=3,amp=abc", "amp"),
 ]
 

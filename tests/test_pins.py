@@ -1,4 +1,4 @@
-"""Byte pins: a small seed-0 cover, its three embeds and their analyses.
+"""Byte pins: a small seed-0 cover, its three embeds and their analyses, and a small experiment CSV.
 
 The digests were taken from the code before the decode side moved to a
 one-buffer record table and slotted value types.  Any change of stream
@@ -14,6 +14,7 @@ import json
 import pytest
 
 from mvpo import RdParams, SynthPattern, SynthSpec, encode_sequence, optimal_rate, synthesize
+from mvpo.experiment import parse_plan, rows_to_csv, run_experiment
 from mvpo.formats import report_to_json, write_stream
 from mvpo.stego import METHOD_TAGS, embed
 
@@ -70,3 +71,19 @@ def test_stream_and_analysis_bytes_match_pins(outputs, name):
 @pytest.mark.parametrize("tag", sorted(EMBED_REPORT_PINS))
 def test_embed_report_matches_pin(outputs, tag):
     assert _sha(json.dumps(outputs[1][tag].to_dict(), sort_keys=True)) == EMBED_REPORT_PINS[tag]
+
+
+# two 32x32 4-frame sequences at two qps, all four methods over their default grids;
+# the digest was taken while every cell still decoded its cover on its own
+EXPERIMENT_PLAN = (
+    "sequences = pattern=objects,size=32x32,frames=4,seed=0 | pattern=noise,size=32x32,frames=4,seed=1\n"
+    "qp = 20, 30\n"
+    "methods = cover, tar1, tar2, tar3\n"
+)
+EXPERIMENT_CSV_PIN = "5f281a9e5d56556a52421574f50a0ca45fd4efda2b1f65266055229d715677b7"
+
+
+def test_experiment_csv_matches_pin():
+    rows, errors = run_experiment(parse_plan(EXPERIMENT_PLAN))
+    assert errors == []
+    assert _sha(rows_to_csv(rows)) == EXPERIMENT_CSV_PIN

@@ -1,7 +1,9 @@
 """The three embedders: selection rules, modification rules, invariants."""
 
 import dataclasses
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -386,6 +388,49 @@ def test_index_bits_read_back_from_the_stego_alone(stream, threshold, bpap, payl
             gaps = [abs(c.chosen_rate - c.other_rate) for c in checks]
             slots = sorted(range(len(checks)), key=gaps.__getitem__)[: report.bits_embedded]
         assert [checks[k].record.idx for k in slots] == [payload[j % len(payload)] for j in range(len(slots))]
+
+
+# ---------------------------------------------------------------- the held decode
+
+_HELD_CONFIGS = (
+    *(dict(method=EmbedMethod.INDEX_THRESHOLD, threshold_T=t) for t in (0, 1, 5, 1000)),
+    *(dict(method=EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=b) for b in (0, 0.3, 1)),
+)
+
+
+@settings(max_examples=60)
+@given(valid_streams(), st.integers(0, 2**32), _PAYLOADS)
+def test_held_decode_gives_the_same_embeds_and_analysis(stream, seed, payload):
+    checks = list(iter_pu_checks(stream))
+    assert optimal_rate(stream, checks) == optimal_rate(stream)
+    for fields in _HELD_CONFIGS:
+        cfg = EmbedConfig(rng_seed=seed, payload=payload, **fields)
+        held, held_report = embed(stream, cfg, checks)
+        walked, walked_report = embed(stream, cfg)
+        assert held.header == walked.header and held.records == walked.records
+        assert held_report == walked_report
+
+
+@settings(max_examples=60)
+@given(valid_streams(), st.integers(0, 2**32))
+def test_threshold_zero_leaves_the_optimal_count_unchanged(stream, seed):
+    # T=0 flips only between identical candidates, so both differences stay the same
+    checks = list(iter_pu_checks(stream))
+    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=0, rng_seed=seed)
+    assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == optimal_rate(stream, checks).n_optimal
+
+
+@settings(max_examples=60)
+@given(valid_streams(), st.floats(0, 1), st.integers(0, 2**32))
+def test_adaptive_within_the_rate_ties_leaves_the_optimal_count_unchanged(stream, share, seed):
+    # tar3 takes zero-gap PUs first, and a flip there keeps both rates
+    checks = list(iter_pu_checks(stream))
+    ties = sum(1 for c in checks if c.chosen_rate == c.other_rate)
+    bpap = share * ties / len(checks)
+    if math.ceil(Fraction(repr(bpap)) * len(checks)) > ties:  # the float rounded past the tie pool
+        return
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=seed)
+    assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == optimal_rate(stream, checks).n_optimal
 
 
 # ---------------------------------------------------------------- reports against a recount
