@@ -13,7 +13,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .codec import decode_walk
 from .core import CandidatePair, MotionVector, Mvd, rate_of
@@ -94,6 +94,36 @@ def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
         yield _rate(*step)
 
 
+def rechecked(
+    stream: SequenceStream, base: SequenceStream, base_checks: Sequence[PuCheck]
+) -> list[PuCheck] | None:
+    """This stream's checks, built from `base_checks`, or None when they cannot be without a decode.
+
+    `base_checks` must be `list(iter_pu_checks(base))`.  Every record that
+    differs from the base's must keep its position and reconstruct the base's
+    vector from the base's candidates, as an index flip does.  Candidates read
+    only earlier vectors, so by induction over decode order the stream then
+    decodes to the base's candidates and vectors at every PU, passes every
+    order and range check, and only the differing records need re-rating; an
+    equal record keeps the base's check.  Any other difference (a moved vector
+    or position, another header or record count) returns None.
+    """
+    if stream.header != base.header or stream.n_records != base.n_records:
+        return None
+    checks = list(base_checks)
+    for k, (new, old) in enumerate(zip(stream.records, base.records)):
+        if new is old or new == old:
+            continue
+        if (new.frame_index, new.block_x, new.block_y) != (old.frame_index, old.block_x, old.block_y):
+            return None
+        cands, mv = checks[k].cands, checks[k].mv
+        mvp = cands[new.idx]
+        if mvp.x + new.mvd.dx != mv.x or mvp.y + new.mvd.dy != mv.y:
+            return None
+        checks[k] = _rate(new, cands, mv)
+    return checks
+
+
 def _verdict(n_pus: int, n_optimal: int) -> Verdict:
     if n_pus == 0:
         return Verdict.INDETERMINATE
@@ -103,8 +133,10 @@ def _verdict(n_pus: int, n_optimal: int) -> Verdict:
 def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None) -> FeatureReport:
     """List the violations; the walk checks one record per PU of each P-frame, so the counts follow.
 
-    `checks` is this stream's `iter_pu_checks` when the caller already holds
-    it, as the experiment does for a cover; without it the stream is replayed.
+    `checks` is this stream's `iter_pu_checks`, or checks equal to them, when
+    the caller already holds them: the experiment passes a cover's held decode,
+    and for a stego the `rechecked` form of it; without them (None) the stream
+    is replayed.
     """
     if checks is None:
         checks = iter_pu_checks(stream)

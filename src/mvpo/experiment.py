@@ -12,9 +12,9 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .analyzer import iter_pu_checks, optimal_rate
+from .analyzer import iter_pu_checks, optimal_rate, rechecked
 from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
@@ -47,7 +47,10 @@ def _parse_kv(text: str) -> dict[str, str]:
         if "=" not in part:
             raise InputError(f"bad spec field {part!r}, expected key=value")
         key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:  # the last value would silently win
+            raise InputError(f"spec field {key} given twice: {text!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -129,6 +132,17 @@ def _grid_value(key: str, tag: MethodTag, text: str) -> float | int:
     return value
 
 
+def _unique(key: str, values: list, show: Callable[[object], str] = repr) -> list:
+    """`values`, checked for repeats: a repeated sequence or value would run its cells twice.
+
+    Values equal after conversion (0.1 and 0.10, two spellings of one synth spec) repeat too.
+    """
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise InputError(f"plan {key} lists {show(value)} twice")
+    return values
+
+
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse the key=value plan format; see the README for the field list."""
     fields: dict[str, str] = {}
@@ -139,13 +153,17 @@ def parse_plan(text: str) -> ExperimentPlan:
         if "=" not in line:
             raise InputError(f"plan line {lineno}: expected key = value")
         key, value = line.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in fields:  # the last line would silently win
+            raise InputError(f"plan line {lineno}: {key} given twice")
+        fields[key] = value.strip()
 
     if "sequences" not in fields:
         raise InputError("plan needs a sequences= line")
     sequences = [parse_sequence_source(s) for s in fields["sequences"].split("|") if s.strip()]
     if not sequences:
         raise InputError("plan lists no sequences")
+    _unique("sequences", sequences, lambda source: repr(source.name))
 
     def _list(key: str, default: Iterable, conv) -> list:
         if key not in fields:
@@ -153,11 +171,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         values = [conv(v) for v in fields[key].split(",") if v.strip()]
         if not values:
             raise InputError(f"plan {key} lists no values")
-        # a repeat would run its cells twice; values equal after conversion (0.1, 0.10) repeat too
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise InputError(f"plan {key} lists {value!r} twice")
-        return values
+        return _unique(key, values)
 
     methods = _list("methods", ["cover"], lambda s: s.strip().lower())
     for m in methods:
@@ -222,9 +236,11 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
 
     The covers are encoded first.  Then each cover's cells run against one
     held decode of it, `list(iter_pu_checks(cover))`, built when the first
-    cover, tar2 or tar3 cell reads it and dropped before the next cover; each
-    stego is still decoded by its own analysis.  Errors come encodes first,
-    then by cell, then by sequence.
+    cover, tar2 or tar3 cell reads it and dropped before the next cover.  Once
+    it is held, each stego is analyzed from it by `rechecked`, which re-rates
+    only the records that differ from the cover's: tar2 and tar3 stegos are
+    never decoded, and a tar1 stego is decoded by its analysis only when it
+    moves a vector.  Errors come encodes first, then by cell, then by sequence.
     """
     params = plan.rd_params()
     errors: list[str] = []
@@ -263,7 +279,13 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 # tar1 decodes its own output, so only it leaves the held decode unread
                 if checks is None and method != "tar1":
                     checks = list(iter_pu_checks(cover))
-                report = optimal_rate(cover, checks) if cfg is None else optimal_rate(embed(cover, cfg, checks)[0])
+                if cfg is None:
+                    report = optimal_rate(cover, checks)
+                else:
+                    stego = embed(cover, cfg, checks)[0]
+                    # an index flip moves no vector, so a tar2 or tar3 stego is the held decode re-rated
+                    # where it differs; a tar1 stego that moves a vector is decoded by its analysis
+                    report = optimal_rate(stego, None if checks is None else rechecked(stego, cover, checks))
                 tallies[ci].append((report.n_pus, report.n_optimal))
             except MvpoError as exc:
                 n_errors[ci] += 1

@@ -95,7 +95,6 @@ class EmbedReport:
     pus_visited: int = 0
     pus_modified: int = 0
     bits_embedded: int = 0
-    pus_skipped: int = 0  # no embedder skips a PU; the key stays so report files keep their shape
     flips_rate_asymmetric: int = 0
     per_frame_modified: dict[int, int] = field(default_factory=dict)
 
@@ -105,7 +104,6 @@ class EmbedReport:
             "pus_visited": self.pus_visited,
             "pus_modified": self.pus_modified,
             "bits_embedded": self.bits_embedded,
-            "pus_skipped": self.pus_skipped,
             "flips_rate_asymmetric": self.flips_rate_asymmetric,
             "per_frame_modified": {str(f): n for f, n in sorted(self.per_frame_modified.items())},
         }

@@ -227,3 +227,20 @@ def valid_streams(draw) -> SequenceStream:
                 field.put(f, bx, by, mv)
                 records.append(PuRecord(f, bx, by, idx, Mvd(mv.x - mvp.x, mv.y - mvp.y)))
     return SequenceStream(header, records)
+
+
+@st.composite
+def synth_covers(draw) -> SequenceStream:
+    """A small synthetic cover: 1-4 x 1-3 PUs of size 8 or 16 over 2-4 frames."""
+    ps = draw(st.sampled_from((8, 16)))
+    stream, _, _ = encode_synth(
+        draw(st.sampled_from(("shift", "objects", "noise"))),
+        size=(ps * draw(st.integers(1, 4)), ps * draw(st.integers(1, 3))),
+        frames=draw(st.integers(2, 4)),
+        seed=draw(st.integers(0, 99)),
+        amp=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
+        qp=draw(st.sampled_from((20, 25, 30))),
+        pu_size=ps,
+        search_range=4,
+    )
+    return stream

@@ -373,6 +373,12 @@ _BAD_FIELDS = [
     ("plan", f"sequences = {SYNTH}\nmethods = cover, tar2\ntar2_t = 5, 5\n", "tar2_t"),
     ("plan", f"sequences = {SYNTH}\nmethods = tar1\ntar1_e = 0.1, 0.10\n", "tar1_e"),
     ("synth", "pattern=shift,size=32x32,frames=3,amp=abc", "amp"),
+    # a repeated sequence would be encoded and counted twice in every cell
+    ("plan", f"sequences = {SYNTH} | {SYNTH}\n", "sequences"),
+    # a key given twice would silently keep its last value
+    ("plan", f"sequences = {SYNTH}\nqp = 20\nqp = 30\n", "qp"),
+    ("synth", "pattern=shift,size=32x32,frames=3,frames=5", "frames"),
+    ("plan", "sequences = yuv=clip.yuv,size=64x64,frames=3,size=32x32\n", "size"),
 ]
 
 

@@ -21,6 +21,7 @@ from mvpo import (
     SequenceStream,
     SynthPattern,
     SynthSpec,
+    Verdict,
     ZERO_MV,
     block_sums,
     decode_walk,
@@ -577,7 +578,11 @@ def test_encode_matches_raster_order_oracle(case):
     # the anti-diagonal walk and batched search write the bytes of a
     # raster-order encoder that searches one PU at a time
     frames, params = case
-    assert write_stream(encode_sequence(frames, params)[0]) == write_stream(encode_oracle(frames, params))
+    stream = encode_sequence(frames, params)[0]
+    assert write_stream(stream) == write_stream(encode_oracle(frames, params))
+    # and every cover scores exactly 100%, at each PU size, qp, lambda and range drawn
+    report = optimal_rate(stream)
+    assert report.n_optimal == report.n_pus and report.verdict is Verdict.COVER
 
 
 def test_encode_with_search_range_wider_than_the_frame_matches_oracle():

@@ -38,11 +38,12 @@ STREAM_PINS = {
     ),
 }
 
-# tag -> sha256 of the embed report's sorted-key JSON
+# tag -> sha256 of the embed report's sorted-key JSON; re-pinned when the always-zero
+# `pus_skipped` key was deleted (the report plus "pus_skipped": 0 hashed to the earlier pins)
 EMBED_REPORT_PINS = {
-    "tar1": "08d69bc2ebfcd2e993b0565fb06661d843fb9e5ef80d2c6886169bd5bcc8bc5d",
-    "tar2": "284dd4b778018f787c06e91bfcd314de99f572459339e4e89e3bead489fc187c",
-    "tar3": "00c22ad61bb891a096fd5c47be0ac79db78549a165849127612fcd673902a26e",
+    "tar1": "a7b2f5f5083851e38ce1d8cd1b6c89b8ad0713fa0abfa7686dba66e297a48814",
+    "tar2": "c55f4bcd6f9902362d1e4a721e5bd501c0092e550f86f9b6570edc8afd777367",
+    "tar3": "4f9db6c7eef62d87f42846fabb934378307325dbe8df0d1e3c38746c2b0e1af1",
 }
 
 EMBEDS = {"tar1": 0.3, "tar2": 5, "tar3": 0.3}

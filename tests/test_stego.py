@@ -34,7 +34,7 @@ from mvpo import (
 from mvpo.stego import _parity_adjust
 from mvpo.stream import GOP_IPPP, StreamHeader
 
-from mvpo_testutil import encode_synth, scaffold_stream, valid_streams
+from mvpo_testutil import encode_synth, scaffold_stream, synth_covers, valid_streams
 
 
 def _cover() -> SequenceStream:
@@ -435,23 +435,6 @@ def test_adaptive_within_the_rate_ties_leaves_the_optimal_count_unchanged(stream
 
 # ---------------------------------------------------------------- reports against a recount
 
-@st.composite
-def _covers(draw) -> SequenceStream:
-    """A small synthetic cover: 1-4 x 1-3 PUs of size 8 or 16 over 2-4 frames."""
-    ps = draw(st.sampled_from((8, 16)))
-    stream, _, _ = encode_synth(
-        draw(st.sampled_from(("shift", "objects", "noise"))),
-        size=(ps * draw(st.integers(1, 4)), ps * draw(st.integers(1, 3))),
-        frames=draw(st.integers(2, 4)),
-        seed=draw(st.integers(0, 99)),
-        amp=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
-        qp=draw(st.sampled_from((20, 25, 30))),
-        pu_size=ps,
-        search_range=4,
-    )
-    return stream
-
-
 def _checked_analysis(stream):
     """`optimal_rate(stream)`, its per-frame tallies checked against a per-PU recount."""
     recount = {}
@@ -464,7 +447,7 @@ def _checked_analysis(stream):
 
 
 @settings(max_examples=30)
-@given(_covers(), st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**32))
+@given(synth_covers(), st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**32))
 def test_reports_match_a_recount_of_the_records(cover, e, bpap, seed):
     assert _checked_analysis(cover).verdict is Verdict.COVER
     for cfg in (
