@@ -162,6 +162,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs {args.jobs} must be at least 1")
     with open(args.plan) as f:
         plan = parse_plan(f.read())
     rows, errors = run_experiment(plan, jobs=args.jobs)

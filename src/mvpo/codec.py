@@ -21,11 +21,13 @@ samples, and as the int32 `block_sums` of those blocks; the previous frame's
 tables are dropped before the next are built, and the reconstruction is one
 gather of each PU's reference block from the table.  The search centres each
 window on the candidate `seed_candidate` picks and clamps it to the frame and
-to the pel range a vector can carry.  SAD is exact in narrow integers:
-|a - b| = 2 max(a, b) - a - b, so a block's SAD is twice the sum of its
-uint8 maxima, summed 256 samples at a time in uint16, less the two block
-sums.  One search call works within a fixed byte budget that holds a whole
-CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
+to the pel range a vector can carry, in plain integers per PU; a call's arrays
+are as wide as its widest window, and one key per position, packing the SAD
+and the displacement, names the winner in one reduction.  SAD is exact in
+narrow integers: |a - b| = 2 max(a, b) - a - b, so a block's SAD is twice the
+sum of its uint8 maxima, summed 256 samples at a time in uint16, less the two
+block sums.  One search call works within a fixed byte budget that holds a
+whole CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     CandidatePair,
@@ -46,7 +47,6 @@ from .core import (
     ZERO_MV,
     _SE_BITS,
     _SE_BITS_TABLE,
-    rate_of,
 )
 from .errors import InputError, MalformedStreamError
 from .stream import GOP_IPPP, Plane, PuRecord, SequenceStream, StreamHeader
@@ -134,6 +134,24 @@ _PEL_MIN, _PEL_MAX = MV_MIN // 4, MV_MAX // 4
 # bounds |4 * d - c| for such a displacement d and any candidate c
 _RATE_LIMIT = -4 * _PEL_MIN - MV_MIN
 _NO_KEY = np.iinfo(np.int64).max
+# 0, 1, 2, ...: a window's offsets from its lo on either axis
+_OFFSETS = np.arange(_PEL_MAX - _PEL_MIN + 1)
+_OFFSETS.flags.writeable = False
+
+
+def _key_table(magnitude_bit: int, sign_bit: int) -> np.ndarray:
+    """The bits one axis adds to a search key: |d| from `magnitude_bit`, d > 0 at `sign_bit`.
+
+    Entry d is for the pel displacement d, a negative d counted from the end; read-only.
+    """
+    d = np.r_[0 : _PEL_MAX + 1, _PEL_MIN:0]
+    table = np.abs(d) << magnitude_bit | (d > 0).astype(np.int64) << sign_bit
+    table.flags.writeable = False
+    return table
+
+
+# the low half of a search key: |dy| from bit 18, |dx| from bit 2, dy > 0 in bit 1, dx > 0 in bit 0
+_KEY_DY, _KEY_DX = _key_table(18, 1), _key_table(2, 0)
 
 
 def window_table(ref: np.ndarray, pu_size: int) -> np.ndarray:
@@ -145,8 +163,14 @@ def window_table(ref: np.ndarray, pu_size: int) -> np.ndarray:
     ps * ps samples, and the table costs (W - ps + 1) * H * ps samples.
     """
     ps = pu_size
-    bands = np.ascontiguousarray(sliding_window_view(ref, ps, axis=1).transpose(1, 0, 2))
-    return sliding_window_view(bands.reshape(len(bands), -1), ps * ps, axis=1)[:, ::ps]
+    ref = np.ascontiguousarray(ref)
+    (h, w), (row, col) = ref.shape, ref.strides
+    # band x is ref[:, x : x + ps]: one copy lays each band out as H * ps contiguous samples
+    bands = np.ndarray((w - ps + 1, h, ps), ref.dtype, ref, strides=(col, row, col)).copy()
+    # block (x, y) is rows y .. y + ps - 1 of band x: ps * ps samples from sample y * ps of the band
+    table = np.ndarray((w - ps + 1, h - ps + 1, ps * ps), ref.dtype, bands, strides=(h * ps * col, ps * col, col))
+    table.flags.writeable = False
+    return table
 
 
 def block_sums(ref: np.ndarray, pu_size: int) -> np.ndarray:
@@ -182,9 +206,18 @@ def _rates(dxs: np.ndarray, dys: np.ndarray, cands: np.ndarray) -> np.ndarray:
     vector range, `cands` is (n, 2, 2): the quarter-pel (x, y) of both
     candidates of each PU.  Returns (n, k_y, k_x).
     """
-    bits_x = _RATE_BITS[(4 * dxs + _RATE_LIMIT)[:, None, :] - cands[:, :, 0, None]]
-    bits_y = _RATE_BITS[(4 * dys + _RATE_LIMIT)[:, None, :] - cands[:, :, 1, None]] + 1
-    return (bits_y[:, :, :, None] + bits_x[:, :, None, :]).min(axis=1)
+    offsets = _RATE_LIMIT - cands  # a candidate's difference 4d - c sits at 4d + offset in _RATE_BITS
+    bits_x = _RATE_BITS[4 * dxs[:, None, :] + offsets[:, :, 0, None]]  # (n, 2, k_x)
+    bits_y = _RATE_BITS[4 * dys[:, None, :] + offsets[:, :, 1, None]]
+    bits_y += 1  # the index bit
+    both = bits_y[:, :, :, None] + bits_x[:, :, None, :]
+    return np.minimum(both[:, 0], both[:, 1])
+
+
+def _key_vector(key: int) -> MotionVector:
+    """The displacement a search key names, as a quarter-pel vector."""
+    dx, dy = 4 * (key >> 2 & 0xFFF), 4 * (key >> 18 & 0xFFF)
+    return MotionVector(dx if key & 1 else -dx, dy if key & 2 else -dy)
 
 
 def motion_estimate(
@@ -206,8 +239,11 @@ def motion_estimate(
     `cands[i]`.  Cost ties fall back to smaller SAD, then smaller |dy|, then
     smaller |dx|, then first position in raster scan order.  Returns one
     (vector in quarter-pel units, SAD) per PU; each PU's result is
-    independent of the others in the batch.
+    independent of the others in the batch.  Raises ValueError unless
+    `origins` and `cands` have the same length.
     """
+    if len(cands) != len(origins):
+        raise ValueError(f"one candidate pair per origin: {len(origins)} origins, {len(cands)} pairs")
     # each axis searches at most 2R+1 positions, and never more than the frame
     # has or a vector can reach
     span_x, span_y = (min(2 * params.search_range + 1, k, _PEL_MAX - _PEL_MIN + 1) for k in table.shape[:2])
@@ -216,15 +252,27 @@ def motion_estimate(
     # a PU whose window alone exceeds the budget is searched a band of dy rows at a
     # time; bands run in raster order, so the earlier one keeps a full (cost, key) tie
     rows = max(1, min(span_y, _BATCH_BYTES // row_bytes))
+    (row0, row1), *bands = [(r, min(r + rows, span_y)) for r in range(0, span_y, rows)]
     found: list[tuple[MotionVector, int]] = []
     for i in range(0, len(origins), step):
-        batch = (cur, table, sums, origins[i : i + step], cands[i : i + step], params, span_x)
-        best = _search(*batch, 0, rows)
-        for r in range(rows, span_y, rows):
-            band = _search(*batch, r, min(r + rows, span_y))
-            best = [b if b[:2] <= p[:2] else p for b, p in zip(best, band)]
-        found += [(MotionVector(4 * x, 4 * y), key >> 32) for _, key, x, y in best]
+        batch = (cur, table, sums, origins[i : i + step], cands[i : i + step], params)
+        best = _search(*batch, row0, row1)
+        for band in bands:
+            best = [b if b <= p else p for b, p in zip(best, _search(*batch, *band))]
+        found += [(_key_vector(key), key >> 32) for _, key in best]
     return found
+
+
+def _axis_window(pos: int, last: int, centre: int, reach: int) -> tuple[int, int]:
+    """The displacements [lo, hi] one axis of a PU searches: `centre` +- `reach`, clamped.
+
+    Displacement d maps the block at `pos` to the reference block at pos - d, which
+    must start in [0, last], and d must lie in the pel range a vector can carry.
+    """
+    low = pos - last if pos - last > _PEL_MIN else _PEL_MIN
+    high = pos if pos < _PEL_MAX else _PEL_MAX
+    lo, hi = centre - reach, centre + reach
+    return (low if lo < low else high if lo > high else lo), (low if hi < low else high if hi > high else hi)
 
 
 def _search(
@@ -234,69 +282,77 @@ def _search(
     origins: Sequence[tuple[int, int]],
     cands: Sequence[CandidatePair],
     params: RdParams,
-    span_x: int,
     row0: int,
     row1: int,
-) -> list[tuple[float, int, int, int]]:
-    """Each PU's best (cost, key, dx, dy) in rows [row0, row1) of its window, in one batch.
+) -> list[tuple[float, int]]:
+    """Each PU's best (cost, key) in rows [row0, row1) of its window, in one batch.
 
-    The key packs (SAD, |dy|, |dx|), the SAD in its bits from 32 up.
-
-    Each window is `span_x` positions wide, padded past its right edge as below.
+    The key packs (SAD, |dy|, |dx|, dy > 0, dx > 0), the SAD in its bits from
+    32 up.  Among positions tied on SAD, |dy| and |dx|, a negative
+    displacement comes first in a window, whose displacements ascend, so the
+    least key among the cheapest positions is the first in raster order that
+    `motion_estimate` documents, and it names its (dx, dy).
     """
     ps, reach = params.pu_size, params.search_range
-    n = len(origins)
-    fields = []
+    last_x, last_y = table.shape[0] - 1, table.shape[1] - 1  # the last block origin on each axis
+    k_x, k_y = 1, 1  # the widest window of the batch: its columns, and its rows from row0
+    fields: list[int] = []
+    current = []
     for (x, y), p in zip(origins, cands):
         s, c0, c1 = seed_candidate(p), p.mvp0, p.mvp1
-        fields.append((x, y, s.x >> 2, s.y >> 2, c0.x, c0.y, c1.x, c1.y))
-    a = np.array(fields, dtype=np.int64).reshape(n, 8)
-    o, s, c = a[:, :2], a[:, 2:4], a[:, 4:].reshape(n, 2, 2)
-
-    # displacement d maps the current block to the reference block at (pos - d);
-    # each axis searches [lo, hi] inside the frame and the vector range.  Past hi
-    # an axis repeats hi up to its span: a repeat ties its original in every key
-    # and comes later in raster order, so it is never picked over it.
-    low = np.maximum(o - table.shape[:2] + 1, _PEL_MIN)
-    high = np.minimum(o, _PEL_MAX)
-    lo = np.minimum(np.maximum(s - reach, low), high)
-    hi = np.minimum(np.maximum(s + reach, low), high)
-    dxs = np.minimum(lo[:, 0, None] + np.arange(span_x), hi[:, 0, None])
-    dys = np.minimum(lo[:, 1, None] + np.arange(row0, row1), hi[:, 1, None])
-    xs, ys = (o[:, 0, None] - dxs)[:, None, :], (o[:, 1, None] - dys)[:, :, None]
+        lo_x, hi_x = _axis_window(x, last_x, s.x >> 2, reach)
+        lo_y, hi_y = _axis_window(y, last_y, s.y >> 2, reach)
+        lo_y += row0
+        if hi_x - lo_x >= k_x:
+            k_x = hi_x - lo_x + 1
+        if hi_y - lo_y >= k_y:
+            k_y = hi_y - lo_y + 1
+        fields += (lo_x, lo_y, hi_x, hi_y, x, y, c0.x, c0.y, c1.x, c1.y)
+        current.append(cur[y : y + ps, x : x + ps])
+    n, k_y = len(current), min(k_y, row1 - row0)
+    a = np.array(fields, dtype=np.int64).reshape(n, 10)
+    lo, hi, pos = a[:, :6].reshape(n, 3, 2, 1).transpose(1, 0, 2, 3)  # each (n, axis, 1)
+    # a narrower window repeats its hi up to the widest: a repeat has its original's
+    # key, so it names the same displacement
+    d = np.minimum(lo + _OFFSETS[: max(k_x, k_y)], hi)  # (n, axis, offset)
+    pos = pos - d  # the reference block each displacement reads
+    xs, ys = pos[:, 0, None, :k_x], pos[:, 1, :k_y, None]
+    dxs, dys = d[:, 0, :k_x], d[:, 1, :k_y]
 
     blocks = table[xs, ys]  # (n, dy, dx, ps * ps)
-    w = cur.shape[1]
-    offsets = (np.arange(0, ps * w, w)[:, None] + np.arange(ps)).ravel()  # a block's samples in `cur`, row by row
-    current = cur.ravel()[(o[:, 1] * w + o[:, 0])[:, None] + offsets]  # (n, ps * ps)
+    current = np.array(current).reshape(n, 1, 1, ps * ps)
     # |a - b| = 2 max(a, b) - a - b: the maxima stay in uint8 and sums of _CHUNK
     # of them fit uint16; the block sums come from `sums`, the current ones from here
-    np.maximum(blocks, current[:, None, None, :], out=blocks)
-    chunk = min(_CHUNK, ps * ps)
-    sad = blocks.reshape(*blocks.shape[:3], -1, chunk).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
-    sad <<= 1
+    np.maximum(blocks, current, out=blocks)
+    if ps * ps <= _CHUNK:
+        maxima = np.add.reduce(blocks, axis=3, dtype=np.uint16)
+    else:
+        maxima = blocks.reshape(*blocks.shape[:3], -1, _CHUNK).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
+    sad = np.left_shift(maxima, 1, dtype=np.int64)
     sad -= sums[xs, ys]
-    sad -= current.sum(axis=1, dtype=np.int64)[:, None, None]
+    sad -= np.add.reduce(current, axis=3, dtype=np.int64)
 
-    cost = sad + params.lambda_motion * _rates(dxs, dys, c)
-    low_cost = cost.min(axis=(1, 2), keepdims=True)
-    # among the cheapest, order by (SAD, |dy|, |dx|) packed in one int64; argmin keeps
-    # the first in raster order.  SAD < 2**31 for 64x64 PUs of 8-bit samples, and
-    # |d| <= 2048 < 2**16 inside the vector range.
-    key = (sad << 32) | ((np.abs(dys) << 16)[:, :, None] | np.abs(dxs)[:, None, :])
-    best = np.where(cost == low_cost, key, _NO_KEY).reshape(n, -1).argmin(axis=1)
-    iy, ix = np.divmod(best, span_x)
-    pus = np.arange(n)
-    columns = (low_cost.ravel(), key[pus, iy, ix], dxs[pus, ix], dys[pus, iy])
-    return list(zip(*(c.tolist() for c in columns)))
+    cost = sad + params.lambda_motion * _rates(dxs, dys, a[:, 6:].reshape(n, 2, 2))
+    low_cost = np.minimum.reduce(cost, axis=(1, 2), keepdims=True)
+    # the SAD becomes the key in place: SAD < 2**31 for 64x64 PUs of 8-bit samples,
+    # and |d| <= 2048 < 2**12 inside the vector range
+    key = sad
+    key <<= 32
+    key |= _KEY_DY[dys][:, :, None]
+    key |= _KEY_DX[dxs][:, None, :]
+    key[cost != low_cost] = _NO_KEY
+    return list(zip(low_cost.ravel().tolist(), np.minimum.reduce(key, axis=(1, 2)).tolist()))
 
 
 def select_mvp(mv: MotionVector, cands: CandidatePair) -> tuple[int, Mvd]:
     """Signal the candidate whose difference codes in fewer bits; ties keep index 0."""
-    mvds = cands.mvds(mv)
-    rate0, rate1 = map(rate_of, mvds)
-    idx = 1 if rate1 < rate0 else 0
-    return idx, mvds[idx]
+    a, b = cands.mvp0, cands.mvp1
+    bits, lim = _SE_BITS, -MVD_MIN
+    dx0, dy0, dx1, dy1 = mv.x - a.x, mv.y - a.y, mv.x - b.x, mv.y - b.y
+    # both differences share the index bit, so the shorter pair of components wins
+    if bits[dx1 + lim] + bits[dy1 + lim] < bits[dx0 + lim] + bits[dy0 + lim]:
+        return 1, Mvd(dx1, dy1)
+    return 0, Mvd(dx0, dy0)
 
 
 def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStream, MvField]:

@@ -241,7 +241,10 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
     only the records that differ from the cover's: tar2 and tar3 stegos are
     never decoded, and a tar1 stego is decoded by its analysis only when it
     moves a vector.  Errors come encodes first, then by cell, then by sequence.
+    `jobs`, the threads that encode the covers, must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs {jobs} must be at least 1")
     params = plan.rd_params()
     errors: list[str] = []
 
@@ -249,7 +252,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
         return encode_sequence(source.load(), params[qp])[0]
 
     covers: dict[tuple[int, int], SequenceStream | None] = {}
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = {
             (si, qp): pool.submit(_encode, source, qp)
             for si, source in enumerate(plan.sequences)

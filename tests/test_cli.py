@@ -330,6 +330,21 @@ def test_experiment_runs_plan(tmp_path, capsys):
     assert "cells=6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_jobs_below_one_is_usage_error_before_encoding(tmp_path, monkeypatch, capsys, jobs):
+    import mvpo.experiment
+
+    def _no_encode(*args):
+        raise AssertionError("encoded with no worker to run it")
+
+    monkeypatch.setattr(mvpo.experiment, "encode_sequence", _no_encode)
+    (tmp_path / "plan.txt").write_text(f"sequences = {SYNTH}\nout = {tmp_path / 'results.csv'}\n")
+    assert main(["experiment", "--plan", str(tmp_path / "plan.txt"), "--jobs", jobs]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"mvpo: error: --jobs {jobs} must be at least 1\n"
+    # no CSV or sidecar: the plan is all the directory holds
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.txt"]
+
+
 def test_experiment_missing_plan_is_io_error(tmp_path):
     code = main(["experiment", "--plan", str(tmp_path / "absent.txt")])
     assert code == EXIT_IO

@@ -225,6 +225,19 @@ def test_motion_estimate_matches_oracle_on_flat_planes(seed):
     assert _search_one(*case) == _oracle(*case)
 
 
+@pytest.mark.parametrize("rows_per_band", [None, 1])
+def test_motion_estimate_orders_a_tie_by_abs_dx_before_the_sign_of_dy(monkeypatch, rows_per_band):
+    # on a flat plane (3, -1) and (1, 1) each code in 3 bits against one candidate:
+    # |dy| ties, so the smaller |dx| wins although dy = -1 comes first in raster order,
+    # in one window and across bands of one row each
+    params = RdParams(qp=25, search_range=3, pu_size=8)
+    if rows_per_band:
+        monkeypatch.setattr(codec, "_BATCH_BYTES", rows_per_band * 7 * 8 * 8)
+    flat = np.zeros((32, 32), dtype=np.uint8)
+    case = (flat, flat, 8, 8, CandidatePair(MotionVector(12, -4), MotionVector(4, 4)), params)
+    assert _search_one(*case) == _oracle(*case) == (MotionVector(4, 4), 0)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_motion_estimate_matches_oracle_low_contrast(seed):
     # a two-level texture produces frequent SAD ties deeper in the cascade
@@ -267,6 +280,19 @@ def test_motion_estimate_window_clamps_at_corners():
         mv, sad = _search_one(*case)
         assert (mv, sad) == _oracle(*case)
         assert -((24 - 8)) * 4 <= mv.x <= 0 and -((24 - 8)) * 4 <= mv.y <= 0
+
+
+@pytest.mark.parametrize("n_cands", [0, 1, 3])
+def test_motion_estimate_needs_one_candidate_pair_per_origin(monkeypatch, n_cands):
+    # a missing or an extra pair is an error before any search
+    def _no_search(*args):
+        raise AssertionError("searched before the lengths were checked")
+
+    monkeypatch.setattr(codec, "_search", _no_search)
+    ref = np.zeros((32, 32), dtype=np.uint8)
+    origins, pairs = [(0, 0), (16, 0)], [CandidatePair(ZERO_MV, ZERO_MV)] * n_cands
+    with pytest.raises(ValueError, match=f"2 origins, {n_cands} pairs"):
+        _estimate(ref, ref, origins, pairs, RdParams(pu_size=16))
 
 
 def test_motion_estimate_finds_exact_shift():
@@ -322,6 +348,42 @@ def test_block_sums_hold_the_sum_of_every_window_table_entry(ps, extra_w, extra_
     for x in range(w - ps + 1):
         for y in range(h - ps + 1):
             assert sums[x, y] == int(table[x, y].sum(dtype=np.int64)), (x, y)
+
+
+def _owner(view):
+    """The array that owns the memory `view` looks at."""
+    while isinstance(view.base, np.ndarray):
+        view = view.base
+    return view
+
+
+@settings(max_examples=30)
+@given(
+    ps=st.sampled_from((8, 16, 32)),
+    extra_w=st.integers(0, 12),
+    extra_h=st.integers(0, 12),
+    layout=st.sampled_from(("every other sample", "transposed", "frombuffer")),
+    seed=st.integers(0, 2**16),
+)
+def test_window_table_and_block_sums_read_strided_and_read_only_planes(ps, extra_w, extra_h, layout, seed):
+    # a plane need not be C-contiguous or writable: a slice of a larger plane, a
+    # transposed view and a plane over an immutable buffer give the tables of their copy
+    w, h = ps + extra_w, ps + extra_h
+    big = np.random.default_rng(seed).integers(0, 256, size=(2 * max(w, h), 2 * max(w, h)), dtype=np.uint8)
+    if layout == "every other sample":
+        ref = big[: 2 * h : 2, : 2 * w : 2]
+    elif layout == "transposed":
+        ref = big[:w, :h].T
+    else:
+        ref = np.frombuffer(big[:h, :w].tobytes(), dtype=np.uint8).reshape(h, w)
+    assert not ref.flags.c_contiguous or not ref.flags.writeable
+    copy = np.array(ref)
+    table = window_table(ref, ps)
+    assert np.array_equal(table, window_table(copy, ps))
+    assert np.array_equal(block_sums(ref, ps), block_sums(copy, ps))
+    assert not table.flags.writeable
+    # the buffer holds the column band of every x: (W - ps + 1) * H * ps samples
+    assert _owner(table).nbytes == (w - ps + 1) * h * ps
 
 
 def test_block_sums_need_a_power_of_two_pu_size():

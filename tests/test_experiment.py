@@ -108,3 +108,13 @@ def test_errors_come_encodes_first_then_by_cell_then_by_sequence(tmp_path, monke
     ]
     failed = {(r.method, r.value): (r.n_sequences, r.n_errors) for r in rows if r.n_errors > 1}
     assert failed == {("tar2", "5"): (0, 3), ("tar1", "0.3"): (0, 3)}
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_experiment_needs_at_least_one_job(monkeypatch, jobs):
+    def _no_encode(*args):
+        raise AssertionError("encoded with no worker to run it")
+
+    monkeypatch.setattr(mvpo.experiment, "encode_sequence", _no_encode)
+    with pytest.raises(ValueError, match=f"jobs {jobs} must be at least 1"):
+        run_experiment(parse_plan(SEQ), jobs)
