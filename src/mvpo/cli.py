@@ -62,6 +62,14 @@ def _from_args(make, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # the exit-code contract reserves 2 for I/O, so usage errors exit 1
     def error(self, message):
@@ -162,8 +170,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs {args.jobs} must be at least 1")
     with open(args.plan) as f:
         plan = parse_plan(f.read())
     rows, errors = run_experiment(plan, jobs=args.jobs)
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a (sequence, qp, method, parameter) grid")
     exp.add_argument("--plan", required=True)
     exp.add_argument("--out", help="results CSV path (default: from the plan)")
-    exp.add_argument("--jobs", type=int, default=1)
+    exp.add_argument("--jobs", type=positive_int, default=1)
     exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -116,11 +116,16 @@ def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: i
     return CandidatePair(a, b)
 
 
+def _codes_shorter(x1: int, y1: int, x0: int, y0: int) -> bool:
+    """Whether the pair (x1, y1) codes in fewer `se_bits` than the pair (x0, y0)."""
+    bits, lim = _SE_BITS, -MVD_MIN
+    return bits[x1 + lim] + bits[y1 + lim] < bits[x0 + lim] + bits[y0 + lim]
+
+
 def seed_candidate(cands: CandidatePair) -> MotionVector:
     """Pick the search window centre: the candidate whose own code is shorter, ties keep mvp0."""
     c0, c1 = cands.mvp0, cands.mvp1
-    bits, lim = _SE_BITS, -MVD_MIN
-    return c1 if bits[c1.x + lim] + bits[c1.y + lim] < bits[c0.x + lim] + bits[c0.y + lim] else c0
+    return c1 if _codes_shorter(c1.x, c1.y, c0.x, c0.y) else c0
 
 
 # working memory of one search call: one byte per sample of its candidate
@@ -324,11 +329,9 @@ def _search(
     # |a - b| = 2 max(a, b) - a - b: the maxima stay in uint8 and sums of _CHUNK
     # of them fit uint16; the block sums come from `sums`, the current ones from here
     np.maximum(blocks, current, out=blocks)
-    if ps * ps <= _CHUNK:
-        maxima = np.add.reduce(blocks, axis=3, dtype=np.uint16)
-    else:
-        maxima = blocks.reshape(*blocks.shape[:3], -1, _CHUNK).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
-    sad = np.left_shift(maxima, 1, dtype=np.int64)
+    chunk = min(_CHUNK, ps * ps)
+    sad = blocks.reshape(*blocks.shape[:3], -1, chunk).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
+    sad <<= 1
     sad -= sums[xs, ys]
     sad -= np.add.reduce(current, axis=3, dtype=np.int64)
 
@@ -347,10 +350,9 @@ def _search(
 def select_mvp(mv: MotionVector, cands: CandidatePair) -> tuple[int, Mvd]:
     """Signal the candidate whose difference codes in fewer bits; ties keep index 0."""
     a, b = cands.mvp0, cands.mvp1
-    bits, lim = _SE_BITS, -MVD_MIN
     dx0, dy0, dx1, dy1 = mv.x - a.x, mv.y - a.y, mv.x - b.x, mv.y - b.y
     # both differences share the index bit, so the shorter pair of components wins
-    if bits[dx1 + lim] + bits[dy1 + lim] < bits[dx0 + lim] + bits[dy0 + lim]:
+    if _codes_shorter(dx1, dy1, dx0, dy0):
         return 1, Mvd(dx1, dy1)
     return 0, Mvd(dx0, dy0)
 

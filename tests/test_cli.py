@@ -339,8 +339,10 @@ def test_experiment_jobs_below_one_is_usage_error_before_encoding(tmp_path, monk
 
     monkeypatch.setattr(mvpo.experiment, "encode_sequence", _no_encode)
     (tmp_path / "plan.txt").write_text(f"sequences = {SYNTH}\nout = {tmp_path / 'results.csv'}\n")
-    assert main(["experiment", "--plan", str(tmp_path / "plan.txt"), "--jobs", jobs]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"mvpo: error: --jobs {jobs} must be at least 1\n"
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "--plan", str(tmp_path / "plan.txt"), "--jobs", jobs])
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"mvpo experiment: error: argument --jobs: {jobs} is not at least 1\n")
     # no CSV or sidecar: the plan is all the directory holds
     assert [p.name for p in tmp_path.iterdir()] == ["plan.txt"]
 
