@@ -53,13 +53,19 @@ class FrameTally:
 
 @dataclass(frozen=True)
 class FeatureReport:
-    """Counts, verdict, and the violating PU positions for one stream."""
+    """Counts, the violating PU positions, and the verdict they give, for one stream."""
 
     n_pus: int
     n_optimal: int
-    verdict: Verdict
     per_frame: dict[int, FrameTally] = field(default_factory=dict)
     violations: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @property
+    def verdict(self) -> Verdict:
+        """Cover only at exactly 100 percent; no tolerance window, integer comparison only."""
+        if self.n_pus == 0:
+            return Verdict.INDETERMINATE
+        return Verdict.COVER if self.n_optimal == self.n_pus else Verdict.STEGO
 
     @property
     def optimal_rate_pct(self) -> float | None:
@@ -124,12 +130,6 @@ def rechecked(
     return checks
 
 
-def _verdict(n_pus: int, n_optimal: int) -> Verdict:
-    if n_pus == 0:
-        return Verdict.INDETERMINATE
-    return Verdict.COVER if n_optimal == n_pus else Verdict.STEGO
-
-
 def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None) -> FeatureReport:
     """List the violations; the walk checks one record per PU of each P-frame, so the counts follow.
 
@@ -152,9 +152,9 @@ def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None
     per_frame = {
         f: FrameTally(pus_per_frame, pus_per_frame - bad[f]) for f in range(1, stream.header.frame_count)
     }
-    return FeatureReport(n_pus, n_optimal, _verdict(n_pus, n_optimal), per_frame, violations)
+    return FeatureReport(n_pus, n_optimal, per_frame, violations)
 
 
 def classify(report: FeatureReport) -> Verdict:
-    """Cover only at exactly 100 percent; no tolerance window, integer comparison only."""
-    return _verdict(report.n_pus, report.n_optimal)
+    """The report's verdict, `report.verdict`."""
+    return report.verdict

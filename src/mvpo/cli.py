@@ -40,7 +40,7 @@ from .formats import (
     save_stream,
     write_atomic,
 )
-from .stego import METHOD_TAGS, embed
+from .stego import METHOD_TAGS, EmbedConfig, embed
 from .synth import synthesize
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def cmd_embed(args) -> int:
     value = getattr(args, tag.param)
     if value is None:
         raise UsageError(f"--method {args.method} needs --{tag.param}")
-    stego, report = embed(stream, _from_args(tag.config, value, args.seed))
+    stego, report = embed(stream, _from_args(EmbedConfig, tag.method, value, args.seed))
     doc = report.to_dict()
     params = {t.param: getattr(args, t.param) for t in METHOD_TAGS.values()}
     doc["invocation"] = _invocation(
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--in", required=True, dest="input")
     emb.add_argument("--method", choices=sorted(METHOD_TAGS), required=True)
     for name, tag in METHOD_TAGS.items():
-        emb.add_argument(f"--{tag.param}", type=tag.convert, help=f"{tag.config_field} for {name}")
+        emb.add_argument(f"--{tag.param}", type=tag.convert, help=f"the {name} parameter, {tag.bounds}")
     emb.add_argument("--seed", type=int, default=0)
     emb.add_argument("--out", required=True)
     emb.set_defaults(func=cmd_embed)

@@ -19,7 +19,7 @@ from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
 from .formats import YuvSpec, read_yuv
-from .stego import METHOD_TAGS, MethodTag, embed
+from .stego import METHOD_TAGS, EmbedConfig, MethodTag, embed
 from .stream import Plane, SequenceStream
 from .synth import SynthPattern, SynthSpec, synthesize
 
@@ -126,7 +126,7 @@ def _grid_value(key: str, tag: MethodTag, text: str) -> float | int:
     """Convert one plan grid value and check its range, so a bad one fails before any encode."""
     try:
         value = tag.convert(text)
-        tag.config(value)
+        EmbedConfig(tag.method, value)
     except ValueError as exc:
         raise InputError(f"plan {key} value {text.strip()!r}: {exc}") from exc
     return value
@@ -277,7 +277,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
             if cover is None:
                 n_errors[ci] += 1
                 continue
-            cfg = None if method == "cover" else METHOD_TAGS[method].config(value, plan.seed)
+            cfg = None if method == "cover" else EmbedConfig(METHOD_TAGS[method].method, value, plan.seed)
             try:
                 # tar1 decodes its own output, so only it leaves the held decode unread
                 if checks is None and method != "tar1":

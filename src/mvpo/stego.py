@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,9 +41,7 @@ class EmbedMethod(enum.Enum):
 @dataclass(frozen=True)
 class EmbedConfig:
     method: EmbedMethod
-    strength_e: float | None = None
-    threshold_T: int | None = None
-    capacity_bpap: float | None = None
+    value: float | int  # the method's one parameter, in the range its METHOD_TAGS row gives
     rng_seed: int = 0
     payload: Sequence[int] | None = None
 
@@ -50,18 +49,15 @@ class EmbedConfig:
         # random.Random(-s) seeds like Random(s), so a negative seed would alias a positive one
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed {self.rng_seed} must be >= 0")
-        if self.method is EmbedMethod.MVD_PARITY:
-            if self.strength_e is None or not 0.0 <= self.strength_e <= 1.0:
-                raise ValueError(f"strength_e {self.strength_e} must be in [0, 1]")
-        elif self.method is EmbedMethod.INDEX_THRESHOLD:
-            if self.threshold_T is None or self.threshold_T < 0:
-                raise ValueError(f"threshold_T {self.threshold_T} must be >= 0")
-        elif self.method is EmbedMethod.INDEX_ADAPTIVE:
-            if self.capacity_bpap is None or not 0.0 <= self.capacity_bpap <= 1.0:
-                raise ValueError(f"capacity_bpap {self.capacity_bpap} must be in [0, 1]")
+        tag = _TAG_OF[self.method]
+        if not tag.low <= self.value <= tag.high:  # NaN fails too
+            raise ValueError(f"{tag.param} {self.value} must be {tag.bounds}")
         if self.payload is not None:
-            bits = tuple(self.payload)
-            if not bits or any(b not in (0, 1) for b in bits):
+            try:
+                bits = tuple(map(operator.index, self.payload))
+            except TypeError:  # a bit such as 1.0 is no integer
+                bits = ()
+            if not bits or not set(bits) <= {0, 1}:
                 raise ValueError("payload must be a non-empty sequence of 0/1 bits")
             object.__setattr__(self, "payload", bits)
 
@@ -73,18 +69,21 @@ class MethodTag:
     method: EmbedMethod
     param: str  # the CLI flag and the experiment's param column
     convert: Callable[[str], float | int]
-    config_field: str
+    low: float | int  # the parameter's range, bounds included
+    high: float | int
     grid: tuple[float | int, ...]  # the experiment's default values
 
-    def config(self, value: float | int, rng_seed: int = 0) -> EmbedConfig:
-        return EmbedConfig(self.method, rng_seed=rng_seed, **{self.config_field: value})
+    @property
+    def bounds(self) -> str:
+        return f">= {self.low}" if self.high == math.inf else f"in [{self.low}, {self.high}]"
 
 
 METHOD_TAGS = {
-    "tar1": MethodTag(EmbedMethod.MVD_PARITY, "e", float, "strength_e", (0.1, 0.2, 0.3, 0.4, 0.5)),
-    "tar2": MethodTag(EmbedMethod.INDEX_THRESHOLD, "T", int, "threshold_T", (0, 1, 5, 20, 1000)),
-    "tar3": MethodTag(EmbedMethod.INDEX_ADAPTIVE, "bpap", float, "capacity_bpap", (0.1, 0.2, 0.3, 0.4, 0.5)),
+    "tar1": MethodTag(EmbedMethod.MVD_PARITY, "e", float, 0, 1, (0.1, 0.2, 0.3, 0.4, 0.5)),
+    "tar2": MethodTag(EmbedMethod.INDEX_THRESHOLD, "T", int, 0, math.inf, (0, 1, 5, 20, 1000)),
+    "tar3": MethodTag(EmbedMethod.INDEX_ADAPTIVE, "bpap", float, 0, 1, (0.1, 0.2, 0.3, 0.4, 0.5)),
 }
+_TAG_OF = {tag.method: tag for tag in METHOD_TAGS.values()}
 
 
 @dataclass
@@ -155,7 +154,7 @@ def _stego(
 
 
 def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
-    """Select each PU with probability `strength_e` and host one parity bit there.
+    """Select each PU with probability e, `cfg.value`, and host one parity bit there.
 
     All randomness is drawn per record, keyed to decode order, so the PUs
     selected at a lower strength are a subset of those at a higher one under
@@ -175,7 +174,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     for k, record in enumerate(stream.records):
         u = select.random()
         use_x = coin.getrandbits(1) == 1
-        if u < cfg.strength_e:
+        if u < cfg.value:
             bits += 1
             new_mvd = _parity_adjust(record.mvd, use_x, payload[k])
             if new_mvd != record.mvd:
@@ -211,7 +210,7 @@ def embed_index_threshold(
 ) -> tuple[SequenceStream, EmbedReport]:
     """Write payload bits into the candidate index of close-candidate PUs, in decode order.
 
-    A PU is eligible when its candidate distance is at most `threshold_T`; a
+    A PU is eligible when its candidate distance is at most T, `cfg.value`; a
     threshold of zero additionally demands componentwise-identical candidates,
     the population a zero distance is meant to capture.  `checks`, the
     stream's `iter_pu_checks` when the caller holds it, replaces the walk;
@@ -219,7 +218,7 @@ def embed_index_threshold(
     """
     if cfg.method is not EmbedMethod.INDEX_THRESHOLD:
         raise ValueError(f"config method {cfg.method} does not match embed_index_threshold")
-    limit = cfg.threshold_T
+    limit = cfg.value
     steps = decode_walk(stream) if checks is None else ((c.record, c.cands, c.mv) for c in checks)
     slots = [
         (k, cands, mv)
@@ -232,11 +231,11 @@ def embed_index_threshold(
 def embed_index_adaptive(
     stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
 ) -> tuple[SequenceStream, EmbedReport]:
-    """Host `capacity_bpap` bits per PU in the cheapest index flips.
+    """Host bpap, `cfg.value`, bits per PU in the cheapest index flips.
 
     Every PU's flip cost is the gap between its two candidate rates.  The
     requested bit count lands in the PUs with the smallest gaps (decode order
-    breaks ties), assigned greedily in that order.  `capacity_bpap` is at
+    breaks ties), assigned greedily in that order.  bpap is at
     most 1, so the request never exceeds the PU count.  `checks` is the
     stream's `list(iter_pu_checks(stream))` when the caller holds it; without
     it the stream is replayed.
@@ -248,7 +247,7 @@ def embed_index_adaptive(
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
     # raw binary fraction of 0.1 would tip the ceiling to 4; float() first,
     # because a numpy scalar's repr is not a number
-    target = math.ceil(Fraction(repr(float(cfg.capacity_bpap))) * len(checks))
+    target = math.ceil(Fraction(repr(float(cfg.value))) * len(checks))
     gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
     # a stable sort keeps decode order among equal gaps
     order = sorted(range(len(checks)), key=gaps.__getitem__)[:target]

@@ -126,7 +126,7 @@ def test_criterion_2_parity_embedding_always_detected():
         for e in (0.1, 0.2, 0.3, 0.4, 0.5):
             pcts = []
             for cover in covers:
-                cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=e, rng_seed=0)
+                cfg = EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=0)
                 stego, rep = embed(cover, cfg)
                 assert rep.pus_modified >= 1  # precondition, not assumption
                 report = optimal_rate(stego)
@@ -142,7 +142,7 @@ def test_criterion_3_index_threshold_blind_at_zero_detected_above():
     with _gate("3 threshold embedder") as info:
         covers = [_cover(*args, 25) for args in _CLOSE_CANDIDATES]
         for cover in covers:
-            cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=0, rng_seed=0)
+            cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, rng_seed=0)
             stego, rep = embed(cover, cfg)
             assert rep.bits_embedded >= 1
             assert optimal_rate(stego).optimal_rate_pct == 100.0  # provably blind
@@ -152,7 +152,7 @@ def test_criterion_3_index_threshold_blind_at_zero_detected_above():
         for T in (4, 8, 1000):
             pcts = []
             for cover in covers:
-                cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=T, rng_seed=0)
+                cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, T, rng_seed=0)
                 stego, rep = embed(cover, cfg)
                 assert rep.flips_rate_asymmetric >= 1  # precondition
                 flips_seen += rep.flips_rate_asymmetric
@@ -170,7 +170,7 @@ def test_criterion_4_adaptive_embedding_detected_and_mv_preserving():
         total_asym = 0
         for bpap in (0.1, 0.2, 0.3, 0.4, 0.5):
             for cover, field, (pattern, _, _) in zip(covers, fields, _NOISE_HEAVY):
-                cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=0)
+                cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=0)
                 stego, rep = embed(cover, cfg)
                 assert reconstruct_mvs(stego) == field  # vectors identical
                 report = optimal_rate(stego)
@@ -208,7 +208,7 @@ def test_criterion_5_worked_example_streams():
         assert (check_b.chosen_rate, check_b.other_rate) == (5, 3)
         assert check_b.mv == MotionVector(3, 9)
         # the threshold embedder reproduces exactly this stream
-        cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=1, payload=[0, 0, 0, 1])
+        cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 1, payload=[0, 0, 0, 1])
         produced, _ = embed_index_threshold(optimal, cfg)
         assert write_stream(produced) == write_stream(flipped)
 

@@ -100,11 +100,11 @@ def test_empty_stream_is_indeterminate():
 
 
 def test_classify_is_exact_integer_comparison():
-    assert classify(FeatureReport(10, 10, Verdict.COVER)) is Verdict.COVER
-    assert classify(FeatureReport(10, 9, Verdict.COVER)) is Verdict.STEGO
-    assert classify(FeatureReport(0, 0, Verdict.COVER)) is Verdict.INDETERMINATE
+    assert classify(FeatureReport(10, 10)) is Verdict.COVER
+    assert classify(FeatureReport(10, 9)) is Verdict.STEGO
+    assert classify(FeatureReport(0, 0)) is Verdict.INDETERMINATE
     # one violation in a large stream must still flip the verdict
-    assert classify(FeatureReport(10**9, 10**9 - 1, Verdict.COVER)) is Verdict.STEGO
+    assert classify(FeatureReport(10**9, 10**9 - 1)) is Verdict.STEGO
 
 
 def test_per_frame_tallies_sum_to_totals():
@@ -118,9 +118,9 @@ def test_per_frame_tallies_sum_to_totals():
 # ---------------------------------------------------------------- a stego's checks from its cover's
 
 _STEGO_CONFIGS = (
-    *(dict(method=EmbedMethod.MVD_PARITY, strength_e=e) for e in (0.3, 1.0)),
-    *(dict(method=EmbedMethod.INDEX_THRESHOLD, threshold_T=t) for t in (0, 1, 5, 1000)),
-    *(dict(method=EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=b) for b in (0, 0.3, 1)),
+    *(dict(method=EmbedMethod.MVD_PARITY, value=e) for e in (0.3, 1.0)),
+    *(dict(method=EmbedMethod.INDEX_THRESHOLD, value=t) for t in (0, 1, 5, 1000)),
+    *(dict(method=EmbedMethod.INDEX_ADAPTIVE, value=b) for b in (0, 0.3, 1)),
 )
 
 

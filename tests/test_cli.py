@@ -136,7 +136,7 @@ def test_rejected_parameter_values_are_usage_errors(tmp_path, capsys):
     cover = _encode(tmp_path)
     code = main(["embed", "--in", str(cover), "--method", "tar1", "--e", "1.5", "--out", str(out)])
     assert code == EXIT_USAGE
-    assert "mvpo: error: strength_e 1.5 must be in [0, 1]" in capsys.readouterr().err
+    assert "mvpo: error: e 1.5 must be in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 

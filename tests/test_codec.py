@@ -208,17 +208,19 @@ def test_motion_estimate_matches_oracle_larger_blocks(seed):
     assert _search_one(*case) == _oracle(*case)
 
 
+@pytest.mark.parametrize("scale", [1, 4])
 @pytest.mark.parametrize("seed", range(10))
-def test_motion_estimate_matches_oracle_on_flat_planes(seed):
-    # zero SAD everywhere: every tie-break level is exercised
+def test_motion_estimate_matches_oracle_on_flat_planes(seed, scale):
+    # zero SAD everywhere: every tie-break level is exercised; integer-pel candidates
+    # (scale 4) make exact rate ties between positions that differ only in |dx|
     rng = np.random.default_rng(2000 + seed)
     ref = np.zeros((24, 24), dtype=np.uint8)
     cur = np.zeros((24, 24), dtype=np.uint8)
     bx = int(rng.integers(0, 3)) * 8
     by = int(rng.integers(0, 3)) * 8
     cands = CandidatePair(
-        MotionVector(int(rng.integers(-12, 13)), int(rng.integers(-12, 13))),
-        MotionVector(int(rng.integers(-8, 9)), int(rng.integers(-8, 9))),
+        MotionVector(int(rng.integers(-12, 13)) * scale, int(rng.integers(-12, 13)) * scale),
+        MotionVector(int(rng.integers(-8, 9)) * scale, int(rng.integers(-8, 9)) * scale),
     )
     params = RdParams(qp=25, search_range=3, pu_size=8)
     case = (cur, ref, bx, by, cands, params)

@@ -5,7 +5,7 @@ import pytest
 import mvpo.analyzer
 import mvpo.experiment
 import mvpo.stego
-from mvpo import InputError, MalformedStreamError
+from mvpo import EmbedMethod, InputError, MalformedStreamError
 from mvpo.experiment import parse_plan, run_experiment, summarize
 from mvpo.stego import METHOD_TAGS
 
@@ -91,7 +91,7 @@ def test_errors_come_encodes_first_then_by_cell_then_by_sequence(tmp_path, monke
     real_embed = mvpo.experiment.embed
 
     def failing(stream, cfg, checks=None):
-        if (cfg.threshold_T, cfg.strength_e) in ((5, None), (None, 0.3)):
+        if (cfg.method, cfg.value) in ((EmbedMethod.INDEX_THRESHOLD, 5), (EmbedMethod.MVD_PARITY, 0.3)):
             raise MalformedStreamError("refused")
         return real_embed(stream, cfg, checks)
 

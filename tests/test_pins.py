@@ -16,7 +16,7 @@ import pytest
 from mvpo import RdParams, SynthPattern, SynthSpec, encode_sequence, optimal_rate, synthesize
 from mvpo.experiment import parse_plan, rows_to_csv, run_experiment
 from mvpo.formats import report_to_json, write_stream
-from mvpo.stego import METHOD_TAGS, embed
+from mvpo.stego import METHOD_TAGS, EmbedConfig, embed
 
 # name -> (sha256 of the stream bytes, sha256 of report_to_json(optimal_rate(stream)))
 STREAM_PINS = {
@@ -59,7 +59,7 @@ def outputs():
     cover, _ = encode_sequence(frames, RdParams(qp=25))
     streams, reports = {"cover": cover}, {}
     for tag, value in EMBEDS.items():
-        streams[tag], reports[tag] = embed(cover, METHOD_TAGS[tag].config(value, 0))
+        streams[tag], reports[tag] = embed(cover, EmbedConfig(METHOD_TAGS[tag].method, value, 0))
     return streams, reports
 
 

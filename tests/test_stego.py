@@ -53,36 +53,38 @@ def _modified_positions(cover, stego):
 # ---------------------------------------------------------------- config
 
 def test_config_validates_per_method():
+    # the value is a required field: a config without one cannot be built
+    for method in EmbedMethod:
+        with pytest.raises(TypeError):
+            EmbedConfig(method)
+    with pytest.raises(ValueError, match=r"^e 1\.5 must be in \[0, 1\]$"):
+        EmbedConfig(EmbedMethod.MVD_PARITY, 1.5)
+    with pytest.raises(ValueError, match=r"^T -1 must be >= 0$"):
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, -1)
+    with pytest.raises(ValueError, match=r"^bpap 2\.0 must be in \[0, 1\]$"):
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, 2.0)
     with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.MVD_PARITY)
-    with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=1.5)
-    with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.INDEX_THRESHOLD)
-    with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=-1)
-    with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=2.0)
-    with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, payload=())
-    with pytest.raises(ValueError):
-        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, payload=(0, 2))
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, math.nan)
+    for payload in ((), (0, 2), (1.0, 0)):
+        with pytest.raises(ValueError):
+            EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, payload=payload)
     # random.Random(-1) seeds like Random(1), so a negative seed would alias a positive one
     with pytest.raises(ValueError, match=r"rng_seed -1 must be >= 0"):
-        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, rng_seed=-1)
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5, payload=[1, 0])
-    assert cfg.payload == (1, 0)
+        EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, rng_seed=-1)
+    for payload in ([1, 0], (True, False)):
+        bits = EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, payload=payload).payload
+        assert bits == (1, 0) and all(type(b) is int for b in bits)
 
 
 def test_embed_dispatch_checks_method():
     cover = scaffold_stream(0, Mvd(0, 0))
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.5)
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 0.5)
     with pytest.raises(ValueError):
         embed_index_threshold(cover, cfg)
     with pytest.raises(ValueError):
         embed_index_adaptive(cover, cfg)
     with pytest.raises(ValueError):
-        embed_mvd_parity(cover, EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=1))
+        embed_mvd_parity(cover, EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 1))
 
 
 def test_t_value_examples():
@@ -111,7 +113,7 @@ def test_parity_adjust_moves_one_quarter_pel_toward_cheaper_code():
 
 def test_parity_embed_strength_zero_is_identity():
     cover = _cover()
-    stego, report = embed_mvd_parity(cover, EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.0))
+    stego, report = embed_mvd_parity(cover, EmbedConfig(EmbedMethod.MVD_PARITY, 0.0))
     assert write_stream(stego) == write_stream(cover)
     assert report.pus_visited == cover.n_records
     assert report.pus_modified == 0
@@ -120,7 +122,7 @@ def test_parity_embed_strength_zero_is_identity():
 
 def test_parity_embed_full_strength_zero_payload_changes_nothing():
     cover = _cover()
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=1.0, payload=[0])
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 1.0, payload=[0])
     stego, report = embed_mvd_parity(cover, cfg)
     # the cover's differences are quarter-pel multiples of 4, parity already 0
     assert report.bits_embedded == cover.n_records
@@ -130,7 +132,7 @@ def test_parity_embed_full_strength_zero_payload_changes_nothing():
 
 def test_parity_embed_full_strength_one_payload_modifies_every_pu():
     cover = _cover()
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=1.0, payload=[1])
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 1.0, payload=[1])
     stego, report = embed_mvd_parity(cover, cfg)
     assert report.pus_modified == cover.n_records
     for a, b in zip(cover.records, stego.records):
@@ -146,7 +148,7 @@ def test_parity_embed_modified_sets_nest_as_strength_grows():
     previous = set()
     previous_records = {}
     for e in (0.1, 0.2, 0.3, 0.5, 0.8):
-        cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=e, rng_seed=42)
+        cfg = EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=42)
         stego, _ = embed_mvd_parity(cover, cfg)
         positions = _modified_positions(cover, stego)
         assert previous <= positions
@@ -162,17 +164,17 @@ def test_parity_embed_modified_sets_nest_as_strength_grows():
 
 def test_parity_embed_is_deterministic_and_seed_sensitive():
     cover = _cover()
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.4, rng_seed=7)
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 0.4, rng_seed=7)
     once = embed_mvd_parity(cover, cfg)[0]
     twice = embed_mvd_parity(cover, cfg)[0]
     assert write_stream(once) == write_stream(twice)
-    other = embed_mvd_parity(cover, EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.4, rng_seed=8))[0]
+    other = embed_mvd_parity(cover, EmbedConfig(EmbedMethod.MVD_PARITY, 0.4, rng_seed=8))[0]
     assert write_stream(once) != write_stream(other)
 
 
 def test_parity_embed_preserves_grid_and_count():
     cover = _cover()
-    stego, _ = embed_mvd_parity(cover, EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.6))
+    stego, _ = embed_mvd_parity(cover, EmbedConfig(EmbedMethod.MVD_PARITY, 0.6))
     assert stego.header == cover.header
     assert [(r.frame_index, r.block_x, r.block_y) for r in stego.records] == [
         (r.frame_index, r.block_x, r.block_y) for r in cover.records
@@ -183,7 +185,7 @@ def test_parity_embed_preserves_grid_and_count():
 
 def test_threshold_embed_reproduces_index_flip():
     cover = scaffold_stream(0, Mvd(0, 0))
-    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=1, payload=[0, 0, 0, 1])
+    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 1, payload=[0, 0, 0, 1])
     stego, report = embed_index_threshold(cover, cfg)
     assert report.bits_embedded == 4
     assert report.pus_modified == 1
@@ -196,7 +198,7 @@ def test_threshold_embed_reproduces_index_flip():
 def test_threshold_embed_preserves_every_vector():
     cover = _cover()
     for T in (0, 4, 1000):
-        cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=T, rng_seed=3)
+        cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, T, rng_seed=3)
         stego, _ = embed_index_threshold(cover, cfg)
         assert reconstruct_mvs(stego) == reconstruct_mvs(cover)
 
@@ -213,7 +215,7 @@ def test_threshold_zero_selects_identical_pairs_only():
     ]
     cover = SequenceStream(header, records)
     assert optimal_rate(cover).verdict is Verdict.COVER
-    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=0, payload=[0])
+    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, payload=[0])
     stego, report = embed_index_threshold(cover, cfg)
     assert report.bits_embedded == 3  # the three identical-pair scaffold PUs
     assert stego.records[3] == cover.records[3]
@@ -223,7 +225,7 @@ def test_threshold_zero_selects_identical_pairs_only():
 
 def test_threshold_zero_embedding_stays_at_100_percent():
     cover = _cover()
-    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=0, rng_seed=1)
+    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, rng_seed=1)
     stego, report = embed_index_threshold(cover, cfg)
     assert report.bits_embedded > 0
     assert optimal_rate(stego).optimal_rate_pct == 100.0
@@ -234,7 +236,7 @@ def test_threshold_widens_with_t():
     bits = []
     for T in (0, 4, 8, 1000):
         _, report = embed_index_threshold(
-            cover, EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=T, rng_seed=2)
+            cover, EmbedConfig(EmbedMethod.INDEX_THRESHOLD, T, rng_seed=2)
         )
         bits.append(report.bits_embedded)
     assert bits == sorted(bits)
@@ -245,7 +247,7 @@ def test_threshold_widens_with_t():
 
 def test_adaptive_embed_targets_cheapest_flips_first():
     cover = scaffold_stream(0, Mvd(0, 0))  # costs: 0, 0, 0, 2
-    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=0.5, payload=[1])
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, 0.5, payload=[1])
     stego, report = embed_index_adaptive(cover, cfg)
     assert report.bits_embedded == 2
     assert report.pus_modified == 2
@@ -256,7 +258,7 @@ def test_adaptive_embed_targets_cheapest_flips_first():
 
 def test_adaptive_embed_spills_into_asymmetric_flips_at_full_capacity():
     cover = scaffold_stream(0, Mvd(0, 0))
-    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=1.0, payload=[1])
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, 1.0, payload=[1])
     stego, report = embed_index_adaptive(cover, cfg)
     assert report.bits_embedded == 4
     assert report.flips_rate_asymmetric == 1
@@ -271,7 +273,7 @@ def test_adaptive_embed_preserves_every_vector():
     assert cover.n_records == 112
     # ceil of the decimal request: 11.2 -> 12, 33.6 -> 34, 56, 112
     for bpap, expected_bits in ((0.1, 12), (0.3, 34), (0.5, 56), (1.0, 112)):
-        cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=4)
+        cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=4)
         stego, report = embed_index_adaptive(cover, cfg)
         assert report.bits_embedded == expected_bits
         assert reconstruct_mvs(stego) == reconstruct_mvs(cover)
@@ -279,7 +281,7 @@ def test_adaptive_embed_preserves_every_vector():
 
 def test_adaptive_embed_zero_capacity_is_identity():
     cover = _cover()
-    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=0.0)
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, 0.0)
     stego, report = embed_index_adaptive(cover, cfg)
     assert report.bits_embedded == 0
     assert write_stream(stego) == write_stream(cover)
@@ -290,9 +292,9 @@ def test_adaptive_embed_reads_numpy_capacities_as_floats():
     assert cover.n_records == 10
     # 0.3 * 10 is exactly 3 bits; float32's nearest value to 0.3 lies just above it
     for bpap, expected_bits in ((np.float64(0.3), 3), (np.float32(0.3), 4)):
-        cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=2)
+        cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=2)
         stego, report = embed_index_adaptive(cover, cfg)
-        as_float = dataclasses.replace(cfg, capacity_bpap=float(bpap))
+        as_float = dataclasses.replace(cfg, value=float(bpap))
         stego_float, report_float = embed_index_adaptive(cover, as_float)
         assert report.bits_embedded == expected_bits
         assert report == report_float
@@ -302,9 +304,9 @@ def test_adaptive_embed_reads_numpy_capacities_as_floats():
 def test_embed_dispatcher_routes_all_methods():
     cover = scaffold_stream(0, Mvd(0, 0))
     for cfg in (
-        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=0.0),
-        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=0, payload=[0]),
-        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=0.0),
+        EmbedConfig(EmbedMethod.MVD_PARITY, 0.0),
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, payload=[0]),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, 0.0),
     ):
         stego, report = embed(cover, cfg)
         assert report.method is cfg.method
@@ -322,7 +324,7 @@ def _near_bound_pair() -> SequenceStream:
 def test_parity_embed_refuses_an_output_that_would_not_decode():
     stream = _near_bound_pair()
     assert len(list(decode_walk(stream))) == 2  # the input decodes: -8187, then -8192
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=1.0, payload=[0])
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 1.0, payload=[0])
     with pytest.raises(MalformedStreamError, match=r"at \(1, 16, 0\).*-8194 outside \[-8192, 8191\]"):
         embed_mvd_parity(stream, cfg)
 
@@ -334,7 +336,7 @@ _PAYLOADS = st.none() | st.lists(st.integers(0, 1), min_size=1, max_size=4)
 @given(valid_streams(), st.floats(0, 1), st.integers(0, 2**32), _PAYLOADS)
 @example(_near_bound_pair(), 1.0, 0, [0])
 def test_parity_embed_output_decodes_or_is_refused(stream, e, seed, payload):
-    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=e, rng_seed=seed, payload=payload)
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=seed, payload=payload)
     try:
         stego, _ = embed_mvd_parity(stream, cfg)
     except MalformedStreamError as exc:
@@ -355,8 +357,8 @@ def test_parity_embed_output_decodes_or_is_refused(stream, e, seed, payload):
 def test_index_embedders_output_decodes_to_the_same_field(stream, threshold, bpap, seed, payload):
     field = reconstruct_mvs(stream)
     for cfg in (
-        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=threshold, rng_seed=seed, payload=payload),
-        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=seed, payload=payload),
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold, rng_seed=seed, payload=payload),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed, payload=payload),
     ):
         stego, _ = embed(stream, cfg)
         assert reconstruct_mvs(stego) == field
@@ -373,8 +375,8 @@ def test_index_bits_read_back_from_the_stego_alone(stream, threshold, bpap, payl
     # a receiver re-derives the slots from the stego: a flip keeps every vector, so it
     # changes neither a PU's candidates nor the gap between its two rates
     for cfg in (
-        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=threshold, payload=payload),
-        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, payload=payload),
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold, payload=payload),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, payload=payload),
     ):
         stego, report = embed(stream, cfg)
         checks = list(iter_pu_checks(stego))
@@ -393,8 +395,8 @@ def test_index_bits_read_back_from_the_stego_alone(stream, threshold, bpap, payl
 # ---------------------------------------------------------------- the held decode
 
 _HELD_CONFIGS = (
-    *(dict(method=EmbedMethod.INDEX_THRESHOLD, threshold_T=t) for t in (0, 1, 5, 1000)),
-    *(dict(method=EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=b) for b in (0, 0.3, 1)),
+    *(dict(method=EmbedMethod.INDEX_THRESHOLD, value=t) for t in (0, 1, 5, 1000)),
+    *(dict(method=EmbedMethod.INDEX_ADAPTIVE, value=b) for b in (0, 0.3, 1)),
 )
 
 
@@ -416,7 +418,7 @@ def test_held_decode_gives_the_same_embeds_and_analysis(stream, seed, payload):
 def test_threshold_zero_leaves_the_optimal_count_unchanged(stream, seed):
     # T=0 flips only between identical candidates, so both differences stay the same
     checks = list(iter_pu_checks(stream))
-    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=0, rng_seed=seed)
+    cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, rng_seed=seed)
     assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == optimal_rate(stream, checks).n_optimal
 
 
@@ -429,7 +431,7 @@ def test_adaptive_within_the_rate_ties_leaves_the_optimal_count_unchanged(stream
     bpap = share * ties / len(checks)
     if math.ceil(Fraction(repr(bpap)) * len(checks)) > ties:  # the float rounded past the tie pool
         return
-    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=seed)
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed)
     assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == optimal_rate(stream, checks).n_optimal
 
 
@@ -451,9 +453,9 @@ def _checked_analysis(stream):
 def test_reports_match_a_recount_of_the_records(cover, e, bpap, seed):
     assert _checked_analysis(cover).verdict is Verdict.COVER
     for cfg in (
-        EmbedConfig(EmbedMethod.MVD_PARITY, strength_e=e, rng_seed=seed),
-        *(EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold_T=t, rng_seed=seed) for t in (0, 1, 5, 1000)),
-        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, capacity_bpap=bpap, rng_seed=seed),
+        EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=seed),
+        *(EmbedConfig(EmbedMethod.INDEX_THRESHOLD, t, rng_seed=seed) for t in (0, 1, 5, 1000)),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed),
     ):
         stego, report = embed(cover, cfg)
         changed = [b for a, b in zip(cover.records, stego.records) if a != b]
