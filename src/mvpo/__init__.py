@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .analyzer import (
     FeatureReport,
     Verdict,
-    classify,
     is_locally_optimal,
     iter_pu_checks,
     optimal_rate,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .codec import decode_walk
@@ -72,12 +71,6 @@ class FeatureReport:
         if self.n_pus == 0:
             return None
         return 100.0 * self.n_optimal / self.n_pus
-
-    @property
-    def optimal_rate_exact(self) -> Fraction | None:
-        if self.n_pus == 0:
-            return None
-        return Fraction(100 * self.n_optimal, self.n_pus)
 
 
 def _rate(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> PuCheck:
@@ -153,8 +146,3 @@ def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None
         f: FrameTally(pus_per_frame, pus_per_frame - bad[f]) for f in range(1, stream.header.frame_count)
     }
     return FeatureReport(n_pus, n_optimal, per_frame, violations)
-
-
-def classify(report: FeatureReport) -> Verdict:
-    """The report's verdict, `report.verdict`."""
-    return report.verdict

@@ -165,7 +165,9 @@ def cmd_analyze(args) -> int:
             f"optimal_rate_pct={pct_text} verdict={report.verdict.value}"
         )
         if args.out:
-            write_atomic(args.out, rendered)
+            # a JSON report holds its invocation inline, a CSV report's goes in a sidecar
+            sidecar = None if args.format == "json" else (args.out + ".meta.json", _to_json(invocation))
+            write_atomic(args.out, rendered, sidecar=sidecar)
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ whole CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,38 +53,24 @@ from .errors import InputError, MalformedStreamError
 from .stream import GOP_IPPP, Plane, PuRecord, SequenceStream, StreamHeader
 
 
+@dataclasses.dataclass
 class MvField:
     """Reconstructed motion vectors on the PU grid, keyed by frame and block origin."""
 
-    def __init__(self, width: int, height: int, pu_size: int):
-        if width <= 0 or height <= 0 or width % pu_size or height % pu_size:
-            raise ValueError(f"{width}x{height} is not a multiple of pu_size {pu_size}")
-        self.width = width
-        self.height = height
-        self.pu_size = pu_size
-        self._mvs: dict[tuple[int, int, int], MotionVector] = {}
+    width: int
+    height: int
+    pu_size: int
+    _mvs: dict[tuple[int, int, int], MotionVector] = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.width <= 0 or self.height <= 0 or self.width % self.pu_size or self.height % self.pu_size:
+            raise ValueError(f"{self.width}x{self.height} is not a multiple of pu_size {self.pu_size}")
 
     def get(self, frame_index: int, block_x: int, block_y: int) -> MotionVector | None:
         return self._mvs.get((frame_index, block_x, block_y))
 
     def put(self, frame_index: int, block_x: int, block_y: int, mv: MotionVector) -> None:
         self._mvs[(frame_index, block_x, block_y)] = mv
-
-    def as_dict(self) -> dict[tuple[int, int, int], MotionVector]:
-        return dict(self._mvs)
-
-    def __len__(self) -> int:
-        return len(self._mvs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MvField)
-            and (self.width, self.height, self.pu_size) == (other.width, other.height, other.pu_size)
-            and self._mvs == other._mvs
-        )
-
-    def __repr__(self) -> str:
-        return f"MvField({self.width}x{self.height}/{self.pu_size}, {len(self._mvs)} mvs)"
 
 
 def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: int) -> CandidatePair:

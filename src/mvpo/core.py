@@ -106,26 +106,9 @@ class CandidatePair:
             return self.mvp1
         raise ValueError(f"candidate index {idx} not in {{0, 1}}")
 
-    def other(self, idx: int) -> MotionVector:
-        return self[1 - self._check(idx)]
-
-    @staticmethod
-    def _check(idx: int) -> int:
-        if idx not in (0, 1):
-            raise ValueError(f"candidate index {idx} not in {{0, 1}}")
-        return idx
-
     @property
     def identical(self) -> bool:
         return self.mvp0 == self.mvp1
-
-    def mvds(self, mv: MotionVector) -> tuple[Mvd, Mvd]:
-        """The differences that signal `mv` against each candidate; `rate_of` prices them.
-
-        Both are in range by the bounds above, so this never raises.
-        """
-        a, b = self.mvp0, self.mvp1
-        return Mvd(mv.x - a.x, mv.y - a.y), Mvd(mv.x - b.x, mv.y - b.y)
 
 
 _set_mvp0, _set_mvp1 = _slot_setters(CandidatePair)

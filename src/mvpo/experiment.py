@@ -92,11 +92,13 @@ def parse_sequence_source(text: str) -> SequenceSource:
     """A synth spec as above, or "yuv=path,size=WxH,frames=N"."""
     kv = _parse_kv(text)
     if "yuv" in kv:
+        path = kv.pop("yuv")
         if "size" not in kv or "frames" not in kv:
             raise InputError(f"yuv source needs size= and frames=: {text!r}")
-        width, height = _parse_size("size", kv["size"])
-        spec = YuvSpec(width, height, _parse_int("frames", kv["frames"]))
-        path = kv["yuv"]
+        width, height = _parse_size("size", kv.pop("size"))
+        spec = YuvSpec(width, height, _parse_int("frames", kv.pop("frames")))
+        if kv:
+            raise InputError(f"unknown yuv source fields {sorted(kv)}")
         return SequenceSource(name=os.path.basename(path), yuv_path=path, yuv_spec=spec)
     spec = parse_synth_spec(text)
     name = f"{spec.pattern.value}-{spec.width}x{spec.height}x{spec.frame_count}-s{spec.seed}"
@@ -160,7 +162,7 @@ def parse_plan(text: str) -> ExperimentPlan:
 
     if "sequences" not in fields:
         raise InputError("plan needs a sequences= line")
-    sequences = [parse_sequence_source(s) for s in fields["sequences"].split("|") if s.strip()]
+    sequences = [parse_sequence_source(s) for s in fields.pop("sequences").split("|") if s.strip()]
     if not sequences:
         raise InputError("plan lists no sequences")
     _unique("sequences", sequences, lambda source: repr(source.name))
@@ -168,7 +170,7 @@ def parse_plan(text: str) -> ExperimentPlan:
     def _list(key: str, default: Iterable, conv) -> list:
         if key not in fields:
             return list(default)
-        values = [conv(v) for v in fields[key].split(",") if v.strip()]
+        values = [conv(v) for v in fields.pop(key).split(",") if v.strip()]
         if not values:
             raise InputError(f"plan {key} lists no values")
         return _unique(key, values)
@@ -181,7 +183,7 @@ def parse_plan(text: str) -> ExperimentPlan:
     for name, tag in METHOD_TAGS.items():
         key = f"{name}_{tag.param.lower()}"
         grids[name] = _list(key, tag.grid, functools.partial(_grid_value, key, tag))
-    seed = _parse_int("seed", fields.get("seed", "0"))
+    seed = _parse_int("seed", fields.pop("seed", "0"))
     if seed < 0:  # checked here, like the grid values, so it fails before any encode
         raise InputError(f"plan seed {seed} must be >= 0")
     plan = ExperimentPlan(
@@ -189,11 +191,13 @@ def parse_plan(text: str) -> ExperimentPlan:
         qps=_list("qp", [25], functools.partial(_parse_int, "qp")),
         methods=methods,
         grids=grids,
-        pu_size=_parse_int("pu_size", fields.get("pu_size", "16")),
-        search_range=_parse_int("search_range", fields.get("search_range", "8")),
+        pu_size=_parse_int("pu_size", fields.pop("pu_size", "16")),
+        search_range=_parse_int("search_range", fields.pop("search_range", "8")),
         seed=seed,
-        out=fields.get("out", "results.csv"),
+        out=fields.pop("out", "results.csv"),
     )
+    if fields:  # the known keys were popped; a leftover one, say a misspelt `qps`, would leave qp at its default
+        raise InputError(f"unknown plan keys {sorted(fields)}")
     plan.rd_params()  # like the grid values, checked before any encode
     return plan
 

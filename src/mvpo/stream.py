@@ -10,7 +10,6 @@ import numpy as np
 from .core import Mvd, PU_SIZES, QP_MAX, QP_MIN, _slot_setters
 
 GOP_IPPP = 0
-GOP_NAMES = {GOP_IPPP: "IPPP"}
 
 _U16_MAX = 0xFFFF
 _U32_MAX = 0xFFFFFFFF
@@ -94,7 +93,7 @@ class StreamHeader:
                 raise ValueError(f"{name} {dim} not a multiple of pu_size {self.pu_size}")
         if not QP_MIN <= self.qp <= QP_MAX:
             raise ValueError(f"qp {self.qp} outside [{QP_MIN}, {QP_MAX}]")
-        if self.gop not in GOP_NAMES:
+        if self.gop != GOP_IPPP:
             raise ValueError(f"unknown gop tag {self.gop}")
         if not 1 <= self.frame_count <= _U32_MAX:
             raise ValueError(f"frame_count {self.frame_count} outside [1, {_U32_MAX}]")

@@ -1,7 +1,6 @@
 """Optimality feature: per-PU checks, stream counts, verdict rule."""
 
 import dataclasses
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from mvpo import (
     SequenceStream,
     StreamHeader,
     Verdict,
-    classify,
     embed,
     is_locally_optimal,
     iter_pu_checks,
@@ -55,7 +53,7 @@ def test_is_locally_optimal_counts_ties():
 @given(valid_streams())
 def test_pu_check_rates_price_both_candidate_differences(stream):
     for check in iter_pu_checks(stream):
-        rates = list(map(rate_of, check.cands.mvds(check.mv)))
+        rates = [rate_of(Mvd(check.mv.x - c.x, check.mv.y - c.y)) for c in (check.cands.mvp0, check.cands.mvp1)]
         idx = check.record.idx
         assert (check.chosen_rate, check.other_rate) == (rates[idx], rates[1 - idx])
 
@@ -66,7 +64,6 @@ def test_cover_stream_scores_exactly_100():
     assert report.n_pus == stream.n_records
     assert report.n_optimal == report.n_pus
     assert report.optimal_rate_pct == 100.0
-    assert report.optimal_rate_exact == Fraction(100)
     assert report.verdict is Verdict.COVER
     assert report.violations == []
 
@@ -95,16 +92,15 @@ def test_empty_stream_is_indeterminate():
     report = optimal_rate(SequenceStream(header, []))
     assert report.n_pus == 0
     assert report.optimal_rate_pct is None
-    assert report.optimal_rate_exact is None
     assert report.verdict is Verdict.INDETERMINATE
 
 
-def test_classify_is_exact_integer_comparison():
-    assert classify(FeatureReport(10, 10)) is Verdict.COVER
-    assert classify(FeatureReport(10, 9)) is Verdict.STEGO
-    assert classify(FeatureReport(0, 0)) is Verdict.INDETERMINATE
+def test_verdict_is_exact_integer_comparison():
+    assert FeatureReport(10, 10).verdict is Verdict.COVER
+    assert FeatureReport(10, 9).verdict is Verdict.STEGO
+    assert FeatureReport(0, 0).verdict is Verdict.INDETERMINATE
     # one violation in a large stream must still flip the verdict
-    assert classify(FeatureReport(10**9, 10**9 - 1)) is Verdict.STEGO
+    assert FeatureReport(10**9, 10**9 - 1).verdict is Verdict.STEGO
 
 
 def test_per_frame_tallies_sum_to_totals():

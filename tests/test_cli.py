@@ -86,6 +86,23 @@ def test_analyze_stdout_csv(tmp_path, capsys):
     assert ",cover" in text
 
 
+def test_analyze_csv_file_gets_a_sidecar(tmp_path, capsys):
+    out = _encode(tmp_path)
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out), "--format", "csv", "--out", "-"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    report_path = tmp_path / "report.csv"
+    assert main(["analyze", "--in", str(out), "--format", "csv", "--out", str(report_path)]) == EXIT_OK
+    # the CSV bytes are the ones printed to stdout; how they were made is in the sidecar
+    assert report_path.read_text() == printed
+    meta = json.loads((tmp_path / "report.csv.meta.json").read_text())
+    assert meta["command"] == "analyze"
+    assert meta["args"] == {"in": str(out), "format": "csv"}
+    # a JSON report records its invocation inline, so it gets no sidecar
+    assert main(["analyze", "--in", str(out), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert not (tmp_path / "report.json.meta.json").exists()
+
+
 def test_embed_then_analyze_flags_stego(tmp_path, capsys):
     cover = _encode(tmp_path)
     stego = tmp_path / "stego.mvpo"
@@ -396,6 +413,9 @@ _BAD_FIELDS = [
     ("plan", f"sequences = {SYNTH}\nqp = 20\nqp = 30\n", "qp"),
     ("synth", "pattern=shift,size=32x32,frames=3,frames=5", "frames"),
     ("plan", "sequences = yuv=clip.yuv,size=64x64,frames=3,size=32x32\n", "size"),
+    # an unknown key or field would be ignored: the plan would run only cover at qp 25
+    ("plan", f"sequences = {SYNTH}\nmethod = tar1\nqps = 30\n", "['method', 'qps']"),
+    ("plan", "sequences = yuv=a.yuv,size=64x64,frames=3,seed=5\n", "['seed']"),
 ]
 
 

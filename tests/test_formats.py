@@ -167,6 +167,10 @@ def test_read_rejects_invalid_header_fields():
     data[11] = 52  # qp out of range
     with pytest.raises(MalformedStreamError, match="invalid header"):
         read_stream(bytes(data))
+    data = bytearray(_valid_bytes())
+    data[12] = 1  # gop tag other than IPPP's 0
+    with pytest.raises(MalformedStreamError, match="invalid header field: unknown gop tag 1"):
+        read_stream(bytes(data))
 
 
 def test_read_rejects_truncated_records():
