@@ -87,9 +87,16 @@ def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector)
     return _rate(record, cands, mv).optimal
 
 
-def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
-    """Replay a stream and yield both candidate rates for every PU."""
-    for step in decode_walk(stream):
+def iter_pu_checks(
+    stream: SequenceStream, steps: Iterable[tuple[PuRecord, CandidatePair, MotionVector]] | None = None
+) -> Iterator[PuCheck]:
+    """Replay a stream and yield both candidate rates for every PU.
+
+    `steps`, the stream's `decode_walk` triples when the caller already holds
+    them (a tar1 embed report's `decoded`), replaces the replay; they are rated
+    as this generator is read.
+    """
+    for step in decode_walk(stream) if steps is None else steps:
         yield _rate(*step)
 
 
@@ -128,8 +135,9 @@ def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None
 
     `checks` is this stream's `iter_pu_checks`, or checks equal to them, when
     the caller already holds them: the experiment passes a cover's held decode,
-    and for a stego the `rechecked` form of it; without them (None) the stream
-    is replayed.
+    for a tar2 or tar3 stego the `rechecked` form of it, and for a tar1 stego
+    the rating of its embed's `decoded`; without them (None) the stream is
+    replayed.
     """
     if checks is None:
         checks = iter_pu_checks(stream)

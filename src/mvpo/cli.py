@@ -126,12 +126,16 @@ def cmd_encode(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    stream = load_stream(args.input)
     tag = METHOD_TAGS[args.method]
+    for other in METHOD_TAGS.values():
+        # the sidecar records every method's parameter, so an ignored one would read as applied
+        if other is not tag and getattr(args, other.param) is not None:
+            raise UsageError(f"--method {args.method} takes no --{other.param}")
     value = getattr(args, tag.param)
     if value is None:
         raise UsageError(f"--method {args.method} needs --{tag.param}")
-    stego, report = embed(stream, _from_args(EmbedConfig, tag.method, value, args.seed))
+    cfg = _from_args(EmbedConfig, tag.method, value, args.seed)
+    stego, report = embed(load_stream(args.input), cfg)
     doc = report.to_dict()
     params = {t.param: getattr(args, t.param) for t in METHOD_TAGS.values()}
     doc["invocation"] = _invocation(

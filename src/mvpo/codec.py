@@ -98,7 +98,7 @@ def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: i
     get = field._mvs.get
     a = get((frame_index, block_x - ps, block_y), ZERO_MV) if block_x else ZERO_MV
     b = get((frame_index, block_x, block_y - ps), ZERO_MV) if block_y else ZERO_MV
-    if a == b:
+    if a is b or a == b:  # the decode walk shares one object between equal vectors
         b = get((frame_index - 1, block_x, block_y), ZERO_MV)
     return CandidatePair(a, b)
 

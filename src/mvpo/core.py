@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -105,6 +106,10 @@ class CandidatePair:
         if idx == 1:
             return self.mvp1
         raise ValueError(f"candidate index {idx} not in {{0, 1}}")
+
+    def __iter__(self) -> Iterator[MotionVector]:
+        # without it, iteration would index 0, 1, 2, ... until an IndexError, and index 2 raises ValueError
+        return iter((self.mvp0, self.mvp1))
 
     @property
     def identical(self) -> bool:

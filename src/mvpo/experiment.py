@@ -240,11 +240,12 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
 
     The covers are encoded first.  Then each cover's cells run against one
     held decode of it, `list(iter_pu_checks(cover))`, built when the first
-    cover, tar2 or tar3 cell reads it and dropped before the next cover.  Once
-    it is held, each stego is analyzed from it by `rechecked`, which re-rates
-    only the records that differ from the cover's: tar2 and tar3 stegos are
-    never decoded, and a tar1 stego is decoded by its analysis only when it
-    moves a vector.  Errors come encodes first, then by cell, then by sequence.
+    cover, tar2 or tar3 cell reads it and dropped before the next cover.  Each
+    tar2 and tar3 stego is analyzed from it by `rechecked`, which re-rates only
+    the records that differ from the cover's, so they are never decoded.  A
+    tar1 stego is decoded once, by the output check of its embed, and its
+    analysis rates that decode.  Errors come encodes first, then by cell, then
+    by sequence.
     `jobs`, the threads that encode the covers, must be at least 1.
     """
     if jobs < 1:
@@ -289,10 +290,15 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 if cfg is None:
                     report = optimal_rate(cover, checks)
                 else:
-                    stego = embed(cover, cfg, checks)[0]
-                    # an index flip moves no vector, so a tar2 or tar3 stego is the held decode re-rated
-                    # where it differs; a tar1 stego that moves a vector is decoded by its analysis
-                    report = optimal_rate(stego, None if checks is None else rechecked(stego, cover, checks))
+                    stego, embedded = embed(cover, cfg, checks)
+                    if embedded.decoded is not None:
+                        # tar1 decoded its output to check it, and its analysis rates that decode
+                        stego_checks = iter_pu_checks(stego, embedded.decoded)
+                    else:
+                        # an index flip moves no vector, so a tar2 or tar3 stego is the held decode
+                        # re-rated where it differs
+                        stego_checks = rechecked(stego, cover, checks)
+                    report = optimal_rate(stego, stego_checks)
                 tallies[ci].append((report.n_pus, report.n_optimal))
             except MvpoError as exc:
                 n_errors[ci] += 1

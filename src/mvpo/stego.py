@@ -96,6 +96,11 @@ class EmbedReport:
     bits_embedded: int = 0
     flips_rate_asymmetric: int = 0
     per_frame_modified: dict[int, int] = field(default_factory=dict)
+    # tar1's check of its output, `list(decode_walk(stego))`, for a caller to analyze the stego
+    # from; None for tar2 and tar3, and no part of the report
+    decoded: list[tuple[PuRecord, CandidatePair, MotionVector]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -160,7 +165,8 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     selected at a lower strength are a subset of those at a higher one under
     the same seed, and each keeps the same component and payload bit.  The
     output is decoded whole, so a malformed input, or a nudge that pushes a
-    later vector out of range, raises `MalformedStreamError`.
+    later vector out of range, raises `MalformedStreamError`; the report keeps
+    that decode as `decoded`.
     """
     if cfg.method is not EmbedMethod.MVD_PARITY:
         raise ValueError(f"config method {cfg.method} does not match embed_mvd_parity")
@@ -171,18 +177,19 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
 
     out = []
     bits = 0
+    draw, flip, e = select.random, coin.getrandbits, cfg.value
     for k, record in enumerate(stream.records):
-        u = select.random()
-        use_x = coin.getrandbits(1) == 1
-        if u < cfg.value:
+        u = draw()
+        use_x = flip(1) == 1
+        if u < e:
             bits += 1
-            new_mvd = _parity_adjust(record.mvd, use_x, payload[k])
-            if new_mvd != record.mvd:
+            mvd = record.mvd
+            if (mvd.dx if use_x else mvd.dy) & 1 != payload[k]:  # else the parity already holds the bit
+                new_mvd = _parity_adjust(mvd, use_x, payload[k])
                 record = PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd)
         out.append(record)
     stego, report = _stego(EmbedMethod.MVD_PARITY, stream, out, bits)
-    for _ in decode_walk(stego):
-        pass
+    report.decoded = list(decode_walk(stego))
     return stego, report
 
 
@@ -262,7 +269,8 @@ def embed(
     `checks`, when given, must be `list(iter_pu_checks(stream))`: a caller
     that holds the stream's decode (the experiment, for each cover) passes it
     so tar2 and tar3 do not replay the stream again.  tar1 ignores it, since
-    it decodes its own output, not its input.
+    it decodes its own output, not its input; its report's `decoded` holds
+    that decode.
     """
     if cfg.method is EmbedMethod.MVD_PARITY:
         return embed_mvd_parity(stream, cfg)

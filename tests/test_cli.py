@@ -145,6 +145,24 @@ def test_missing_parameter_for_method_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.mvpo").exists()
 
 
+@pytest.mark.parametrize(
+    "method, params, flag",
+    [
+        ("tar1", ["--e", "0.3", "--T", "5", "--bpap", "0.9"], "--T"),
+        ("tar2", ["--T", "5", "--bpap", "0.9"], "--bpap"),
+        ("tar3", ["--e", "0.3", "--bpap", "0.3"], "--e"),
+    ],
+)
+def test_another_methods_parameter_is_usage_error_before_reading(tmp_path, capsys, method, params, flag):
+    # the sidecar records every method's parameter, so an ignored one would read as applied;
+    # the input does not exist, so the usage error comes before the stream is read
+    out = tmp_path / "x.mvpo"
+    code = main(["embed", "--in", str(tmp_path / "absent.mvpo"), "--method", method, *params, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert f"mvpo: error: --method {method} takes no {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rejected_parameter_values_are_usage_errors(tmp_path, capsys):
     # RdParams and the method config reject these values: exit 1 with their own message
     out = tmp_path / "x.mvpo"

@@ -244,6 +244,11 @@ def test_candidate_pair_access():
         pair[2]
     with pytest.raises(ValueError):
         pair[-1]
+    # iteration and unpacking give the two candidates, not the ValueError of index 2
+    assert list(pair) == [MotionVector(3, 9), MotionVector(3, 8)]
+    mvp0, mvp1 = pair
+    assert (mvp0, mvp1) == (pair.mvp0, pair.mvp1)
+    assert tuple(CandidatePair(ZERO_MV, ZERO_MV)) == (ZERO_MV, ZERO_MV)
 
 
 MV_COMPONENT = st.one_of(st.sampled_from([MV_MIN, MV_MAX]), st.integers(MV_MIN, MV_MAX))

@@ -68,13 +68,14 @@ def _count_decodes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize(
     "methods, per_cover",
     [
-        # 1 held decode + 5 tar1 output checks + 4 tar1 analyses.  tar2 and tar3 stegos are
-        # analyzed from the held decode, and so is tar1's e=0.1 stego: on these 8-PU covers it
-        # selects one PU whose parity already holds its bit, so it changes no record.  Holding
-        # no decode made 31, and decoding every stego's analysis 21.
-        ("cover, tar1, tar2, tar3", 10),
-        # 5 tar1 output checks + 5 stego analyses; no cell reads the held decode, so none is built
-        ("tar1", 10),
+        # 1 held decode + 5 tar1 output checks.  tar2 and tar3 stegos are analyzed from the held
+        # decode, and each tar1 stego from its own output check.  Holding no decode made 31,
+        # decoding every stego's analysis 21, and decoding again each tar1 stego that moves a
+        # vector 10.
+        ("cover, tar1, tar2, tar3", 6),
+        # 5 tar1 output checks, each analyzed as it stands; no cell reads the held decode, so
+        # none is built
+        ("tar1", 5),
     ],
 )
 def test_each_cover_is_decoded_once_for_its_cells(monkeypatch, methods, per_cover):

@@ -347,6 +347,18 @@ def test_parity_embed_output_decodes_or_is_refused(stream, e, seed, payload):
 
 
 @settings(max_examples=60)
+@given(valid_streams() | synth_covers(), st.floats(0, 1), st.integers(0, 2**32))
+def test_parity_embed_hands_over_the_decode_of_its_output(stream, e, seed):
+    # the experiment analyzes a tar1 stego from this decode instead of decoding it again
+    try:
+        stego, report = embed(stream, EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=seed))
+    except MalformedStreamError:
+        return  # a nudge left the vector range: no stego, nothing handed over
+    assert report.decoded == list(decode_walk(stego))
+    assert optimal_rate(stego, iter_pu_checks(stego, report.decoded)) == optimal_rate(stego)
+
+
+@settings(max_examples=60)
 @given(
     valid_streams(),
     st.integers(0, 3) | st.integers(0, 2 * 8192),
@@ -360,8 +372,9 @@ def test_index_embedders_output_decodes_to_the_same_field(stream, threshold, bpa
         EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold, rng_seed=seed, payload=payload),
         EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed, payload=payload),
     ):
-        stego, _ = embed(stream, cfg)
+        stego, report = embed(stream, cfg)
         assert reconstruct_mvs(stego) == field
+        assert report.decoded is None  # only tar1 decodes its output
 
 
 @settings(max_examples=60)
