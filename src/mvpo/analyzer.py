@@ -2,9 +2,15 @@
 
 A cost-aware encoder always signals the candidate whose difference codes in
 no more bits than the alternative, so in an untouched stream every PU passes
-that check.  The analyzer replays a stream decode-side, counts the PUs that
-still pass, and calls the stream clean only at exactly 100 percent.  The
-check depends on codeword lengths alone, never on the Lagrangian multiplier.
+that check.  The analyzer decodes a stream, counts the PUs that still pass,
+and calls the stream clean only at exactly 100 percent.  The check depends on
+codeword lengths alone, never on the Lagrangian multiplier.
+
+`optimal_rate` decodes the stream's record table with `codec.decode`, a level
+of PUs at a time, and rates every PU with numpy: each distinct difference is
+priced once by `rate_of`, the one bit model.  The per-PU form, `iter_pu_checks`,
+replays `decode_walk` and yields a `PuCheck` for each PU; the embedders and the
+experiment use it, and `optimal_rate` counts such checks when it is given them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .codec import decode_walk
+import numpy as np
+
+from .codec import decode, decode_walk
 from .core import CandidatePair, MotionVector, Mvd, rate_of
 from .stream import PuRecord, SequenceStream
 
@@ -130,22 +138,43 @@ def rechecked(
     return checks
 
 
-def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None) -> FeatureReport:
-    """List the violations; the walk checks one record per PU of each P-frame, so the counts follow.
+def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every PU's chosen and other rate, from its record and its `codec.decode` vector and candidates.
 
-    `checks` is this stream's `iter_pu_checks`, or checks equal to them, when
-    the caller already holds them: the experiment passes a cover's held decode,
-    for a tar2 or tar3 stego the `rechecked` form of it, and for a tar1 stego
-    the rating of its embed's `decoded`; without them (None) the stream is
-    replayed.
+    The chosen rate prices the record's difference, the other rate `mv` less
+    the candidate the record does not signal, as in a `PuCheck`.  Each
+    distinct difference is priced by one `rate_of` call.
+    """
+    n = len(table)
+    other = cands[np.arange(n), 1 - table["idx"].astype(np.intp)]
+    chosen = np.stack((table["dx"], table["dy"]), axis=1).astype(np.int64)
+    diffs = np.concatenate((chosen, mv - other))
+    # a difference component fits 16 bits, so (dx, dy) packs into one int64 key
+    _, first, which = np.unique((diffs[:, 0] << 16) + diffs[:, 1], return_index=True, return_inverse=True)
+    rates = np.array([rate_of(Mvd(dx, dy)) for dx, dy in diffs[first].tolist()], np.int64)[which]
+    return rates[:n], rates[n:]
+
+
+def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None) -> FeatureReport:
+    """List the violations; the decode checks one record per PU of each P-frame, so the counts follow.
+
+    Without `checks` (None) the stream's record table is decoded and rated in
+    numpy.  `checks` is this stream's `iter_pu_checks`, or checks equal to
+    them, when the caller already holds them: the experiment passes a cover's
+    held decode, for a tar2 or tar3 stego the `rechecked` form of it, and for
+    a tar1 stego the rating of its embed's `decoded`.
     """
     if checks is None:
-        checks = iter_pu_checks(stream)
-    violations = [
-        (check.record.frame_index, check.record.block_x, check.record.block_y)
-        for check in checks
-        if not check.optimal
-    ]
+        table = stream.table
+        chosen, other = pu_rates(table, *decode(stream, table))
+        worse = chosen > other
+        violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
+    else:
+        violations = [
+            (check.record.frame_index, check.record.block_x, check.record.block_y)
+            for check in checks
+            if not check.optimal
+        ]
     n_pus = stream.n_records
     n_optimal = n_pus - len(violations)
     bad = Counter(f for f, _, _ in violations)

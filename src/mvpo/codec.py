@@ -6,7 +6,11 @@ weighted motion rate, and a two-entry predictor candidate list rebuilt from
 already-decoded vectors.
 
 The decoder walks PUs in raster order, stepping frame and block counters,
-and keeps the vectors of two frames.  The encoder walks each P-frame one
+and keeps the vectors of two frames.  `decode` computes the same vectors and
+candidates from a stream's record table a level at a time: level L holds the
+PUs with frame + column + row == L, and a PU's left, above and co-located
+neighbours all sit on level L - 1, the order of HEVC's wavefront
+parallelism carried across frames.  The encoder walks each P-frame one
 anti-diagonal of PUs at a time (equal bx/ps + by/ps) and searches a whole
 diagonal in one batched `motion_estimate` call.  The order is exact: a PU's
 candidates read only its left and above neighbours, both on the previous
@@ -33,6 +37,7 @@ whole CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -437,6 +442,97 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
             if by == height:
                 by, f = 0, f + 1
                 field._mvs = {key: v for key, v in field._mvs.items() if key[0] == f - 1}
+
+
+@functools.lru_cache(maxsize=4)
+def _levels(frames: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The decode levels of `frames` P-frames of rows x cols PUs.
+
+    Raster index k = (f * rows + r) * cols + c, with f counted from the first
+    P-frame, sits on level f + r + c.  Returns `order`, the raster indices
+    level by level and in raster order within a level; `neighbours`, the
+    (3, n) positions in `order` of each one's left, above and co-located PU,
+    n where it has none; and `bounds`, where each level starts in `order`,
+    then n.  Read-only.
+    """
+    n = frames * rows * cols
+    k = np.arange(n)
+    col, row, frame = k % cols, k // cols % rows, k // (rows * cols)
+    level = frame + row + col
+    order = np.argsort(level, kind="stable")
+    at = np.empty(n + 1, np.int64)  # at[k]: raster index k's position in `order`; at[n] is n, no neighbour
+    at[order], at[n] = k, n
+    none = np.full(n, n)
+    shifts = ((col > 0, 1), (row > 0, cols), (frame > 0, rows * cols))
+    neighbours = np.stack([at[np.where(has, k - d, none)] for has, d in shifts])[:, order]
+    bounds = np.searchsorted(level[order], np.arange(frames + rows + cols - 1))
+    for array in (order, neighbours):
+        array.flags.writeable = False
+    return order, neighbours, (*bounds.tolist(), n)
+
+
+# a vector (x, y) packed as one int64 x * 2**32 + y: sums and equality of packed
+# vectors are those of the pairs while |y| < 2**31
+def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x << 32) + y
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """(..., 2) int64 vectors from packed ones."""
+    y = (packed + 2**31 & 0xFFFFFFFF) - 2**31
+    return np.stack(((packed - y) >> 32, y), axis=-1)
+
+
+def decode(stream: SequenceStream, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every PU's vector and candidates, computed from the record table a level at a time.
+
+    Returns raster-order int64 arrays `mv` (n, 2) and `cands` (n, 2, 2),
+    equal to the vectors and candidate pairs `decode_walk` yields, and raises
+    the `MalformedStreamError` it raises, for the same first bad record.
+    `table` is `stream.table` when the caller has read it already.
+    """
+    header = stream.header
+    pus_per_frame = header.pus_per_frame
+    expected_n = (header.frame_count - 1) * pus_per_frame
+    if stream.n_records != expected_n:  # before anything is sized by the frame count
+        raise MalformedStreamError(
+            f"record count {stream.n_records} does not cover the grid (expected {expected_n})"
+        )
+    if table is None:
+        table = stream.table
+    ps, n = header.pu_size, expected_n
+    cols = header.width // ps
+    order, (left, above, colocated), bounds = _levels(header.frame_count - 1, header.height // ps, cols)
+    # int64 before any arithmetic: the int16 columns would wrap
+    mvd = _pack(table["dx"].astype(np.int64), table["dy"].astype(np.int64))[order]
+    signals_b = table["idx"][order].astype(bool)
+    packed = np.zeros(n + 1, np.int64)  # each PU's vector, in level order; entry n the zero of no neighbour
+    cand_a, cand_b = np.empty(n, np.int64), np.empty(n, np.int64)
+    for start, end in zip(bounds, bounds[1:]):
+        a, b = packed[left[start:end]], packed[above[start:end]]
+        b = np.where(a == b, packed[colocated[start:end]], b)
+        cand_a[start:end], cand_b[start:end] = a, b
+        packed[start:end] = np.where(signals_b[start:end], b, a) + mvd[start:end]
+    mv, cands = np.empty((n, 2), np.int64), np.empty((n, 2, 2), np.int64)
+    mv[order] = _unpack(packed[:n])
+    cands[order] = _unpack(np.stack((cand_a, cand_b), axis=1))
+
+    # the walk stops at its first bad record: out of raster order, or a vector out of range
+    raster = np.arange(n)
+    frame, bx, by = raster // pus_per_frame + 1, raster % cols * ps, raster % pus_per_frame // cols * ps
+    misplaced = (table["frame"] != frame) | (table["bx"] != bx) | (table["by"] != by)
+    bad = misplaced | ((mv < MV_MIN) | (mv > MV_MAX)).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        expected = (int(frame[k]), int(bx[k]), int(by[k]))
+        if misplaced[k]:
+            got = tuple(table[["frame", "bx", "by"]][k].tolist())
+            raise MalformedStreamError(f"record at {got} out of raster order, expected {expected}")
+        try:
+            MotionVector(*mv[k].tolist())
+        except ValueError as exc:  # the walk's message, naming x before y
+            raise MalformedStreamError(f"reconstructed vector out of range at {expected}: {exc}") from exc
+    return mv, cands
 
 
 def reconstruct_mvs(stream: SequenceStream) -> MvField:

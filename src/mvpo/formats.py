@@ -8,6 +8,9 @@ truncation, count mismatches, and out-of-range fields each raise a distinct
 
 The records are read as one numpy structured array and validated at once, column
 by column; a failure names the first bad record and the first check it fails.
+The stream read keeps that array as its record table and builds no per-record
+objects: the analyzer decodes the table as it is, and the records are built
+only when something reads them.  Writing is the header plus the stream's table.
 """
 
 from __future__ import annotations
@@ -17,42 +20,32 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
 
 from .analyzer import FeatureReport
-from .core import Mvd
 from .errors import InputError, MalformedStreamError
-from .stream import Plane, PuRecord, SequenceStream, StreamHeader
+from .stream import RECORD_DTYPE, Plane, SequenceStream, StreamHeader
 
 MAGIC = b"MVPO"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHHHBBBIQ")  # magic, version, width, height, pu, qp, gop, frames, records
-_RECORD = np.dtype([("frame", "<u4"), ("bx", "<u2"), ("by", "<u2"), ("idx", "u1"), ("pad", "u1"),
-                    ("dx", "<i2"), ("dy", "<i2"), ("reserved", "<u2")])  # <IHHBBhhH, one hex-dump row each
-# the record column of each PuRecord field
-_COLUMNS = {"frame": attrgetter("frame_index"), "bx": attrgetter("block_x"), "by": attrgetter("block_y"),
-            "idx": attrgetter("idx"), "dx": attrgetter("mvd.dx"), "dy": attrgetter("mvd.dy")}
 
 HEADER_SIZE = _HEADER.size
-RECORD_SIZE = _RECORD.itemsize
+RECORD_SIZE = RECORD_DTYPE.itemsize
 
 
 def write_stream(stream: SequenceStream) -> bytes:
     """Serialize a stream to bytes; identical streams serialize identically."""
-    h = stream.header
-    table = np.zeros(stream.n_records, _RECORD)  # pad and reserved stay zero
-    for name, get in _COLUMNS.items():
-        table[name] = list(map(get, stream.records))
-    fields = (MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, stream.n_records)
+    h, table = stream.header, stream.table
+    fields = (MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, len(table))
     return _HEADER.pack(*fields) + table.tobytes()
 
 
 def read_stream(data: bytes) -> SequenceStream:
-    """Parse and validate stream bytes."""
+    """Parse and validate stream bytes into a stream that holds its record table."""
     if len(data) < HEADER_SIZE:
         raise MalformedStreamError(f"truncated stream: {len(data)} bytes, header needs {HEADER_SIZE}")
     magic, version, width, height, pu_size, qp, gop, frame_count, n_records = _HEADER.unpack_from(data)
@@ -70,7 +63,7 @@ def read_stream(data: bytes) -> SequenceStream:
     if len(data) > expected:
         raise MalformedStreamError(f"record count mismatch: {len(data) - expected} trailing bytes")
 
-    table = np.frombuffer(data, _RECORD, n_records, HEADER_SIZE)
+    table = np.frombuffer(data, RECORD_DTYPE, n_records, HEADER_SIZE)
     bx, by = table["bx"], table["by"]
     checks = (  # in a record-by-record reader's order, each message formatted with the record's fields
         (table["pad"] != 0, "nonzero pad byte {pad} in record {k}"),
@@ -84,16 +77,9 @@ def read_stream(data: bytes) -> SequenceStream:
     if bad.any():  # name the first bad record's first failing check
         k = int(bad.argmax())
         message = next(message for mask, message in checks if mask[k])
-        record = dict(zip(_RECORD.names, table[k].tolist()), k=k, frame_count=frame_count)
+        record = dict(zip(RECORD_DTYPE.names, table[k].tolist()), k=k, frame_count=frame_count)
         raise MalformedStreamError(message.format(width=width, height=height, **record))
-    # records with equal differences share one Mvd: a stream has far fewer distinct ones than records
-    dx, dy = table["dx"], table["dy"]
-    packed = dx.astype(np.int32) << 16 | dy.view(np.uint16)
-    _, first, which = np.unique(packed, return_index=True, return_inverse=True)
-    mvds = list(map(Mvd, dx[first].tolist(), dy[first].tolist()))
-    columns = [table[name].tolist() for name in ("frame", "bx", "by", "idx")]
-    records = [PuRecord(f, x, y, i, mvds[k]) for f, x, y, i, k in zip(*columns, which.tolist())]
-    return SequenceStream(header, records)
+    return SequenceStream.from_table(header, table)
 
 
 def write_atomic(

@@ -1,9 +1,19 @@
-"""Container types for frames and coded motion data."""
+"""Container types for frames and coded motion data.
+
+A `SequenceStream` holds its records in one of two forms at a time.  A stream
+read from bytes keeps the validated record table, one `RECORD_DTYPE` row per
+PU as the file lays it out, and the analyzer decodes that table whole.  The
+first read of `.records` builds one `PuRecord` per row, switches the stream to
+that list and drops the table.  A stream built from a list (the encoder's, an
+embedder's) keeps the list and derives a table from it, in one pass, each time
+`.table` is read, so an edit of the list is never stale.
+"""
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,13 +113,75 @@ class StreamHeader:
         return (self.width // self.pu_size) * (self.height // self.pu_size)
 
 
-@dataclass
-class SequenceStream:
-    """A coded sequence: header plus records in decode (raster) order."""
+# one record as the stream file lays it out: <IHHBBhhH, one hex-dump row each
+RECORD_DTYPE = np.dtype([("frame", "<u4"), ("bx", "<u2"), ("by", "<u2"), ("idx", "u1"), ("pad", "u1"),
+                         ("dx", "<i2"), ("dy", "<i2"), ("reserved", "<u2")])
+# the record columns a PuRecord carries, and its fields in the same order; pad and reserved stay zero
+_COLUMNS = ("frame", "bx", "by", "idx", "dx", "dy")
+_FIELDS = operator.attrgetter("frame_index", "block_x", "block_y", "idx", "mvd.dx", "mvd.dy")
 
-    header: StreamHeader
-    records: list[PuRecord] = field(default_factory=list)
+
+def _table_of(records: list[PuRecord]) -> np.ndarray:
+    """The `RECORD_DTYPE` table of `records`, read in one pass over the list."""
+    n = len(records)
+    values = np.fromiter(chain.from_iterable(map(_FIELDS, records)), np.int64, len(_COLUMNS) * n)
+    table = np.zeros(n, RECORD_DTYPE)
+    for column, name in zip(values.reshape(n, len(_COLUMNS)).T, _COLUMNS):
+        table[name] = column
+    return table
+
+
+def _records_of(table: np.ndarray) -> list[PuRecord]:
+    """One `PuRecord` per row of a validated table."""
+    # records with equal differences share one Mvd: a stream has far fewer distinct ones than records
+    dx, dy = table["dx"], table["dy"]
+    packed = dx.astype(np.int32) << 16 | dy.view(np.uint16)
+    _, first, which = np.unique(packed, return_index=True, return_inverse=True)
+    mvds = list(map(Mvd, dx[first].tolist(), dy[first].tolist()))
+    columns = [table[name].tolist() for name in _COLUMNS[:4]]
+    return [PuRecord(f, x, y, i, mvds[k]) for f, x, y, i, k in zip(*columns, which.tolist())]
+
+
+class SequenceStream:
+    """A coded sequence: header plus records in decode (raster) order.
+
+    Two streams are equal when their headers and their records are.
+    """
+
+    __slots__ = ("header", "_records", "_table")
+    __hash__ = None  # mutable, like the list it may hold
+
+    def __init__(self, header: StreamHeader, records: list[PuRecord] | None = None):
+        self.header = header
+        self._records = [] if records is None else records
+        self._table = None
+
+    @classmethod
+    def from_table(cls, header: StreamHeader, table: np.ndarray) -> SequenceStream:
+        """A stream over a validated `RECORD_DTYPE` table, held until `.records` is first read."""
+        stream = cls(header)
+        stream._records, stream._table = None, table
+        return stream
+
+    @property
+    def records(self) -> list[PuRecord]:
+        if self._records is None:
+            self._records, self._table = _records_of(self._table), None
+        return self._records
+
+    @property
+    def table(self) -> np.ndarray:
+        """The records as `RECORD_DTYPE` rows: the held table, or one derived from the list now."""
+        return _table_of(self._records) if self._table is None else self._table
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self._records if self._table is None else self._table)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceStream):
+            return NotImplemented
+        return self.header == other.header and self.records == other.records
+
+    def __repr__(self) -> str:
+        return f"SequenceStream({self.header!r}, {self.n_records} records)"

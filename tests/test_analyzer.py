@@ -2,8 +2,9 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -25,7 +26,9 @@ from mvpo import (
     read_stream,
     write_stream,
 )
-from mvpo.analyzer import FeatureReport, rechecked
+from mvpo.analyzer import FeatureReport, pu_rates, rechecked
+from mvpo.codec import decode
+from mvpo.core import MV_MAX, MV_MIN
 
 from mvpo_testutil import encode_synth, scaffold_stream, synth_covers, valid_streams
 
@@ -170,3 +173,78 @@ def test_rechecked_refuses_another_header_or_record_count():
     other_qp = dataclasses.replace(cover.header, qp=cover.header.qp + 1)
     assert rechecked(SequenceStream(other_qp, cover.records), cover, checks) is None
     assert rechecked(SequenceStream(cover.header, cover.records[:-1]), cover, checks) is None
+
+
+# ---------------------------------------------------------------- the level decode against the walk
+
+
+def _with_tar1_stego(cover, seed, stego):
+    """The cover, or its tar1 e=1.0 stego, which moves vectors; a stego that would not decode is skipped."""
+    if not stego:
+        return cover
+    try:
+        return embed(cover, EmbedConfig(EmbedMethod.MVD_PARITY, 1.0, seed))[0]
+    except MalformedStreamError:
+        assume(False)
+
+
+@settings(max_examples=80)
+@given(valid_streams() | synth_covers(), st.integers(0, 2**32), st.booleans())
+def test_level_decode_gives_the_walks_vectors_candidates_and_rates(cover, seed, stego):
+    stream = _with_tar1_stego(cover, seed, stego)
+    checks = list(iter_pu_checks(stream))
+    data = write_stream(stream)
+    # the list form, and the table form read from bytes
+    for form in (stream, read_stream(data)):
+        table = form.table
+        mv, cands = decode(form)
+        chosen, other = pu_rates(table, mv, cands)
+        assert mv.tolist() == [[c.mv.x, c.mv.y] for c in checks]
+        assert cands.tolist() == [[[p.x, p.y] for p in c.cands] for c in checks]
+        assert chosen.tolist() == [c.chosen_rate for c in checks]
+        assert other.tolist() == [c.other_rate for c in checks]
+    report = optimal_rate(stream, iter_pu_checks(stream))
+    assert optimal_rate(stream) == report
+    assert optimal_rate(read_stream(data)) == report
+
+
+def _out_of_range(record, check, component):
+    """`record` with a difference that takes its vector one step outside the range on `component`."""
+    mvp = check.cands[record.idx]
+    target = {"x": (MV_MAX + 1, check.mv.y), "y": (check.mv.x, MV_MIN - 1), "xy": (MV_MIN - 1, MV_MAX + 1)}
+    x, y = target[component]
+    return dataclasses.replace(record, mvd=Mvd(x - mvp.x, y - mvp.y))
+
+
+@settings(max_examples=80)
+@given(
+    valid_streams() | synth_covers(),
+    st.sampled_from(["swapped", "dropped", "out-of-range", "misplaced-and-out-of-range"]),
+    st.sampled_from(["x", "y", "xy"]),
+    st.data(),
+)
+def test_level_decode_raises_the_walks_error(cover, damage, component, data):
+    records, checks = list(cover.records), list(iter_pu_checks(cover))
+    assume(damage != "swapped" or len(records) > 1)
+    k = data.draw(st.integers(0, len(records) - (2 if damage == "swapped" else 1)))
+    if damage == "swapped":
+        records[k], records[k + 1] = records[k + 1], records[k]
+    elif damage == "dropped":
+        del records[k]
+    else:
+        records[k] = _out_of_range(records[k], checks[k], component)
+        if damage == "misplaced-and-out-of-range":  # an order error wins at the same record
+            records[k] = dataclasses.replace(records[k], frame_index=0)  # the intra frame carries none
+    damaged = SequenceStream(cover.header, records)
+    with pytest.raises(MalformedStreamError) as walk:
+        list(iter_pu_checks(damaged))
+    for form in (damaged, read_stream(write_stream(damaged))):
+        with pytest.raises(MalformedStreamError) as level:
+            optimal_rate(form)
+        assert str(level.value) == str(walk.value)
+
+
+def test_level_decode_handles_an_empty_grid():
+    mv, cands = decode(SequenceStream(StreamHeader(32, 32, 16, 25, frame_count=1), []))
+    assert (mv.shape, cands.shape) == ((0, 2), (0, 2, 2))
+    assert mv.dtype == cands.dtype == np.int64

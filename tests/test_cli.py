@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mvpo import SequenceStream, read_stream, write_stream
+from mvpo import SequenceStream, StreamHeader, read_stream, write_stream
 from mvpo import cli
 from mvpo.cli import (
     EXIT_INTERNAL,
@@ -235,6 +235,14 @@ def test_records_out_of_order_or_short_are_exit_3_for_every_reader(tmp_path, cap
         assert code == EXIT_MALFORMED, command
         assert "malformed" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before  # no artifact, no sidecar
+
+
+def test_a_huge_frame_count_without_records_is_exit_3(tmp_path, capsys):
+    # the record count is checked before anything is sized by the frame count
+    huge = tmp_path / "huge.mvpo"
+    huge.write_bytes(write_stream(SequenceStream(StreamHeader(64, 64, 16, 25, frame_count=2**32 - 1))))
+    assert main(["analyze", "--in", str(huge)]) == EXIT_MALFORMED
+    assert "record count 0 does not cover the grid" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1():

@@ -28,6 +28,7 @@ from mvpo import (
     save_stream,
     write_stream,
 )
+from mvpo import stream as stream_module
 from mvpo.formats import HEADER_SIZE, MAGIC, RECORD_SIZE, VERSION
 from mvpo.stream import Plane
 
@@ -97,6 +98,28 @@ def test_round_trip_encoded_stream_and_reports_agree():
     again = read_stream(write_stream(stream))
     assert again.records == stream.records
     assert optimal_rate(again).optimal_rate_pct == optimal_rate(stream).optimal_rate_pct
+
+
+def test_a_read_stream_builds_its_records_only_when_they_are_read(monkeypatch):
+    cover, _, _ = encode_synth("objects", frames=4, amp=(2, 2), seed=3)
+    data = write_stream(cover)
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return PuRecord(*fields)
+
+    monkeypatch.setattr(stream_module, "PuRecord", counted)
+    stream = read_stream(data)
+    report = optimal_rate(stream)
+    assert write_stream(stream) == data and stream.n_records == cover.n_records
+    assert built == []  # analyzing and writing a read stream built no record
+    records = stream.records
+    assert len(built) == cover.n_records and stream.records is records  # built once
+    assert stream == cover and optimal_rate(stream) == report
+    # the records are now the stream: an edit shows in what is written
+    records[0] = PuRecord(1, 0, 0, 1 - records[0].idx, records[0].mvd)
+    assert write_stream(stream)[HEADER_SIZE + 8] == records[0].idx
 
 
 def test_serialization_is_deterministic():

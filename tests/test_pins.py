@@ -15,7 +15,7 @@ import pytest
 
 from mvpo import RdParams, SynthPattern, SynthSpec, encode_sequence, optimal_rate, synthesize
 from mvpo.experiment import parse_plan, rows_to_csv, run_experiment
-from mvpo.formats import report_to_json, write_stream
+from mvpo.formats import read_stream, report_to_json, write_stream
 from mvpo.stego import METHOD_TAGS, EmbedConfig, embed
 
 # name -> (sha256 of the stream bytes, sha256 of report_to_json(optimal_rate(stream)))
@@ -72,6 +72,20 @@ def test_stream_and_analysis_bytes_match_pins(outputs, name):
 @pytest.mark.parametrize("tag", sorted(EMBED_REPORT_PINS))
 def test_embed_report_matches_pin(outputs, tag):
     assert _sha(json.dumps(outputs[1][tag].to_dict(), sort_keys=True)) == EMBED_REPORT_PINS[tag]
+
+
+# sha256 of report_to_json(optimal_rate(stream)) for the cover's tar1 e=1.0 stego at seed 0, whose
+# moved vectors leave 3 violations over 3 frames; taken while the analyzer still walked one PU at a time
+TAR1_E1_ANALYSIS_PIN = "45f1205a3489fe4a9cf2117ec7442dbf3f01cd9702cb0b219f2215cacd894583"
+
+
+def test_analysis_with_violations_matches_pin(outputs):
+    stego, _ = embed(outputs[0]["cover"], EmbedConfig(METHOD_TAGS["tar1"].method, 1.0, 0))
+    # in memory, and read back from bytes as `mvpo analyze` reads it
+    for form in (stego, read_stream(write_stream(stego))):
+        report = optimal_rate(form)
+        assert len(report.violations) == len({f for f, _, _ in report.violations}) == 3
+        assert _sha(report_to_json(report)) == TAR1_E1_ANALYSIS_PIN
 
 
 # two 32x32 4-frame sequences at two qps, all four methods over their default grids;
