@@ -8,9 +8,10 @@ codeword lengths alone, never on the Lagrangian multiplier.
 
 `optimal_rate` decodes the stream's record table with `codec.decode`, a level
 of PUs at a time, and rates every PU with numpy: each distinct difference is
-priced once by `rate_of`, the one bit model.  The per-PU form, `iter_pu_checks`,
-replays `decode_walk` and yields a `PuCheck` for each PU; the embedders and the
-experiment use it, and `optimal_rate` counts such checks when it is given them.
+priced once by `rate_of`, the one bit model.  It is the one analysis path: the
+CLI and the experiment both score a stream with it.  The per-PU form,
+`iter_pu_checks`, replays `decode_walk` and yields a `PuCheck` for each PU; the
+index embedders read it, since they still walk one PU at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,47 +96,10 @@ def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector)
     return _rate(record, cands, mv).optimal
 
 
-def iter_pu_checks(
-    stream: SequenceStream, steps: Iterable[tuple[PuRecord, CandidatePair, MotionVector]] | None = None
-) -> Iterator[PuCheck]:
-    """Replay a stream and yield both candidate rates for every PU.
-
-    `steps`, the stream's `decode_walk` triples when the caller already holds
-    them (a tar1 embed report's `decoded`), replaces the replay; they are rated
-    as this generator is read.
-    """
-    for step in decode_walk(stream) if steps is None else steps:
+def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
+    """Replay a stream with `decode_walk` and yield both candidate rates for every PU."""
+    for step in decode_walk(stream):
         yield _rate(*step)
-
-
-def rechecked(
-    stream: SequenceStream, base: SequenceStream, base_checks: Sequence[PuCheck]
-) -> list[PuCheck] | None:
-    """This stream's checks, built from `base_checks`, or None when they cannot be without a decode.
-
-    `base_checks` must be `list(iter_pu_checks(base))`.  Every record that
-    differs from the base's must keep its position and reconstruct the base's
-    vector from the base's candidates, as an index flip does.  Candidates read
-    only earlier vectors, so by induction over decode order the stream then
-    decodes to the base's candidates and vectors at every PU, passes every
-    order and range check, and only the differing records need re-rating; an
-    equal record keeps the base's check.  Any other difference (a moved vector
-    or position, another header or record count) returns None.
-    """
-    if stream.header != base.header or stream.n_records != base.n_records:
-        return None
-    checks = list(base_checks)
-    for k, (new, old) in enumerate(zip(stream.records, base.records)):
-        if new is old or new == old:
-            continue
-        if (new.frame_index, new.block_x, new.block_y) != (old.frame_index, old.block_x, old.block_y):
-            return None
-        cands, mv = checks[k].cands, checks[k].mv
-        mvp = cands[new.idx]
-        if mvp.x + new.mvd.dx != mv.x or mvp.y + new.mvd.dy != mv.y:
-            return None
-        checks[k] = _rate(new, cands, mv)
-    return checks
 
 
 def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,26 +119,16 @@ def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.n
     return rates[:n], rates[n:]
 
 
-def optimal_rate(stream: SequenceStream, checks: Iterable[PuCheck] | None = None) -> FeatureReport:
+def optimal_rate(stream: SequenceStream) -> FeatureReport:
     """List the violations; the decode checks one record per PU of each P-frame, so the counts follow.
 
-    Without `checks` (None) the stream's record table is decoded and rated in
-    numpy.  `checks` is this stream's `iter_pu_checks`, or checks equal to
-    them, when the caller already holds them: the experiment passes a cover's
-    held decode, for a tar2 or tar3 stego the `rechecked` form of it, and for
-    a tar1 stego the rating of its embed's `decoded`.
+    The stream's record table is decoded by `codec.decode` and rated in numpy;
+    no per-PU object is built.
     """
-    if checks is None:
-        table = stream.table
-        chosen, other = pu_rates(table, *decode(stream, table))
-        worse = chosen > other
-        violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
-    else:
-        violations = [
-            (check.record.frame_index, check.record.block_x, check.record.block_y)
-            for check in checks
-            if not check.optimal
-        ]
+    table = stream.table
+    chosen, other = pu_rates(table, *decode(stream, table))
+    worse = chosen > other
+    violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
     n_pus = stream.n_records
     n_optimal = n_pus - len(violations)
     bad = Counter(f for f, _, _ in violations)

@@ -89,6 +89,9 @@ def _load_frames(args):
     if bool(args.synth) == bool(args.yuv):
         raise UsageError("encode needs exactly one of --synth or --yuv")
     if args.synth:
+        # the spec gives both, and the sidecar records the flags, so an ignored one would read as applied
+        if args.size is not None or args.frames is not None:
+            raise UsageError("--synth takes its size and frames from the spec, not --size or --frames")
         return synthesize(parse_synth_spec(args.synth))
     if not args.size:
         raise UsageError("--yuv needs --size WxH")

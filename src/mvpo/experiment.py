@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .analyzer import iter_pu_checks, optimal_rate, rechecked
+from .analyzer import iter_pu_checks, optimal_rate
 from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
@@ -238,14 +238,12 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], list[str]]:
     """Run the whole grid; returns the sorted cell rows and any per-item errors.
 
-    The covers are encoded first.  Then each cover's cells run against one
-    held decode of it, `list(iter_pu_checks(cover))`, built when the first
-    cover, tar2 or tar3 cell reads it and dropped before the next cover.  Each
-    tar2 and tar3 stego is analyzed from it by `rechecked`, which re-rates only
-    the records that differ from the cover's, so they are never decoded.  A
-    tar1 stego is decoded once, by the output check of its embed, and its
-    analysis rates that decode.  Errors come encodes first, then by cell, then
-    by sequence.
+    The covers are encoded first.  Then each cell scores its stream, the
+    cover or its stego, with `optimal_rate`, as `mvpo analyze` does.  The
+    index embedders of one cover share one walk of it,
+    `list(iter_pu_checks(cover))`, built for its first tar2 or tar3 cell and
+    dropped before the next cover.  Errors come encodes first, then by cell,
+    then by sequence.
     `jobs`, the threads that encode the covers, must be at least 1.
     """
     if jobs < 1:
@@ -284,21 +282,12 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 continue
             cfg = None if method == "cover" else EmbedConfig(METHOD_TAGS[method].method, value, plan.seed)
             try:
-                # tar1 decodes its own output, so only it leaves the held decode unread
-                if checks is None and method != "tar1":
-                    checks = list(iter_pu_checks(cover))
-                if cfg is None:
-                    report = optimal_rate(cover, checks)
-                else:
-                    stego, embedded = embed(cover, cfg, checks)
-                    if embedded.decoded is not None:
-                        # tar1 decoded its output to check it, and its analysis rates that decode
-                        stego_checks = iter_pu_checks(stego, embedded.decoded)
-                    else:
-                        # an index flip moves no vector, so a tar2 or tar3 stego is the held decode
-                        # re-rated where it differs
-                        stego_checks = rechecked(stego, cover, checks)
-                    report = optimal_rate(stego, stego_checks)
+                stream = cover
+                if cfg is not None:
+                    if checks is None and method != "tar1":  # tar1 reads no walk of its input
+                        checks = list(iter_pu_checks(cover))
+                    stream = embed(cover, cfg, checks)[0]
+                report = optimal_rate(stream)
                 tallies[ci].append((report.n_pus, report.n_optimal))
             except MvpoError as exc:
                 n_errors[ci] += 1

@@ -4,13 +4,15 @@ Each maps input records to output records, keeping the input record object
 where it changes nothing, and every stream they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
-  nudging it by one quarter-pel when needed, then decodes its output.
+  nudging it by one quarter-pel when needed, then decodes its output's record
+  table with `codec.decode`, the analyzer's decode.
 * `embed_index_threshold` and `embed_index_adaptive` hide bits in the
   candidate index and differ only in the PUs, the slots, they choose:
-  tar2 walks the decode and takes the PUs whose two candidates are close
-  under an absolute-component distance; tar3 reads the analyzer's rated walk
-  and takes a requested payload density of the PUs where a flip is cheapest
-  (smallest rate gap), a greedy stand-in for a trellis-coded assignment.
+  tar2 walks the decode one PU at a time and takes the PUs whose two
+  candidates are close under an absolute-component distance; tar3 reads the
+  analyzer's rated walk, `iter_pu_checks`, and takes a requested payload
+  density of the PUs where a flip is cheapest (smallest rate gap), a greedy
+  stand-in for a trellis-coded assignment.
   One writer then puts payload bit j into the index of slot j, recomputing
   the difference so every reconstructed vector survives.
 """
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .analyzer import PuCheck, iter_pu_checks
-from .codec import decode_walk
+from .codec import decode, decode_walk
 from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
 from .stream import PuRecord, SequenceStream
 
@@ -96,11 +98,6 @@ class EmbedReport:
     bits_embedded: int = 0
     flips_rate_asymmetric: int = 0
     per_frame_modified: dict[int, int] = field(default_factory=dict)
-    # tar1's check of its output, `list(decode_walk(stego))`, for a caller to analyze the stego
-    # from; None for tar2 and tar3, and no part of the report
-    decoded: list[tuple[PuRecord, CandidatePair, MotionVector]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def to_dict(self) -> dict:
         return {
@@ -165,8 +162,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     selected at a lower strength are a subset of those at a higher one under
     the same seed, and each keeps the same component and payload bit.  The
     output is decoded whole, so a malformed input, or a nudge that pushes a
-    later vector out of range, raises `MalformedStreamError`; the report keeps
-    that decode as `decoded`.
+    later vector out of range, raises `MalformedStreamError`.
     """
     if cfg.method is not EmbedMethod.MVD_PARITY:
         raise ValueError(f"config method {cfg.method} does not match embed_mvd_parity")
@@ -189,7 +185,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
                 record = PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd)
         out.append(record)
     stego, report = _stego(EmbedMethod.MVD_PARITY, stream, out, bits)
-    report.decoded = list(decode_walk(stego))
+    decode(stego)
     return stego, report
 
 
@@ -267,10 +263,9 @@ def embed(
     """Dispatch to the embedder matching `cfg.method`.
 
     `checks`, when given, must be `list(iter_pu_checks(stream))`: a caller
-    that holds the stream's decode (the experiment, for each cover) passes it
-    so tar2 and tar3 do not replay the stream again.  tar1 ignores it, since
-    it decodes its own output, not its input; its report's `decoded` holds
-    that decode.
+    that embeds one stream many times (the experiment, for each cover) walks
+    it once and passes the walk, so tar2 and tar3 do not replay the stream
+    again.  tar1 ignores it, since it decodes its own output, not its input.
     """
     if cfg.method is EmbedMethod.MVD_PARITY:
         return embed_mvd_parity(stream, cfg)

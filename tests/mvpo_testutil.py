@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the implementation:
 codeword lengths come from literally constructing the prefix code as a
 string, motion search from a double loop with scalar arithmetic,
-encoding from a raster-order walk that searches one PU at a time, and
-stream parsing from a loop that unpacks and checks one record at a time.
+encoding from a raster-order walk that searches one PU at a time,
+stream parsing from a loop that unpacks and checks one record at a time, and
+the analysis report from a count over the per-PU checks of the decode walk.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from mvpo import (
     SynthSpec,
     derive_candidates,
     encode_sequence,
+    iter_pu_checks,
     se_bits,
     seed_candidate,
     select_mvp,
     synthesize,
 )
+from mvpo.analyzer import FeatureReport, FrameTally
 from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import MalformedStreamError
 from mvpo.formats import _HEADER, HEADER_SIZE, MAGIC, VERSION
@@ -115,6 +118,24 @@ def encode_oracle(frames: list[Plane], params: RdParams) -> SequenceStream:
                 recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
         ref = recon
     return SequenceStream(StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames)), records)
+
+
+def report_oracle(stream: SequenceStream) -> FeatureReport:
+    """Reference analysis: count `iter_pu_checks` one PU at a time, a tie counting as optimal.
+
+    The violations come in raster order, and each P-frame's tally counts the checks in that frame.
+    """
+    violations, tallies = [], {}
+    for check in iter_pu_checks(stream):
+        record = check.record
+        optimal = check.chosen_rate <= check.other_rate
+        n, k = tallies.get(record.frame_index, (0, 0))
+        tallies[record.frame_index] = (n + 1, k + optimal)
+        if not optimal:
+            violations.append((record.frame_index, record.block_x, record.block_y))
+    per_frame = {f: FrameTally(n, k) for f, (n, k) in tallies.items()}
+    n_pus, n_optimal = (sum(column) for column in zip((0, 0), *tallies.values()))
+    return FeatureReport(n_pus, n_optimal, per_frame, violations)
 
 
 _RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved

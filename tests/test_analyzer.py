@@ -26,11 +26,11 @@ from mvpo import (
     read_stream,
     write_stream,
 )
-from mvpo.analyzer import FeatureReport, pu_rates, rechecked
+from mvpo.analyzer import FeatureReport, pu_rates
 from mvpo.codec import decode
 from mvpo.core import MV_MAX, MV_MIN
 
-from mvpo_testutil import encode_synth, scaffold_stream, synth_covers, valid_streams
+from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, synth_covers, valid_streams
 
 
 PAIR = CandidatePair(MotionVector(3, 9), MotionVector(3, 8))
@@ -114,67 +114,6 @@ def test_per_frame_tallies_sum_to_totals():
     assert sorted(report.per_frame) == [1, 2, 3, 4]
 
 
-# ---------------------------------------------------------------- a stego's checks from its cover's
-
-_STEGO_CONFIGS = (
-    *(dict(method=EmbedMethod.MVD_PARITY, value=e) for e in (0.3, 1.0)),
-    *(dict(method=EmbedMethod.INDEX_THRESHOLD, value=t) for t in (0, 1, 5, 1000)),
-    *(dict(method=EmbedMethod.INDEX_ADAPTIVE, value=b) for b in (0, 0.3, 1)),
-)
-
-
-@settings(max_examples=60)
-@given(valid_streams() | synth_covers(), st.integers(0, 2**32))
-def test_rechecked_is_the_stegos_own_decode_or_none(cover, seed):
-    checks = list(iter_pu_checks(cover))
-    for fields in _STEGO_CONFIGS:
-        try:
-            stego, _ = embed(cover, EmbedConfig(rng_seed=seed, **fields))
-        except MalformedStreamError:  # a tar1 nudge pushed a later vector out of range
-            continue
-        # in memory, where unchanged records are the cover's objects, and read back from bytes
-        for form in (stego, read_stream(write_stream(stego))):
-            got = rechecked(form, cover, checks)
-            if got is None:
-                # only a moved vector needs a decode, and index flips move none
-                assert fields["method"] is EmbedMethod.MVD_PARITY
-                continue
-            assert got == list(iter_pu_checks(form))
-            # only the records that differ are re-rated: an equal one keeps the cover's check
-            assert [g is c for g, c in zip(got, checks)] == [a == b for a, b in zip(form.records, cover.records)]
-
-
-def _moved(records, k):
-    """Record k carries the position of record k + 1."""
-    nxt = records[k + 1]
-    return dataclasses.replace(records[k], frame_index=nxt.frame_index, block_x=nxt.block_x, block_y=nxt.block_y)
-
-
-def _nudged(records, k):
-    """Record k's difference one quarter-pel further along x."""
-    mvd = records[k].mvd
-    return dataclasses.replace(records[k], mvd=Mvd(mvd.dx + 1, mvd.dy))
-
-
-@pytest.mark.parametrize("damage", [_moved, _nudged], ids=["record-moved", "mvd-plus-one"])
-def test_rechecked_refuses_a_moved_record_or_vector(damage):
-    cover, _, _ = encode_synth("objects", frames=3, amp=(2, 2), seed=4)
-    checks = list(iter_pu_checks(cover))
-    for k in (0, cover.n_records // 2, cover.n_records - 2):
-        records = list(cover.records)
-        records[k] = damage(records, k)
-        assert rechecked(SequenceStream(cover.header, records), cover, checks) is None
-
-
-def test_rechecked_refuses_another_header_or_record_count():
-    cover, _, _ = encode_synth("objects", frames=3, amp=(2, 2), seed=4)
-    checks = list(iter_pu_checks(cover))
-    assert rechecked(SequenceStream(cover.header, list(cover.records)), cover, checks) == checks
-    other_qp = dataclasses.replace(cover.header, qp=cover.header.qp + 1)
-    assert rechecked(SequenceStream(other_qp, cover.records), cover, checks) is None
-    assert rechecked(SequenceStream(cover.header, cover.records[:-1]), cover, checks) is None
-
-
 # ---------------------------------------------------------------- the level decode against the walk
 
 
@@ -203,7 +142,7 @@ def test_level_decode_gives_the_walks_vectors_candidates_and_rates(cover, seed, 
         assert cands.tolist() == [[[p.x, p.y] for p in c.cands] for c in checks]
         assert chosen.tolist() == [c.chosen_rate for c in checks]
         assert other.tolist() == [c.other_rate for c in checks]
-    report = optimal_rate(stream, iter_pu_checks(stream))
+    report = report_oracle(stream)
     assert optimal_rate(stream) == report
     assert optimal_rate(read_stream(data)) == report
 

@@ -291,14 +291,30 @@ def test_encode_without_source_is_usage_error(tmp_path, capsys):
 
 
 
-def test_encode_with_both_sources_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--yuv", "CLIP", "--size", "32x32"], "--synth or --yuv"),
+        # the spec sets size and frames; the sidecar would record an ignored flag as applied
+        (["--size", "32x32"], "not --size or --frames"),
+        (["--frames", "2"], "not --size or --frames"),
+        (["--size", "32x32", "--frames", "2"], "not --size or --frames"),
+    ],
+)
+def test_encode_with_both_sources_is_usage_error(tmp_path, capsys, monkeypatch, extra, message):
     clip = tmp_path / "clip.yuv"
     clip.write_bytes(bytes(32 * 32 * 3 // 2 * 2))
     out = tmp_path / "x.mvpo"
-    code = main(["encode", "--synth", SYNTH, "--yuv", str(clip), "--size", "32x32", "--out", str(out)])
+
+    def _no_synth(*args):
+        raise AssertionError("synthesized before the usage check")
+
+    monkeypatch.setattr(cli, "synthesize", _no_synth)
+    argv = [str(clip) if arg == "CLIP" else arg for arg in extra]
+    code = main(["encode", "--synth", SYNTH, *argv, "--out", str(out)])
     assert code == EXIT_USAGE
-    assert "--synth or --yuv" in capsys.readouterr().err
-    assert not out.exists()
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.yuv"]
 
 
 def test_bad_size_is_input_error_like_bad_synth_size(tmp_path, capsys):

@@ -5,8 +5,18 @@ import pytest
 import mvpo.analyzer
 import mvpo.experiment
 import mvpo.stego
-from mvpo import EmbedMethod, InputError, MalformedStreamError
-from mvpo.experiment import parse_plan, run_experiment, summarize
+from mvpo import (
+    EmbedConfig,
+    EmbedMethod,
+    InputError,
+    MalformedStreamError,
+    embed,
+    encode_sequence,
+    optimal_rate,
+    read_stream,
+    write_stream,
+)
+from mvpo.experiment import _cells, parse_plan, run_experiment, summarize
 from mvpo.stego import METHOD_TAGS
 
 SEQ = "sequences = pattern=shift,size=32x32,frames=3\n"
@@ -48,13 +58,13 @@ def test_plan_rejects_bad_grid_values(line, key, value):
         parse_plan(SEQ + line + "\n")
 
 
-# ---------------------------------------------------------------- one held decode per cover
+# ---------------------------------------------------------------- each cell scored as `mvpo analyze` does
 
 TWO_SEQ = "sequences = pattern=objects,size=32x32,frames=3,seed=0 | pattern=noise,size=32x32,frames=3,seed=1\n"
 
 
 def _count_decodes(monkeypatch) -> list[int]:
-    """Count the decode walks started through the analyzer and the embedders."""
+    """Count the per-PU decode walks started through the analyzer and the embedders."""
     calls = [0]
     for module in (mvpo.analyzer, mvpo.stego):
         def counted(stream, _walk=module.decode_walk):
@@ -68,14 +78,12 @@ def _count_decodes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize(
     "methods, per_cover",
     [
-        # 1 held decode + 5 tar1 output checks.  tar2 and tar3 stegos are analyzed from the held
-        # decode, and each tar1 stego from its own output check.  Holding no decode made 31,
-        # decoding every stego's analysis 21, and decoding again each tar1 stego that moves a
-        # vector 10.
-        ("cover, tar1, tar2, tar3", 6),
-        # 5 tar1 output checks, each analyzed as it stands; no cell reads the held decode, so
-        # none is built
-        ("tar1", 5),
+        # the tar2 and tar3 embeds of a cover share one walk of it; every analysis and tar1's
+        # output check decode the record table instead
+        ("cover, tar1, tar2, tar3", 1),
+        ("tar3", 1),
+        # no index embed, so no walk
+        ("cover, tar1", 0),
     ],
 )
 def test_each_cover_is_decoded_once_for_its_cells(monkeypatch, methods, per_cover):
@@ -84,6 +92,38 @@ def test_each_cover_is_decoded_once_for_its_cells(monkeypatch, methods, per_cove
     rows, errors = run_experiment(plan)
     assert errors == [] and all(r.n_sequences == 2 for r in rows)
     assert calls[0] == per_cover * len(plan.sequences) * len(plan.qps)
+
+
+def test_every_cell_scores_its_streams_as_analyze_does(monkeypatch):
+    scored = []  # each cell's (n_pus, n_optimal) per sequence, in cell order
+    real_summarize = mvpo.experiment.summarize
+
+    def recording(tallies):
+        scored.append(list(tallies))
+        return real_summarize(scored[-1])
+
+    monkeypatch.setattr(mvpo.experiment, "summarize", recording)
+    plan = parse_plan(TWO_SEQ + "qp = 20, 30\nmethods = cover, tar1, tar2, tar3\n")
+    rows, errors = run_experiment(plan)
+    assert errors == [] and all((r.n_sequences, r.n_errors) == (2, 0) for r in rows)
+
+    # the CLI's path: each stream embedded with no walk handed in, written, read back and analyzed
+    params = plan.rd_params()
+    covers = {
+        (source, qp): encode_sequence(source.load(), params[qp])[0] for source in plan.sequences for qp in plan.qps
+    }
+    expected = []
+    for method, qp, _, value in _cells(plan):
+        tallies = []
+        for source in plan.sequences:
+            stream = covers[(source, qp)]
+            if method != "cover":
+                stream = embed(stream, EmbedConfig(METHOD_TAGS[method].method, value, plan.seed))[0]
+            report = optimal_rate(read_stream(write_stream(stream)))
+            tallies.append((report.n_pus, report.n_optimal))
+        expected.append(tallies)
+    assert scored == expected
+    assert len(expected) == 2 * (1 + sum(len(plan.grids[m]) for m in ("tar1", "tar2", "tar3")))
 
 
 def test_errors_come_encodes_first_then_by_cell_then_by_sequence(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used in that module, and
-every private name a module defines at top level is read somewhere in the package."""
+"""Source hygiene: every name a module of the package imports is used in that module, every
+private name a module defines at top level is read somewhere in the package, and every public
+top-level function or class is exported or read outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -47,16 +48,21 @@ def _top_level_privates(tree: ast.Module) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def _reads(node: ast.AST) -> set[str]:
+    """The names and attribute names that the code under `node` reads."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+    return read
+
+
 def _unread_privates(sources: dict[str, str]) -> list[str]:
     """`module.name` for each top-level private name that no expression in any of `sources` reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(_reads, trees.values()))
     return sorted(f"{module}.{name}" for module, tree in trees.items() for name in _top_level_privates(tree) - read)
 
 
@@ -70,3 +76,40 @@ def test_the_check_finds_unread_privates():
 
 def test_every_private_name_is_read():
     assert _unread_privates({p.stem: p.read_text() for p in _SOURCES}) == []
+
+
+def _unread_publics(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each public top-level function or class of a module other than `__init__`
+    that `__init__` does not export and no code outside its own definition reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    statements = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and not any(node.name in read for other, read in statements if other is not node)
+    )
+
+
+def test_the_check_finds_unread_publics():
+    sources = {
+        "__init__": "from .a import f\n",
+        "a": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    return h()\nclass C:\n    pass\n",
+        "b": "from . import a\nclass D:\n    pass\nprint(a.g, D)\n",
+    }
+    # f is exported, g and D are read elsewhere; h reads only itself and C nothing reads
+    assert _unread_publics(sources) == ["a.C", "a.h"]
+
+
+def test_every_public_function_and_class_is_exported_or_read():
+    assert _unread_publics({p.stem: p.read_text() for p in _SOURCES}) == []

@@ -34,7 +34,7 @@ from mvpo import (
 from mvpo.stego import _parity_adjust
 from mvpo.stream import GOP_IPPP, StreamHeader
 
-from mvpo_testutil import encode_synth, scaffold_stream, synth_covers, valid_streams
+from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, synth_covers, valid_streams
 
 
 def _cover() -> SequenceStream:
@@ -347,18 +347,6 @@ def test_parity_embed_output_decodes_or_is_refused(stream, e, seed, payload):
 
 
 @settings(max_examples=60)
-@given(valid_streams() | synth_covers(), st.floats(0, 1), st.integers(0, 2**32))
-def test_parity_embed_hands_over_the_decode_of_its_output(stream, e, seed):
-    # the experiment analyzes a tar1 stego from this decode instead of decoding it again
-    try:
-        stego, report = embed(stream, EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=seed))
-    except MalformedStreamError:
-        return  # a nudge left the vector range: no stego, nothing handed over
-    assert report.decoded == list(decode_walk(stego))
-    assert optimal_rate(stego, iter_pu_checks(stego, report.decoded)) == optimal_rate(stego)
-
-
-@settings(max_examples=60)
 @given(
     valid_streams(),
     st.integers(0, 3) | st.integers(0, 2 * 8192),
@@ -372,9 +360,8 @@ def test_index_embedders_output_decodes_to_the_same_field(stream, threshold, bpa
         EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold, rng_seed=seed, payload=payload),
         EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed, payload=payload),
     ):
-        stego, report = embed(stream, cfg)
+        stego, _ = embed(stream, cfg)
         assert reconstruct_mvs(stego) == field
-        assert report.decoded is None  # only tar1 decodes its output
 
 
 @settings(max_examples=60)
@@ -417,7 +404,7 @@ _HELD_CONFIGS = (
 @given(valid_streams(), st.integers(0, 2**32), _PAYLOADS)
 def test_held_decode_gives_the_same_embeds_and_analysis(stream, seed, payload):
     checks = list(iter_pu_checks(stream))
-    assert optimal_rate(stream, checks) == optimal_rate(stream)
+    assert optimal_rate(stream) == report_oracle(stream)
     for fields in _HELD_CONFIGS:
         cfg = EmbedConfig(rng_seed=seed, payload=payload, **fields)
         held, held_report = embed(stream, cfg, checks)
@@ -430,9 +417,8 @@ def test_held_decode_gives_the_same_embeds_and_analysis(stream, seed, payload):
 @given(valid_streams(), st.integers(0, 2**32))
 def test_threshold_zero_leaves_the_optimal_count_unchanged(stream, seed):
     # T=0 flips only between identical candidates, so both differences stay the same
-    checks = list(iter_pu_checks(stream))
     cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, rng_seed=seed)
-    assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == optimal_rate(stream, checks).n_optimal
+    assert optimal_rate(embed(stream, cfg)[0]).n_optimal == report_oracle(stream).n_optimal
 
 
 @settings(max_examples=60)
@@ -445,19 +431,15 @@ def test_adaptive_within_the_rate_ties_leaves_the_optimal_count_unchanged(stream
     if math.ceil(Fraction(repr(bpap)) * len(checks)) > ties:  # the float rounded past the tie pool
         return
     cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed)
-    assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == optimal_rate(stream, checks).n_optimal
+    assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == report_oracle(stream).n_optimal
 
 
 # ---------------------------------------------------------------- reports against a recount
 
 def _checked_analysis(stream):
-    """`optimal_rate(stream)`, its per-frame tallies checked against a per-PU recount."""
-    recount = {}
-    for check in iter_pu_checks(stream):
-        n, k = recount.get(check.record.frame_index, (0, 0))
-        recount[check.record.frame_index] = (n + 1, k + check.optimal)
+    """`optimal_rate(stream)`, checked against a per-PU recount."""
     report = optimal_rate(stream)
-    assert {f: (t.n_pus, t.n_optimal) for f, t in report.per_frame.items()} == recount
+    assert report == report_oracle(stream)
     return report
 
 
