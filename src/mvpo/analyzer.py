@@ -102,20 +102,22 @@ def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
         yield _rate(*step)
 
 
+def mvd_rates(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """`rate_of(Mvd(dx[k], dy[k]))` for every k, as int64; each distinct difference is priced by one call."""
+    # a difference component fits 16 bits, so (dx, dy) packs into one int64 key
+    _, first, which = np.unique((dx.astype(np.int64) << 16) + dy, return_index=True, return_inverse=True)
+    return np.array(list(map(rate_of, map(Mvd, dx[first].tolist(), dy[first].tolist()))), np.int64)[which]
+
+
 def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every PU's chosen and other rate, from its record and its `codec.decode` vector and candidates.
 
     The chosen rate prices the record's difference, the other rate `mv` less
-    the candidate the record does not signal, as in a `PuCheck`.  Each
-    distinct difference is priced by one `rate_of` call.
+    the candidate the record does not signal, as in a `PuCheck`.
     """
     n = len(table)
-    other = cands[np.arange(n), 1 - table["idx"].astype(np.intp)]
-    chosen = np.stack((table["dx"], table["dy"]), axis=1).astype(np.int64)
-    diffs = np.concatenate((chosen, mv - other))
-    # a difference component fits 16 bits, so (dx, dy) packs into one int64 key
-    _, first, which = np.unique((diffs[:, 0] << 16) + diffs[:, 1], return_index=True, return_inverse=True)
-    rates = np.array([rate_of(Mvd(dx, dy)) for dx, dy in diffs[first].tolist()], np.int64)[which]
+    other = mv - cands[np.arange(n), 1 - table["idx"].astype(np.intp)]
+    rates = mvd_rates(np.concatenate((table["dx"], other[:, 0])), np.concatenate((table["dy"], other[:, 1])))
     return rates[:n], rates[n:]
 
 
@@ -126,7 +128,7 @@ def optimal_rate(stream: SequenceStream) -> FeatureReport:
     no per-PU object is built.
     """
     table = stream.table
-    chosen, other = pu_rates(table, *decode(stream, table))
+    chosen, other = pu_rates(table, *decode(stream))
     worse = chosen > other
     violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
     n_pus = stream.n_records

@@ -20,9 +20,9 @@ import sys
 import traceback
 
 from . import __version__
-from .analyzer import optimal_rate
+from .analyzer import mvd_rates, optimal_rate
 from .codec import encode_sequence
-from .core import RdParams, rate_of
+from .core import RdParams
 from .errors import InputError, MalformedStreamError
 from .experiment import (
     _parse_size,
@@ -96,6 +96,7 @@ def _load_frames(args):
     if not args.size:
         raise UsageError("--yuv needs --size WxH")
     w, h = _parse_size("size", args.size)
+    YuvSpec(w, h, 1)  # the geometry is checked before a frame size is derived from it
     frames = args.frames
     if frames is None:
         frame_bytes = w * h * 3 // 2
@@ -123,7 +124,7 @@ def cmd_encode(args) -> int:
         },
     )
     save_stream(stream, args.out, sidecar=(args.out + ".meta.json", _to_json(meta)))
-    total_bits = sum(rate_of(r.mvd) for r in stream.records)
+    total_bits = int(mvd_rates(stream.table["dx"], stream.table["dy"]).sum())
     print(f"pus={stream.n_records} total_rate_bits={total_bits} out={args.out}")
     return EXIT_OK
 

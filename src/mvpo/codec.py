@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ from .core import (
     _SE_BITS_TABLE,
 )
 from .errors import InputError, MalformedStreamError
-from .stream import GOP_IPPP, Plane, PuRecord, SequenceStream, StreamHeader
+from .stream import GOP_IPPP, Plane, PuRecord, SequenceStream, StreamHeader, _records_of
 
 
 @dataclasses.dataclass
@@ -408,19 +409,20 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
 
     Enforces exactly one record per PU of every P-frame, in raster order, and
     rejects reconstructed vectors that leave the representable range.  It
-    holds the vectors of the current and previous frame only, which candidates read.
+    builds the records of one frame of table rows at a time and holds the
+    vectors of the current and previous frame only, which candidates read.
     """
     header = stream.header
-    expected_n = (header.frame_count - 1) * header.pus_per_frame
-    if stream.n_records != expected_n:
-        raise MalformedStreamError(
-            f"record count {stream.n_records} does not cover the grid (expected {expected_n})"
-        )
+    per_frame = header.pus_per_frame
+    n = (header.frame_count - 1) * per_frame
+    if stream.n_records != n:
+        raise MalformedStreamError(f"record count {stream.n_records} does not cover the grid (expected {n})")
     ps, width, height = header.pu_size, header.width, header.height
     field = MvField(width, height, ps)
     shared: dict[tuple[int, int], MotionVector] = {}  # equal vectors share one object
     f, bx, by = 1, 0, 0  # the raster position the next record must carry
-    for record in stream.records:
+    frames = (_records_of(stream.table[k : k + per_frame]) for k in range(0, n, per_frame))
+    for record in chain.from_iterable(frames):
         if record.block_x != bx or record.block_y != by or record.frame_index != f:
             got = (record.frame_index, record.block_x, record.block_y)
             raise MalformedStreamError(f"record at {got} out of raster order, expected {(f, bx, by)}")
@@ -483,24 +485,19 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
     return np.stack(((packed - y) >> 32, y), axis=-1)
 
 
-def decode(stream: SequenceStream, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def decode(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
     """Every PU's vector and candidates, computed from the record table a level at a time.
 
     Returns raster-order int64 arrays `mv` (n, 2) and `cands` (n, 2, 2),
     equal to the vectors and candidate pairs `decode_walk` yields, and raises
     the `MalformedStreamError` it raises, for the same first bad record.
-    `table` is `stream.table` when the caller has read it already.
     """
     header = stream.header
     pus_per_frame = header.pus_per_frame
-    expected_n = (header.frame_count - 1) * pus_per_frame
-    if stream.n_records != expected_n:  # before anything is sized by the frame count
-        raise MalformedStreamError(
-            f"record count {stream.n_records} does not cover the grid (expected {expected_n})"
-        )
-    if table is None:
-        table = stream.table
-    ps, n = header.pu_size, expected_n
+    n = (header.frame_count - 1) * pus_per_frame
+    if stream.n_records != n:  # before anything is sized by the frame count
+        raise MalformedStreamError(f"record count {stream.n_records} does not cover the grid (expected {n})")
+    table, ps = stream.table, header.pu_size
     cols = header.width // ps
     order, (left, above, colocated), bounds = _levels(header.frame_count - 1, header.height // ps, cols)
     # int64 before any arithmetic: the int16 columns would wrap

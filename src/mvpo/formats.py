@@ -8,9 +8,9 @@ truncation, count mismatches, and out-of-range fields each raise a distinct
 
 The records are read as one numpy structured array and validated at once, column
 by column; a failure names the first bad record and the first check it fails.
-The stream read keeps that array as its record table and builds no per-record
-objects: the analyzer decodes the table as it is, and the records are built
-only when something reads them.  Writing is the header plus the stream's table.
+The stream read keeps that array as its read-only record table and builds no
+per-record objects.  Writing is the header plus the stream's table, whichever
+way the stream was made: every stream holds one.
 """
 
 from __future__ import annotations

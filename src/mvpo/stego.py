@@ -1,7 +1,8 @@
 """Three motion-vector embedders operating on coded streams.
 
-Each maps input records to output records, keeping the input record object
-where it changes nothing, and every stream they return decodes.
+Each writes its output into a copy of the input's record table and counts its
+report from the rows that differ, building no output record, and every stream
+they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
   nudging it by one quarter-pel when needed, then decodes its output's record
@@ -28,10 +29,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .analyzer import PuCheck, iter_pu_checks
+import numpy as np
+
+from .analyzer import PuCheck, iter_pu_checks, mvd_rates
 from .codec import decode, decode_walk
 from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
-from .stream import PuRecord, SequenceStream
+from .stream import SequenceStream
 
 
 class EmbedMethod(enum.Enum):
@@ -141,18 +144,21 @@ def _parity_adjust(mvd: Mvd, use_x: bool, bit: int) -> Mvd:
 
 
 def _stego(
-    method: EmbedMethod, stream: SequenceStream, out: list[PuRecord], bits: int
+    method: EmbedMethod, stream: SequenceStream, table: np.ndarray, bits: int
 ) -> tuple[SequenceStream, EmbedReport]:
-    """The stream of `out` and its report, counted from the records that are new objects.
+    """The stream of `table`, an edited copy of `stream.table`, and its report, counted from the rows that differ.
 
     An index flip keeps the vector, so a flipped pair's differences are its two candidate differences.
     """
-    changed = [(a, b) for a, b in zip(stream.records, out) if a is not b]
-    asymmetric = sum(1 for a, b in changed if a.idx != b.idx and rate_of(a.mvd) != rate_of(b.mvd))
-    per_frame = Counter(b.frame_index for _, b in changed)
-    report = EmbedReport(method, pus_visited=len(out), pus_modified=len(changed), bits_embedded=bits,
+    before = stream.table
+    flipped = before["idx"] != table["idx"]
+    changed = flipped | (before["dx"] != table["dx"]) | (before["dy"] != table["dy"])
+    old, new = (mvd_rates(t["dx"][flipped], t["dy"][flipped]) for t in (before, table))
+    asymmetric = int(np.count_nonzero(old != new))
+    per_frame = Counter(table["frame"][changed].tolist())
+    report = EmbedReport(method, pus_visited=len(table), pus_modified=int(changed.sum()), bits_embedded=bits,
                          flips_rate_asymmetric=asymmetric, per_frame_modified=dict(per_frame))
-    return SequenceStream(stream.header, out), report
+    return SequenceStream.from_table(stream.header, table), report
 
 
 def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
@@ -171,20 +177,20 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     coin = random.Random(master.getrandbits(64))
     payload = _payload(cfg, master.getrandbits(64), stream.n_records)
 
-    out = []
+    table = stream.table.copy()
+    dxs, dys = table["dx"].tolist(), table["dy"].tolist()
     bits = 0
     draw, flip, e = select.random, coin.getrandbits, cfg.value
-    for k, record in enumerate(stream.records):
+    for k, (dx, dy) in enumerate(zip(dxs, dys)):
         u = draw()
         use_x = flip(1) == 1
         if u < e:
             bits += 1
-            mvd = record.mvd
-            if (mvd.dx if use_x else mvd.dy) & 1 != payload[k]:  # else the parity already holds the bit
-                new_mvd = _parity_adjust(mvd, use_x, payload[k])
-                record = PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, new_mvd)
-        out.append(record)
-    stego, report = _stego(EmbedMethod.MVD_PARITY, stream, out, bits)
+            if (dx if use_x else dy) & 1 != payload[k]:  # else the parity already holds the bit
+                mvd = _parity_adjust(Mvd(dx, dy), use_x, payload[k])
+                dxs[k], dys[k] = mvd.dx, mvd.dy
+    table["dx"], table["dy"] = dxs, dys
+    stego, report = _stego(EmbedMethod.MVD_PARITY, stream, table, bits)
     decode(stego)
     return stego, report
 
@@ -198,14 +204,13 @@ def _write_indices(
     vector survives; a record whose index already holds its bit is kept as is.
     """
     bits = _payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots))
-    out = list(stream.records)
-    for (k, cands, mv), bit in zip(slots, bits):
-        record = out[k]
-        if record.idx != bit:
-            mvp = cands[bit]
-            mvd = Mvd(mv.x - mvp.x, mv.y - mvp.y)
-            out[k] = PuRecord(record.frame_index, record.block_x, record.block_y, bit, mvd)
-    return _stego(cfg.method, stream, out, len(slots))
+    held = stream.table["idx"].tolist()
+    rows = [(k, bit, mv.x - cands[bit].x, mv.y - cands[bit].y)
+            for (k, cands, mv), bit in zip(slots, bits) if held[k] != bit]
+    k, idx, dx, dy = np.array(rows, np.int64).reshape(-1, 4).T
+    table = stream.table.copy()
+    table["idx"][k], table["dx"][k], table["dy"][k] = idx, dx, dy
+    return _stego(cfg.method, stream, table, len(slots))
 
 
 def embed_index_threshold(

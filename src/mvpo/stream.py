@@ -1,12 +1,10 @@
 """Container types for frames and coded motion data.
 
-A `SequenceStream` holds its records in one of two forms at a time.  A stream
-read from bytes keeps the validated record table, one `RECORD_DTYPE` row per
-PU as the file lays it out, and the analyzer decodes that table whole.  The
-first read of `.records` builds one `PuRecord` per row, switches the stream to
-that list and drops the table.  A stream built from a list (the encoder's, an
-embedder's) keeps the list and derives a table from it, in one pass, each time
-`.table` is read, so an edit of the list is never stale.
+A `SequenceStream` is its header and one read-only record table, one
+`RECORD_DTYPE` row per PU as the file lays it out: the validated table of a
+stream read from bytes, a list of `PuRecord` (the encoder's) converted once
+when the stream is built, or an embedder's edited copy of its input's table.
+Readers read the table as it is; each read of `.records` builds a new list.
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -121,7 +120,7 @@ _COLUMNS = ("frame", "bx", "by", "idx", "dx", "dy")
 _FIELDS = operator.attrgetter("frame_index", "block_x", "block_y", "idx", "mvd.dx", "mvd.dy")
 
 
-def _table_of(records: list[PuRecord]) -> np.ndarray:
+def _table_of(records: Sequence[PuRecord]) -> np.ndarray:
     """The `RECORD_DTYPE` table of `records`, read in one pass over the list."""
     n = len(records)
     values = np.fromiter(chain.from_iterable(map(_FIELDS, records)), np.int64, len(_COLUMNS) * n)
@@ -143,45 +142,38 @@ def _records_of(table: np.ndarray) -> list[PuRecord]:
 
 
 class SequenceStream:
-    """A coded sequence: header plus records in decode (raster) order.
+    """A coded sequence: header plus a read-only record table in decode (raster) order.
 
-    Two streams are equal when their headers and their records are.
+    Two streams are equal when their headers and their tables are.
     """
 
-    __slots__ = ("header", "_records", "_table")
-    __hash__ = None  # mutable, like the list it may hold
+    __slots__ = ("header", "table")
 
-    def __init__(self, header: StreamHeader, records: list[PuRecord] | None = None):
-        self.header = header
-        self._records = [] if records is None else records
-        self._table = None
+    def __init__(self, header: StreamHeader, records: Sequence[PuRecord] = ()):
+        self.header, self.table = header, _table_of(records)
+        self.table.flags.writeable = False
 
     @classmethod
     def from_table(cls, header: StreamHeader, table: np.ndarray) -> SequenceStream:
-        """A stream over a validated `RECORD_DTYPE` table, held until `.records` is first read."""
-        stream = cls(header)
-        stream._records, stream._table = None, table
+        """A stream over a validated `RECORD_DTYPE` table, which it makes read-only and keeps."""
+        stream = cls.__new__(cls)
+        stream.header, stream.table = header, table
+        table.flags.writeable = False
         return stream
 
     @property
     def records(self) -> list[PuRecord]:
-        if self._records is None:
-            self._records, self._table = _records_of(self._table), None
-        return self._records
-
-    @property
-    def table(self) -> np.ndarray:
-        """The records as `RECORD_DTYPE` rows: the held table, or one derived from the list now."""
-        return _table_of(self._records) if self._table is None else self._table
+        """A new `PuRecord` per row: an edit of the list does not reach the stream."""
+        return _records_of(self.table)
 
     @property
     def n_records(self) -> int:
-        return len(self._records if self._table is None else self._table)
+        return len(self.table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SequenceStream):
             return NotImplemented
-        return self.header == other.header and self.records == other.records
+        return self.header == other.header and np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:
         return f"SequenceStream({self.header!r}, {self.n_records} records)"

@@ -133,7 +133,7 @@ def test_level_decode_gives_the_walks_vectors_candidates_and_rates(cover, seed, 
     stream = _with_tar1_stego(cover, seed, stego)
     checks = list(iter_pu_checks(stream))
     data = write_stream(stream)
-    # the list form, and the table form read from bytes
+    # the stream built from records, and the same stream read back from bytes
     for form in (stream, read_stream(data)):
         table = form.table
         mv, cands = decode(form)

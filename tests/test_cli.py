@@ -488,8 +488,14 @@ def test_malformed_synth_and_plan_fields_exit_2_before_encoding(tmp_path, monkey
         (["--synth", "pattern=shift,size=32x32,frames=3,amp=abc"], "bad amp 'abc', expected WxH"),
         (["--synth", "pattern=shift,size=abc,frames=3"], "bad size 'abc', expected WxH"),
         (["--yuv", "clip.yuv", "--size", "abc"], "bad size 'abc', expected WxH"),
+        # the geometry is checked before the file size is divided by a frame's size
+        (["--yuv", "clip.yuv", "--size", "0x16"], "bad dimensions 0x16"),
+        (["--yuv", "clip.yuv", "--size", "3x3"], "4:2:0 needs even dimensions, got 3x3"),
     ],
 )
-def test_bad_size_names_the_field_it_parses(tmp_path, capsys, argv, message):
-    assert main(["encode", *argv, "--out", str(tmp_path / "out.mvpo")]) == EXIT_IO
+def test_bad_size_names_the_field_it_parses(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clip.yuv").write_bytes(bytes(768))
+    assert main(["encode", *argv, "--out", "out.mvpo"]) == EXIT_IO
     assert capsys.readouterr().err == f"mvpo: error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.yuv"]

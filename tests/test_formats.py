@@ -7,10 +7,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
+    EmbedConfig,
+    EmbedMethod,
     InputError,
     MalformedStreamError,
     Mvd,
@@ -18,6 +20,8 @@ from mvpo import (
     SequenceStream,
     StreamHeader,
     YuvSpec,
+    embed,
+    embed_mvd_parity,
     iter_yuv_lumas,
     load_stream,
     optimal_rate,
@@ -28,11 +32,12 @@ from mvpo import (
     save_stream,
     write_stream,
 )
+from mvpo import cli
 from mvpo import stream as stream_module
 from mvpo.formats import HEADER_SIZE, MAGIC, RECORD_SIZE, VERSION
 from mvpo.stream import Plane
 
-from mvpo_testutil import encode_synth, read_stream_oracle, scaffold_stream, valid_streams
+from mvpo_testutil import encode_synth, read_stream_oracle, scaffold_stream, synth_covers, valid_streams
 
 
 # ---------------------------------------------------------------- layout
@@ -68,10 +73,9 @@ def test_header_fields_at_documented_offsets():
 def test_record_fields_at_documented_offsets():
     header = StreamHeader(32, 32, 16, 25, frame_count=3)
     record = PuRecord(2, 16, 16, 1, Mvd(-5, 7))
-    stream = SequenceStream(header, [PuRecord(1, bx, by, 0, Mvd(0, 0)) for by in (0, 16) for bx in (0, 16)])
-    stream.records.extend([PuRecord(2, bx, by, 0, Mvd(0, 0)) for by in (0, 16) for bx in (0, 16)])
-    stream.records[-1] = record
-    data = write_stream(stream)
+    records = [PuRecord(f, bx, by, 0, Mvd(0, 0)) for f in (1, 2) for by in (0, 16) for bx in (0, 16)]
+    records[-1] = record
+    data = write_stream(SequenceStream(header, records))
     raw = data[HEADER_SIZE + 7 * RECORD_SIZE :]
     assert len(raw) == RECORD_SIZE
     assert int.from_bytes(raw[0:4], "little") == 2
@@ -100,9 +104,10 @@ def test_round_trip_encoded_stream_and_reports_agree():
     assert optimal_rate(again).optimal_rate_pct == optimal_rate(stream).optimal_rate_pct
 
 
-def test_a_read_stream_builds_its_records_only_when_they_are_read(monkeypatch):
+def test_a_read_stream_builds_its_records_only_when_they_are_read(monkeypatch, tmp_path, capsys):
     cover, _, _ = encode_synth("objects", frames=4, amp=(2, 2), seed=3)
     data = write_stream(cover)
+    (tmp_path / "cover.mvpo").write_bytes(data)
     built = []
 
     def counted(*fields):
@@ -113,13 +118,22 @@ def test_a_read_stream_builds_its_records_only_when_they_are_read(monkeypatch):
     stream = read_stream(data)
     report = optimal_rate(stream)
     assert write_stream(stream) == data and stream.n_records == cover.n_records
-    assert built == []  # analyzing and writing a read stream built no record
+    tar1, _ = embed_mvd_parity(stream, EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, rng_seed=1))
+    write_stream(tar1)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "--in", "cover.mvpo"]) == 0
+    assert cli.main(["embed", "--in", "cover.mvpo", "--method", "tar1", "--e", "1", "--out", "tar1.mvpo"]) == 0
+    assert cli.main(["encode", "--synth", "pattern=objects,size=32x32,frames=3", "--out", "new.mvpo"]) == 0
+    capsys.readouterr()
+    # analyzing, writing, tar1 and the CLI's analyze, tar1 embed and encode report built no record
+    assert built == []
     records = stream.records
-    assert len(built) == cover.n_records and stream.records is records  # built once
-    assert stream == cover and optimal_rate(stream) == report
-    # the records are now the stream: an edit shows in what is written
+    assert len(built) == cover.n_records
+    assert stream.records is not records and len(built) == 2 * cover.n_records  # built on every read
+    assert records == cover.records and stream == cover and optimal_rate(stream) == report
+    # the records are a copy: an edit does not reach the stream
     records[0] = PuRecord(1, 0, 0, 1 - records[0].idx, records[0].mvd)
-    assert write_stream(stream)[HEADER_SIZE + 8] == records[0].idx
+    assert write_stream(stream) == data and stream.records[0] != records[0]
 
 
 def test_serialization_is_deterministic():
@@ -134,6 +148,29 @@ def test_save_and_load_files(tmp_path):
     assert path.stat().st_size == HEADER_SIZE + RECORD_SIZE * stream.n_records
     again = load_stream(path)
     assert again.records == stream.records
+
+
+@settings(max_examples=60)
+@given(valid_streams() | synth_covers(), st.integers(0, 2**32))
+@example(SequenceStream(StreamHeader(32, 32, 16, 25, frame_count=1), []), 0)
+def test_every_stream_is_its_header_and_one_read_only_table(cover, seed):
+    streams = [cover]
+    methods = ((EmbedMethod.MVD_PARITY, 0.5), (EmbedMethod.INDEX_THRESHOLD, 5), (EmbedMethod.INDEX_ADAPTIVE, 0.5))
+    for method, value in methods:
+        try:
+            streams.append(embed(cover, EmbedConfig(method, value, seed))[0])
+        except MalformedStreamError:  # a tar1 nudge took a vector out of range
+            assert method is EmbedMethod.MVD_PARITY
+    for stream in streams:
+        again = read_stream(write_stream(stream))
+        assert again == stream
+        assert SequenceStream(stream.header, stream.records) == stream
+        for form in (stream, again):
+            table = form.table
+            assert form.table is table and table.dtype == stream_module.RECORD_DTYPE
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table["idx"][:] = 0
 
 
 _mvds = st.integers(min_value=-32768, max_value=32767)
