@@ -9,9 +9,10 @@ codeword lengths alone, never on the Lagrangian multiplier.
 `optimal_rate` decodes the stream's record table with `codec.decode`, a level
 of PUs at a time, and rates every PU with numpy: each distinct difference is
 priced once by `rate_of`, the one bit model.  It is the one analysis path: the
-CLI and the experiment both score a stream with it.  The per-PU form,
-`iter_pu_checks`, replays `decode_walk` and yields a `PuCheck` for each PU; the
-index embedders read it, since they still walk one PU at a time.
+CLI and the experiment both score a stream with it, and tar3 picks its slots
+from the same arrays.  The per-PU form, `iter_pu_checks`, replays
+`decode_walk` and yields a `PuCheck` for each PU; tar2 reads it when its
+caller holds it, since tar2 still walks one PU at a time.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 Exit codes: 0 success (including an indeterminate verdict, which warns on
 stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream (also
 a tar1 output that would not decode), 70 internal error: any other failure
-is a fault in mvpo and is reported with its traceback.  Outputs are written
-only after a command has fully succeeded, and every artifact gets a sidecar
-or inline record of the invocation that produced it, so reruns are
-auditable.  Each file is written whole through a temp file and a rename, a
-sidecar just before the file it describes and put back if that file's rename
-fails.
+is a fault in mvpo and is reported with its traceback.  An output's
+directory is checked before any work; outputs are written only after a
+command has fully succeeded, and every artifact gets a sidecar or inline
+record of the invocation that produced it, so reruns are auditable.  Each
+file is written whole through a temp file and a rename, a sidecar just before
+the file it describes and put back if that file's rename fails.
 """
 
 from __future__ import annotations
@@ -85,6 +85,13 @@ def _to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output path whose directory is missing, before the work that would be lost at the write."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise InputError(f"output directory {folder} does not exist")
+
+
 def _load_frames(args):
     if bool(args.synth) == bool(args.yuv):
         raise UsageError("encode needs exactly one of --synth or --yuv")
@@ -111,18 +118,8 @@ def cmd_encode(args) -> int:
     frames = _load_frames(args)
     params = _from_args(RdParams, qp=args.qp, search_range=args.search_range, pu_size=args.pu_size)
     stream, _ = encode_sequence(frames, params)
-    meta = _invocation(
-        "encode",
-        {
-            "synth": args.synth,
-            "yuv": args.yuv,
-            "size": args.size,
-            "frames": args.frames,
-            "qp": args.qp,
-            "pu_size": args.pu_size,
-            "search_range": args.search_range,
-        },
-    )
+    flags = ("synth", "yuv", "size", "frames", "qp", "pu_size", "search_range")
+    meta = _invocation("encode", {flag: getattr(args, flag) for flag in flags})
     save_stream(stream, args.out, sidecar=(args.out + ".meta.json", _to_json(meta)))
     total_bits = int(mvd_rates(stream.table["dx"], stream.table["dy"]).sum())
     print(f"pus={stream.n_records} total_rate_bits={total_bits} out={args.out}")
@@ -142,9 +139,7 @@ def cmd_embed(args) -> int:
     stego, report = embed(load_stream(args.input), cfg)
     doc = report.to_dict()
     params = {t.param: getattr(args, t.param) for t in METHOD_TAGS.values()}
-    doc["invocation"] = _invocation(
-        "embed", {"in": args.input, "method": args.method, **params, "seed": args.seed}
-    )
+    doc["invocation"] = _invocation("embed", {"in": args.input, "method": args.method, **params, "seed": args.seed})
     save_stream(stego, args.out, sidecar=(args.out + ".report.json", _to_json(doc)))
     print(
         f"method={args.method} pus={report.pus_visited} bits={report.bits_embedded} "
@@ -180,10 +175,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.plan) as f:
-        plan = parse_plan(f.read())
-    rows, errors = run_experiment(plan, jobs=args.jobs)
+    try:
+        with open(args.plan, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a fault in mvpo
+        raise InputError(f"plan {args.plan} is not UTF-8 text: {exc}") from exc
+    plan = parse_plan(text)
     out = args.out or plan.out
+    _check_out_dir(out)  # the plan's out, when --out is not given
+    rows, errors = run_experiment(plan, jobs=args.jobs)
     meta = _invocation("experiment", {"plan": args.plan, "jobs": args.jobs, "seed": plan.seed})
     write_atomic(out, rows_to_csv(rows), sidecar=(out + ".meta.json", _to_json(meta)))
     for line in errors:
@@ -234,6 +234,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out not in (None, "-"):  # every command has --out; "-" is analyze's stdout
+            _check_out_dir(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"mvpo: error: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -409,8 +408,9 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
 
     Enforces exactly one record per PU of every P-frame, in raster order, and
     rejects reconstructed vectors that leave the representable range.  It
-    builds the records of one frame of table rows at a time and holds the
-    vectors of the current and previous frame only, which candidates read.
+    builds the records of one frame of table rows at a time, sharing one `Mvd`
+    per distinct difference of the whole table, and holds the vectors of the
+    current and previous frame only, which candidates read.
     """
     header = stream.header
     per_frame = header.pus_per_frame
@@ -421,8 +421,7 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
     field = MvField(width, height, ps)
     shared: dict[tuple[int, int], MotionVector] = {}  # equal vectors share one object
     f, bx, by = 1, 0, 0  # the raster position the next record must carry
-    frames = (_records_of(stream.table[k : k + per_frame]) for k in range(0, n, per_frame))
-    for record in chain.from_iterable(frames):
+    for record in _records_of(stream.table, per_frame):
         if record.block_x != bx or record.block_y != by or record.frame_index != f:
             got = (record.frame_index, record.block_x, record.block_y)
             raise MalformedStreamError(f"record at {got} out of raster order, expected {(f, bx, by)}")

@@ -240,10 +240,10 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
 
     The covers are encoded first.  Then each cell scores its stream, the
     cover or its stego, with `optimal_rate`, as `mvpo analyze` does.  The
-    index embedders of one cover share one walk of it,
-    `list(iter_pu_checks(cover))`, built for its first tar2 or tar3 cell and
-    dropped before the next cover.  Errors come encodes first, then by cell,
-    then by sequence.
+    tar2 cells of one cover share one walk of it,
+    `list(iter_pu_checks(cover))`, built for its first tar2 cell and dropped
+    before the next cover; tar1 and tar3 decode as arrays and read no walk.
+    Errors come encodes first, then by cell, then by sequence.
     `jobs`, the threads that encode the covers, must be at least 1.
     """
     if jobs < 1:
@@ -284,7 +284,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
             try:
                 stream = cover
                 if cfg is not None:
-                    if checks is None and method != "tar1":  # tar1 reads no walk of its input
+                    if checks is None and method == "tar2":  # the one embedder that walks its input
                         checks = list(iter_pu_checks(cover))
                     stream = embed(cover, cfg, checks)[0]
                 report = optimal_rate(stream)

@@ -10,12 +10,12 @@ they return decodes.
 * `embed_index_threshold` and `embed_index_adaptive` hide bits in the
   candidate index and differ only in the PUs, the slots, they choose:
   tar2 walks the decode one PU at a time and takes the PUs whose two
-  candidates are close under an absolute-component distance; tar3 reads the
-  analyzer's rated walk, `iter_pu_checks`, and takes a requested payload
-  density of the PUs where a flip is cheapest (smallest rate gap), a greedy
-  stand-in for a trellis-coded assignment.
-  One writer then puts payload bit j into the index of slot j, recomputing
-  the difference so every reconstructed vector survives.
+  candidates are close under an absolute-component distance; tar3 rates the
+  analyzer's array decode and takes a requested payload density of the PUs
+  where a flip is cheapest (smallest rate gap), a greedy stand-in for a
+  trellis-coded assignment.  One writer, on arrays, then puts payload bit j
+  into the index of slot j, recomputing the difference so every
+  reconstructed vector survives.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analyzer import PuCheck, iter_pu_checks, mvd_rates
+from .analyzer import PuCheck, mvd_rates, pu_rates
 from .codec import decode, decode_walk
-from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
+from .core import CandidatePair, Mvd, MVD_MAX, MVD_MIN, rate_of
 from .stream import SequenceStream
 
 
@@ -196,20 +196,19 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
 
 
 def _write_indices(
-    stream: SequenceStream, cfg: EmbedConfig, slots: list[tuple[int, CandidatePair, MotionVector]]
+    stream: SequenceStream, cfg: EmbedConfig, slots: np.ndarray, cands: np.ndarray, mv: np.ndarray
 ) -> tuple[SequenceStream, EmbedReport]:
-    """Write payload bit j into the index of slot j = (record position, candidates, vector).
+    """Write payload bit j into the index of record `slots[j]`, of candidates `cands[j]` and vector `mv[j]`.
 
     The new difference is taken against the newly signalled candidate, so the
     vector survives; a record whose index already holds its bit is kept as is.
     """
-    bits = _payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots))
-    held = stream.table["idx"].tolist()
-    rows = [(k, bit, mv.x - cands[bit].x, mv.y - cands[bit].y)
-            for (k, cands, mv), bit in zip(slots, bits) if held[k] != bit]
-    k, idx, dx, dy = np.array(rows, np.int64).reshape(-1, 4).T
+    bits = np.array(_payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots)), np.int64)
+    write = np.flatnonzero(stream.table["idx"][slots] != bits)
+    k, bit = slots[write], bits[write]
+    mvd = mv[write] - cands[write, bit]
     table = stream.table.copy()
-    table["idx"][k], table["dx"][k], table["dy"][k] = idx, dx, dy
+    table["idx"][k], table["dx"][k], table["dy"][k] = bit, mvd[:, 0], mvd[:, 1]
     return _stego(cfg.method, stream, table, len(slots))
 
 
@@ -229,37 +228,34 @@ def embed_index_threshold(
     limit = cfg.value
     steps = decode_walk(stream) if checks is None else ((c.record, c.cands, c.mv) for c in checks)
     slots = [
-        (k, cands, mv)
+        (k, cands.mvp0.x, cands.mvp0.y, cands.mvp1.x, cands.mvp1.y, mv.x, mv.y)
         for k, (_, cands, mv) in enumerate(steps)
         if (cands.identical if limit == 0 else t_value(cands) <= limit)
     ]
-    return _write_indices(stream, cfg, slots)
+    a = np.array(slots, np.int64).reshape(-1, 7)
+    return _write_indices(stream, cfg, a[:, 0], a[:, 1:5].reshape(-1, 2, 2), a[:, 5:])
 
 
-def embed_index_adaptive(
-    stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
-) -> tuple[SequenceStream, EmbedReport]:
+def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
     """Host bpap, `cfg.value`, bits per PU in the cheapest index flips.
 
-    Every PU's flip cost is the gap between its two candidate rates.  The
+    Every PU's flip cost is the gap between its two candidate rates, which
+    `codec.decode` and `pu_rates` give for the whole stream as arrays.  The
     requested bit count lands in the PUs with the smallest gaps (decode order
-    breaks ties), assigned greedily in that order.  bpap is at
-    most 1, so the request never exceeds the PU count.  `checks` is the
-    stream's `list(iter_pu_checks(stream))` when the caller holds it; without
-    it the stream is replayed.
+    breaks ties), assigned greedily in that order.  bpap is at most 1, so the
+    request never exceeds the PU count.
     """
     if cfg.method is not EmbedMethod.INDEX_ADAPTIVE:
         raise ValueError(f"config method {cfg.method} does not match embed_index_adaptive")
-    if checks is None:
-        checks = list(iter_pu_checks(stream))
+    mv, cands = decode(stream)
+    chosen, other = pu_rates(stream.table, mv, cands)
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
     # raw binary fraction of 0.1 would tip the ceiling to 4; float() first,
     # because a numpy scalar's repr is not a number
-    target = math.ceil(Fraction(repr(float(cfg.value))) * len(checks))
-    gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
+    target = math.ceil(Fraction(repr(float(cfg.value))) * len(mv))
     # a stable sort keeps decode order among equal gaps
-    order = sorted(range(len(checks)), key=gaps.__getitem__)[:target]
-    return _write_indices(stream, cfg, [(k, checks[k].cands, checks[k].mv) for k in order])
+    slots = np.argsort(np.abs(chosen - other), kind="stable")[:target]
+    return _write_indices(stream, cfg, slots, cands[slots], mv[slots])
 
 
 def embed(
@@ -269,11 +265,12 @@ def embed(
 
     `checks`, when given, must be `list(iter_pu_checks(stream))`: a caller
     that embeds one stream many times (the experiment, for each cover) walks
-    it once and passes the walk, so tar2 and tar3 do not replay the stream
-    again.  tar1 ignores it, since it decodes its own output, not its input.
+    it once and passes the walk, so tar2 does not replay the stream again.
+    tar1 and tar3 ignore it: tar1 decodes its own output, not its input, and
+    tar3 decodes its input as arrays.
     """
     if cfg.method is EmbedMethod.MVD_PARITY:
         return embed_mvd_parity(stream, cfg)
     if cfg.method is EmbedMethod.INDEX_THRESHOLD:
         return embed_index_threshold(stream, cfg, checks)
-    return embed_index_adaptive(stream, cfg, checks)
+    return embed_index_adaptive(stream, cfg)

@@ -9,10 +9,11 @@ Readers read the table as it is; each read of `.records` builds a new list.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -130,15 +131,14 @@ def _table_of(records: Sequence[PuRecord]) -> np.ndarray:
     return table
 
 
-def _records_of(table: np.ndarray) -> list[PuRecord]:
-    """One `PuRecord` per row of a validated table."""
-    # records with equal differences share one Mvd: a stream has far fewer distinct ones than records
-    dx, dy = table["dx"], table["dy"]
-    packed = dx.astype(np.int32) << 16 | dy.view(np.uint16)
-    _, first, which = np.unique(packed, return_index=True, return_inverse=True)
-    mvds = list(map(Mvd, dx[first].tolist(), dy[first].tolist()))
-    columns = [table[name].tolist() for name in _COLUMNS[:4]]
-    return [PuRecord(f, x, y, i, mvds[k]) for f, x, y, i, k in zip(*columns, which.tolist())]
+def _records_of(table: np.ndarray, rows: int) -> Iterator[PuRecord]:
+    """One `PuRecord` per row of a validated table, built `rows` rows at a time."""
+    # records with equal differences share one Mvd across the whole table: a stream
+    # has far fewer distinct ones than records
+    mvds = functools.cache(Mvd)
+    for k in range(0, len(table), rows):
+        f, x, y, i, dx, dy = (table[name][k : k + rows].tolist() for name in _COLUMNS)
+        yield from map(PuRecord, f, x, y, i, map(mvds, dx, dy))
 
 
 class SequenceStream:
@@ -164,7 +164,7 @@ class SequenceStream:
     @property
     def records(self) -> list[PuRecord]:
         """A new `PuRecord` per row: an edit of the list does not reach the stream."""
-        return _records_of(self.table)
+        return list(_records_of(self.table, max(1, self.n_records)))
 
     @property
     def n_records(self) -> int:

@@ -4,19 +4,26 @@ The oracles here are deliberately independent of the implementation:
 codeword lengths come from literally constructing the prefix code as a
 string, motion search from a double loop with scalar arithmetic,
 encoding from a raster-order walk that searches one PU at a time,
-stream parsing from a loop that unpacks and checks one record at a time, and
-the analysis report from a count over the per-PU checks of the decode walk.
+stream parsing from a loop that unpacks and checks one record at a time,
+the analysis report from a count over the per-PU checks of the decode walk,
+and tar3's slots from a sort of those checks.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from mvpo import (
     CandidatePair,
+    EmbedConfig,
+    EmbedMethod,
+    EmbedReport,
     MotionVector,
     Mvd,
     MvField,
@@ -30,6 +37,7 @@ from mvpo import (
     derive_candidates,
     encode_sequence,
     iter_pu_checks,
+    rate_of,
     se_bits,
     seed_candidate,
     select_mvp,
@@ -136,6 +144,35 @@ def report_oracle(stream: SequenceStream) -> FeatureReport:
     per_frame = {f: FrameTally(n, k) for f, (n, k) in tallies.items()}
     n_pus, n_optimal = (sum(column) for column in zip((0, 0), *tallies.values()))
     return FeatureReport(n_pus, n_optimal, per_frame, violations)
+
+
+def tar3_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
+    """Reference tar3: sort the `iter_pu_checks` of the decode walk by rate gap, then rewrite one record at a time.
+
+    `sorted` is stable, so equal gaps keep decode order.  Slot j takes payload
+    bit j: a record whose index already holds it is kept, any other signals
+    the other candidate with the difference that keeps its vector.
+    """
+    checks = list(iter_pu_checks(stream))
+    target = math.ceil(Fraction(repr(float(cfg.value))) * len(checks))
+    gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
+    slots = sorted(range(len(checks)), key=gaps.__getitem__)[:target]
+    if cfg.payload is not None:
+        bits = [cfg.payload[j % len(cfg.payload)] for j in range(len(slots))]
+    else:
+        rng = random.Random(random.Random(cfg.rng_seed).getrandbits(64))
+        bits = [rng.getrandbits(1) for _ in slots]
+    records = [check.record for check in checks]
+    report = EmbedReport(EmbedMethod.INDEX_ADAPTIVE, pus_visited=len(records), bits_embedded=len(slots))
+    for k, bit in zip(slots, bits):
+        old, mvp, mv = records[k], checks[k].cands[bit], checks[k].mv
+        if old.idx == bit:
+            continue
+        records[k] = PuRecord(old.frame_index, old.block_x, old.block_y, bit, Mvd(mv.x - mvp.x, mv.y - mvp.y))
+        report.pus_modified += 1
+        report.flips_rate_asymmetric += rate_of(old.mvd) != rate_of(records[k].mvd)
+        report.per_frame_modified[old.frame_index] = report.per_frame_modified.get(old.frame_index, 0) + 1
+    return SequenceStream(stream.header, records), report
 
 
 _RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved

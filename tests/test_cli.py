@@ -411,6 +411,45 @@ def test_experiment_missing_plan_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
+def test_experiment_plan_that_is_not_utf8_is_io_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the plan's default out is results.csv here
+    plan = tmp_path / "plan.txt"
+    plan.write_bytes(f"sequences = {SYNTH}\n".encode() + b"# caf\xe9\n")  # a Latin-1 comment
+    assert main(["experiment", "--plan", str(plan)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"mvpo: error: plan {plan} is not UTF-8 text: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.txt"]
+
+
+@pytest.mark.parametrize("command", ["encode", "embed", "analyze", "experiment --out", "experiment plan out"])
+def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
+    import mvpo.experiment
+
+    cover = _encode(tmp_path)
+    missing = tmp_path / "missing"
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"sequences = {SYNTH}\nout = {missing / 'results.csv'}\n")
+    argv = {
+        "encode": ["encode", "--synth", SYNTH, "--out", str(missing / "out.mvpo")],
+        "embed": ["embed", "--in", str(cover), "--method", "tar2", "--T", "5", "--out", str(missing / "out.mvpo")],
+        "analyze": ["analyze", "--in", str(cover), "--out", str(missing / "report.json")],
+        "experiment --out": ["experiment", "--plan", str(plan), "--out", str(missing / "results.csv")],
+        "experiment plan out": ["experiment", "--plan", str(plan)],
+    }[command]
+
+    def _no_work(*args):
+        raise AssertionError("read or encoded before the output directory was checked")
+
+    for module, name in ((cli, "encode_sequence"), (cli, "load_stream"), (mvpo.experiment, "encode_sequence")):
+        monkeypatch.setattr(module, name, _no_work)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""  # no verdict or summary line for an output that cannot be written
+    assert err == f"mvpo: error: output directory {missing} does not exist\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_experiment_bad_grid_value_is_input_error_before_encoding(tmp_path, monkeypatch, capsys):
     import mvpo.experiment
 

@@ -78,11 +78,12 @@ def _count_decodes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize(
     "methods, per_cover",
     [
-        # the tar2 and tar3 embeds of a cover share one walk of it; every analysis and tar1's
-        # output check decode the record table instead
+        # the tar2 embeds of a cover share one walk of it; every analysis, tar1's output
+        # check and tar3's slot choice decode the record table instead
         ("cover, tar1, tar2, tar3", 1),
-        ("tar3", 1),
-        # no index embed, so no walk
+        ("tar2", 1),
+        # no tar2 embed, so no walk
+        ("tar3", 0),
         ("cover, tar1", 0),
     ],
 )

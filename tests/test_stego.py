@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -34,7 +34,7 @@ from mvpo import (
 from mvpo.stego import _parity_adjust
 from mvpo.stream import GOP_IPPP, StreamHeader
 
-from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, synth_covers, valid_streams
+from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, synth_covers, tar3_oracle, valid_streams
 
 
 def _cover() -> SequenceStream:
@@ -392,6 +392,38 @@ def test_index_bits_read_back_from_the_stego_alone(stream, threshold, bpap, payl
         assert [checks[k].record.idx for k in slots] == [payload[j % len(payload)] for j in range(len(slots))]
 
 
+_BPAPS = st.sampled_from((0.0, 1.0)) | st.floats(0, 1)
+
+
+@settings(max_examples=80)
+@given(valid_streams() | synth_covers(), _BPAPS, st.integers(0, 2**32), _PAYLOADS)
+def test_adaptive_embed_matches_the_walk_oracle(stream, bpap, seed, payload):
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed, payload=payload)
+    stego, report = embed_index_adaptive(stream, cfg)
+    expected, expected_report = tar3_oracle(stream, cfg)
+    assert stego == expected
+    assert report == expected_report
+
+
+@settings(max_examples=40)
+@given(valid_streams() | synth_covers(), st.sampled_from(("swapped", "short")), _BPAPS)
+def test_adaptive_embed_raises_the_walk_oracle_error_on_a_damaged_stream(stream, damage, bpap):
+    # the damage of test_records_out_of_order_or_short_are_exit_3_for_every_reader
+    records = stream.records
+    if damage == "swapped":
+        assume(len(records) >= 2)
+        records[0], records[1] = records[1], records[0]
+    else:
+        records.pop()
+    damaged = SequenceStream(stream.header, records)
+    cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap)
+    with pytest.raises(MalformedStreamError) as got:
+        embed_index_adaptive(damaged, cfg)
+    with pytest.raises(MalformedStreamError) as expected:
+        tar3_oracle(damaged, cfg)
+    assert str(got.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------- the held decode
 
 _HELD_CONFIGS = (
@@ -431,7 +463,7 @@ def test_adaptive_within_the_rate_ties_leaves_the_optimal_count_unchanged(stream
     if math.ceil(Fraction(repr(bpap)) * len(checks)) > ties:  # the float rounded past the tie pool
         return
     cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed)
-    assert optimal_rate(embed(stream, cfg, checks)[0]).n_optimal == report_oracle(stream).n_optimal
+    assert optimal_rate(embed(stream, cfg)[0]).n_optimal == report_oracle(stream).n_optimal
 
 
 # ---------------------------------------------------------------- reports against a recount
