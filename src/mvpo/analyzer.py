@@ -11,8 +11,7 @@ of PUs at a time, and rates every PU with numpy: each distinct difference is
 priced once by `rate_of`, the one bit model.  It is the one analysis path: the
 CLI and the experiment both score a stream with it, and tar3 picks its slots
 from the same arrays.  The per-PU form, `iter_pu_checks`, replays
-`decode_walk` and yields a `PuCheck` for each PU; tar2 reads it when its
-caller holds it, since tar2 still walks one PU at a time.
+`decode_walk` and yields a `PuCheck` for each PU.
 """
 
 from __future__ import annotations

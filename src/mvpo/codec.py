@@ -16,8 +16,9 @@ diagonal in one batched `motion_estimate` call.  The order is exact: a PU's
 candidates read only its left and above neighbours, both on the previous
 diagonal, and the co-located vector of the previous frame, and its search
 reads only the previous reconstructed frame.  So each PU sees the candidates,
-window and reference it would see in raster order, the records are written
-out in raster order, and candidate lists agree on both sides by construction.
+window and reference it would see in raster order, and candidate lists agree
+on both sides by construction.  The encoder writes each P-frame's indices and
+differences straight into the stream's record table, in raster order.
 
 Once per P-frame the encoder lays the reconstructed reference out as a
 `window_table`, in which every candidate block is one contiguous run of
@@ -55,7 +56,7 @@ from .core import (
     _SE_BITS_TABLE,
 )
 from .errors import InputError, MalformedStreamError
-from .stream import GOP_IPPP, Plane, PuRecord, SequenceStream, StreamHeader, _records_of
+from .stream import GOP_IPPP, RECORD_DTYPE, Plane, PuRecord, SequenceStream, StreamHeader, _records_of
 
 
 @dataclasses.dataclass
@@ -373,8 +374,13 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     except ValueError as exc:  # frames wider or taller than a stream can describe
         raise InputError(f"{w}x{h} frames do not fit a stream: {exc}") from exc
     field = MvField(w, h, ps)
-    records: list[PuRecord] = []
     cols, rows = w // ps, h // ps
+    n_pus = cols * rows
+    # the record table in raster order: frame and position now, each P-frame's idx, dx and dy once it is coded
+    records = np.zeros((len(frames) - 1) * n_pus, RECORD_DTYPE)
+    raster = np.arange(len(records))
+    records["frame"], records["bx"] = raster // n_pus + 1, raster % cols * ps
+    records["by"] = raster % n_pus // cols * ps
     # anti-diagonal k holds the PUs at grid (col, row) with col + row == k
     diagonals = [
         [(col * ps, (k - col) * ps) for col in range(max(0, k - rows + 1), min(k, cols - 1) + 1)]
@@ -384,8 +390,8 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     for f in range(1, len(frames)):
         cur = frames[f].data
         table, sums = window_table(ref, ps), block_sums(ref, ps)
-        coded: list[PuRecord | None] = [None] * (cols * rows)
-        sources: list[tuple[int, int]] = [(0, 0)] * (cols * rows)  # the reference block each PU copies
+        idxs, dxs, dys = [0] * n_pus, [0] * n_pus, [0] * n_pus
+        sources: list[tuple[int, int]] = [(0, 0)] * n_pus  # the reference block each PU copies
         for diagonal in diagonals:
             cands = [derive_candidates(field, f, bx, by) for bx, by in diagonal]
             found = motion_estimate(cur, table, sums, diagonal, cands, params)
@@ -393,9 +399,10 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
                 idx, mvd = select_mvp(mv, pair)
                 field.put(f, bx, by, mv)
                 k = (by // ps) * cols + bx // ps
-                coded[k] = PuRecord(f, bx, by, idx, mvd)
+                idxs[k], dxs[k], dys[k] = idx, mvd.dx, mvd.dy
                 sources[k] = (bx - mv.x // 4, by - mv.y // 4)
-        records += coded
+        coded = records[(f - 1) * n_pus : f * n_pus]
+        coded["idx"], coded["dx"], coded["dy"] = idxs, dxs, dys
         # the reconstruction is each PU's reference block, gathered in raster order
         xs, ys = np.array(sources).T
         ref = table[xs, ys].reshape(rows, cols, ps, ps).swapaxes(1, 2).reshape(h, w)
@@ -532,9 +539,10 @@ def decode(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reconstruct_mvs(stream: SequenceStream) -> MvField:
-    """Rebuild the full motion field of a stream."""
-    header = stream.header
+    """Rebuild the full motion field of a stream from its `decode`, raising the walk's error."""
+    header, table = stream.header, stream.table
     field = MvField(header.width, header.height, header.pu_size)
-    for record, _, mv in decode_walk(stream):
-        field.put(record.frame_index, record.block_x, record.block_y, mv)
+    mv, _ = decode(stream)
+    positions = zip(*(table[name].tolist() for name in ("frame", "bx", "by")))
+    field._mvs = dict(zip(positions, map(MotionVector, mv[:, 0].tolist(), mv[:, 1].tolist())))
     return field

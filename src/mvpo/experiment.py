@@ -14,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .analyzer import iter_pu_checks, optimal_rate
+from . import codec
+from .analyzer import optimal_rate
 from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
@@ -238,10 +239,11 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], list[str]]:
     """Run the whole grid; returns the sorted cell rows and any per-item errors.
 
-    The covers are encoded first.  Then each cell scores its stream, the
-    cover or its stego, with `optimal_rate`, as `mvpo analyze` does.  The
-    tar2 cells of one cover share one walk of it,
-    `list(iter_pu_checks(cover))`, built for its first tar2 cell and dropped
+    The covers are encoded first; a cover whose source cannot be loaded (a
+    missing yuv file too) or encoded is an error of its (sequence, qp).  Then
+    each cell scores its stream, the cover or its stego, with `optimal_rate`,
+    as `mvpo analyze` does.  The tar2 cells of one cover share one walk of it,
+    `list(decode_walk(cover))`, built for its first tar2 cell and dropped
     before the next cover; tar1 and tar3 decode as arrays and read no walk.
     Errors come encodes first, then by cell, then by sequence.
     `jobs`, the threads that encode the covers, must be at least 1.
@@ -264,7 +266,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
         for (si, qp), future in futures.items():
             try:
                 covers[(si, qp)] = future.result()
-            except MvpoError as exc:
+            except (MvpoError, OSError) as exc:
                 covers[(si, qp)] = None
                 errors.append(f"encode {plan.sequences[si].name} qp={qp}: {exc}")
 
@@ -273,7 +275,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
     n_errors = [0] * len(cells)
     cell_errors: list[tuple[int, int, str]] = []  # (cell, sequence, message)
     for (si, qp), cover in covers.items():
-        checks = None
+        walk = None
         for ci, (method, cell_qp, param, value) in enumerate(cells):
             if cell_qp != qp:
                 continue
@@ -284,9 +286,9 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
             try:
                 stream = cover
                 if cfg is not None:
-                    if checks is None and method == "tar2":  # the one embedder that walks its input
-                        checks = list(iter_pu_checks(cover))
-                    stream = embed(cover, cfg, checks)[0]
+                    if walk is None and method == "tar2":  # the one embedder that walks its input
+                        walk = list(codec.decode_walk(cover))
+                    stream = embed(cover, cfg, walk)[0]
                 report = optimal_rate(stream)
                 tallies[ci].append((report.n_pus, report.n_optimal))
             except MvpoError as exc:

@@ -6,11 +6,12 @@ per PU.  Readers reject rather than guess: bad magic, unknown version,
 truncation, count mismatches, and out-of-range fields each raise a distinct
 `MalformedStreamError`.
 
-The records are read as one numpy structured array and validated at once, column
-by column; a failure names the first bad record and the first check it fails.
-The stream read keeps that array as its read-only record table and builds no
-per-record objects.  Writing is the header plus the stream's table, whichever
-way the stream was made: every stream holds one.
+The records are read as one numpy structured array, which the stream
+constructor validates at once, column by column, as it validates every stream
+(see `stream`); a failure names the first bad record and the first check it
+fails.  The stream read keeps that array as its read-only record table and
+builds no per-record objects.  Writing is the header plus the stream's table,
+whichever way the stream was made: every stream holds one.
 """
 
 from __future__ import annotations
@@ -62,24 +63,7 @@ def read_stream(data: bytes) -> SequenceStream:
         raise MalformedStreamError(f"truncated stream: {len(data)} bytes, {n_records} records need {expected}")
     if len(data) > expected:
         raise MalformedStreamError(f"record count mismatch: {len(data) - expected} trailing bytes")
-
-    table = np.frombuffer(data, RECORD_DTYPE, n_records, HEADER_SIZE)
-    bx, by = table["bx"], table["by"]
-    checks = (  # in a record-by-record reader's order, each message formatted with the record's fields
-        (table["pad"] != 0, "nonzero pad byte {pad} in record {k}"),
-        (table["reserved"] != 0, "nonzero reserved field {reserved} in record {k}"),
-        (table["frame"] >= frame_count, "record {k} frame {frame} >= frame_count {frame_count}"),
-        ((bx > width - pu_size) | (by > height - pu_size) | (bx % pu_size != 0) | (by % pu_size != 0),
-         "record {k} block ({bx}, {by}) off the {width}x{height} grid"),
-        (table["idx"] > 1, "invalid record {k}: idx {idx} not in {{0, 1}}"),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():  # name the first bad record's first failing check
-        k = int(bad.argmax())
-        message = next(message for mask, message in checks if mask[k])
-        record = dict(zip(RECORD_DTYPE.names, table[k].tolist()), k=k, frame_count=frame_count)
-        raise MalformedStreamError(message.format(width=width, height=height, **record))
-    return SequenceStream.from_table(header, table)
+    return SequenceStream(header, np.frombuffer(data, RECORD_DTYPE, n_records, HEADER_SIZE))
 
 
 def write_atomic(

@@ -1,8 +1,8 @@
 """Three motion-vector embedders operating on coded streams.
 
-Each writes its output into a copy of the input's record table and counts its
-report from the rows that differ, building no output record, and every stream
-they return decodes.
+Each writes its output into a copy of the input's record table, which the
+stream constructor checks as the reader does, and counts its report from the
+rows that differ, building no output record; every stream they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
   nudging it by one quarter-pel when needed, then decodes its output's record
@@ -31,10 +31,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analyzer import PuCheck, mvd_rates, pu_rates
+from .analyzer import mvd_rates, pu_rates
 from .codec import decode, decode_walk
-from .core import CandidatePair, Mvd, MVD_MAX, MVD_MIN, rate_of
-from .stream import SequenceStream
+from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
+from .stream import PuRecord, SequenceStream
+
+WalkStep = tuple[PuRecord, CandidatePair, MotionVector]  # one `decode_walk` step
 
 
 class EmbedMethod(enum.Enum):
@@ -158,7 +160,7 @@ def _stego(
     per_frame = Counter(table["frame"][changed].tolist())
     report = EmbedReport(method, pus_visited=len(table), pus_modified=int(changed.sum()), bits_embedded=bits,
                          flips_rate_asymmetric=asymmetric, per_frame_modified=dict(per_frame))
-    return SequenceStream.from_table(stream.header, table), report
+    return SequenceStream(stream.header, table), report
 
 
 def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
@@ -213,23 +215,22 @@ def _write_indices(
 
 
 def embed_index_threshold(
-    stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
+    stream: SequenceStream, cfg: EmbedConfig, walk: Sequence[WalkStep] | None = None
 ) -> tuple[SequenceStream, EmbedReport]:
     """Write payload bits into the candidate index of close-candidate PUs, in decode order.
 
     A PU is eligible when its candidate distance is at most T, `cfg.value`; a
     threshold of zero additionally demands componentwise-identical candidates,
-    the population a zero distance is meant to capture.  `checks`, the
-    stream's `iter_pu_checks` when the caller holds it, replaces the walk;
-    without it the walk runs unrated.
+    the population a zero distance is meant to capture.  `walk`, the
+    stream's `decode_walk` triples when the caller holds them, replaces the
+    walk this embedder would run.
     """
     if cfg.method is not EmbedMethod.INDEX_THRESHOLD:
         raise ValueError(f"config method {cfg.method} does not match embed_index_threshold")
     limit = cfg.value
-    steps = decode_walk(stream) if checks is None else ((c.record, c.cands, c.mv) for c in checks)
     slots = [
         (k, cands.mvp0.x, cands.mvp0.y, cands.mvp1.x, cands.mvp1.y, mv.x, mv.y)
-        for k, (_, cands, mv) in enumerate(steps)
+        for k, (_, cands, mv) in enumerate(decode_walk(stream) if walk is None else walk)
         if (cands.identical if limit == 0 else t_value(cands) <= limit)
     ]
     a = np.array(slots, np.int64).reshape(-1, 7)
@@ -259,18 +260,18 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
 
 
 def embed(
-    stream: SequenceStream, cfg: EmbedConfig, checks: Sequence[PuCheck] | None = None
+    stream: SequenceStream, cfg: EmbedConfig, walk: Sequence[WalkStep] | None = None
 ) -> tuple[SequenceStream, EmbedReport]:
     """Dispatch to the embedder matching `cfg.method`.
 
-    `checks`, when given, must be `list(iter_pu_checks(stream))`: a caller
-    that embeds one stream many times (the experiment, for each cover) walks
-    it once and passes the walk, so tar2 does not replay the stream again.
+    `walk`, when given, must be `list(decode_walk(stream))`: a caller that
+    embeds one stream many times (the experiment, for each cover) walks it
+    once and passes the walk, so tar2 does not replay the stream again.
     tar1 and tar3 ignore it: tar1 decodes its own output, not its input, and
     tar3 decodes its input as arrays.
     """
     if cfg.method is EmbedMethod.MVD_PARITY:
         return embed_mvd_parity(stream, cfg)
     if cfg.method is EmbedMethod.INDEX_THRESHOLD:
-        return embed_index_threshold(stream, cfg, checks)
+        return embed_index_threshold(stream, cfg, walk)
     return embed_index_adaptive(stream, cfg)

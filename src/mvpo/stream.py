@@ -1,9 +1,9 @@
 """Container types for frames and coded motion data.
 
-A `SequenceStream` is its header and one read-only record table, one
-`RECORD_DTYPE` row per PU as the file lays it out: the validated table of a
-stream read from bytes, a list of `PuRecord` (the encoder's) converted once
-when the stream is built, or an embedder's edited copy of its input's table.
+A `SequenceStream` is its header and one read-only `RECORD_DTYPE` table, one
+row per PU as the file lays it out: a table read from bytes, the encoder's, or
+an embedder's edited copy.  Its one constructor checks every record as the
+stream reader does, so every stream in memory is one the reader accepts.
 Readers read the table as it is; each read of `.records` builds a new list.
 """
 
@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .core import Mvd, PU_SIZES, QP_MAX, QP_MIN, _slot_setters
+from .errors import MalformedStreamError
 
 GOP_IPPP = 0
 
@@ -116,19 +116,8 @@ class StreamHeader:
 # one record as the stream file lays it out: <IHHBBhhH, one hex-dump row each
 RECORD_DTYPE = np.dtype([("frame", "<u4"), ("bx", "<u2"), ("by", "<u2"), ("idx", "u1"), ("pad", "u1"),
                          ("dx", "<i2"), ("dy", "<i2"), ("reserved", "<u2")])
-# the record columns a PuRecord carries, and its fields in the same order; pad and reserved stay zero
+# the record columns a PuRecord carries, in its fields' order; pad and reserved stay zero
 _COLUMNS = ("frame", "bx", "by", "idx", "dx", "dy")
-_FIELDS = operator.attrgetter("frame_index", "block_x", "block_y", "idx", "mvd.dx", "mvd.dy")
-
-
-def _table_of(records: Sequence[PuRecord]) -> np.ndarray:
-    """The `RECORD_DTYPE` table of `records`, read in one pass over the list."""
-    n = len(records)
-    values = np.fromiter(chain.from_iterable(map(_FIELDS, records)), np.int64, len(_COLUMNS) * n)
-    table = np.zeros(n, RECORD_DTYPE)
-    for column, name in zip(values.reshape(n, len(_COLUMNS)).T, _COLUMNS):
-        table[name] = column
-    return table
 
 
 def _records_of(table: np.ndarray, rows: int) -> Iterator[PuRecord]:
@@ -144,22 +133,35 @@ def _records_of(table: np.ndarray, rows: int) -> Iterator[PuRecord]:
 class SequenceStream:
     """A coded sequence: header plus a read-only record table in decode (raster) order.
 
-    Two streams are equal when their headers and their tables are.
+    Every stream holds a table the stream reader accepts.  Two streams are
+    equal when their headers and their tables are.
     """
 
     __slots__ = ("header", "table")
 
-    def __init__(self, header: StreamHeader, records: Sequence[PuRecord] = ()):
-        self.header, self.table = header, _table_of(records)
-        self.table.flags.writeable = False
-
-    @classmethod
-    def from_table(cls, header: StreamHeader, table: np.ndarray) -> SequenceStream:
-        """A stream over a validated `RECORD_DTYPE` table, which it makes read-only and keeps."""
-        stream = cls.__new__(cls)
-        stream.header, stream.table = header, table
+    def __init__(self, header: StreamHeader, table: np.ndarray):
+        """Check `table`, a 1-D `RECORD_DTYPE` array, as the stream reader does; make it read-only and keep it."""
+        if not (isinstance(table, np.ndarray) and table.dtype == RECORD_DTYPE and table.ndim == 1):
+            got = f"{table.dtype} {table.shape}" if isinstance(table, np.ndarray) else type(table).__name__
+            raise ValueError(f"a stream's table must be a 1-D RECORD_DTYPE array, got {got}")
+        width, height, ps, frame_count = header.width, header.height, header.pu_size, header.frame_count
+        bx, by = table["bx"], table["by"]
+        checks = (  # in a record-by-record reader's order, each message formatted with the record's fields
+            (table["pad"] != 0, "nonzero pad byte {pad} in record {k}"),
+            (table["reserved"] != 0, "nonzero reserved field {reserved} in record {k}"),
+            (table["frame"] >= frame_count, "record {k} frame {frame} >= frame_count {frame_count}"),
+            ((bx > width - ps) | (by > height - ps) | (bx % ps != 0) | (by % ps != 0),
+             "record {k} block ({bx}, {by}) off the {width}x{height} grid"),
+            (table["idx"] > 1, "invalid record {k}: idx {idx} not in {{0, 1}}"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():  # the reader's error: the first bad record's first failing check
+            k = int(bad.argmax())
+            message = next(message for mask, message in checks if mask[k])
+            record = dict(zip(RECORD_DTYPE.names, table[k].tolist()), k=k, frame_count=frame_count)
+            raise MalformedStreamError(message.format(width=width, height=height, **record))
         table.flags.writeable = False
-        return stream
+        self.header, self.table = header, table
 
     @property
     def records(self) -> list[PuRecord]:

@@ -47,7 +47,13 @@ from mvpo.analyzer import FeatureReport, FrameTally
 from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import MalformedStreamError
 from mvpo.formats import _HEADER, HEADER_SIZE, MAGIC, VERSION
-from mvpo.stream import GOP_IPPP
+from mvpo.stream import GOP_IPPP, RECORD_DTYPE
+
+
+def stream_of(header: StreamHeader, records) -> SequenceStream:
+    """The stream of `records`, one `RECORD_DTYPE` row each with pad and reserved zero, read in one pass."""
+    rows = [(r.frame_index, r.block_x, r.block_y, r.idx, 0, r.mvd.dx, r.mvd.dy, 0) for r in records]
+    return SequenceStream(header, np.array(rows, RECORD_DTYPE))
 
 
 def ue_codeword(code_num: int) -> str:
@@ -125,7 +131,7 @@ def encode_oracle(frames: list[Plane], params: RdParams) -> SequenceStream:
                 ry, rx = by - mv.y // 4, bx - mv.x // 4
                 recon[by : by + ps, bx : bx + ps] = ref[ry : ry + ps, rx : rx + ps]
         ref = recon
-    return SequenceStream(StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames)), records)
+    return stream_of(StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames)), records)
 
 
 def report_oracle(stream: SequenceStream) -> FeatureReport:
@@ -172,7 +178,7 @@ def tar3_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStrea
         report.pus_modified += 1
         report.flips_rate_asymmetric += rate_of(old.mvd) != rate_of(records[k].mvd)
         report.per_frame_modified[old.frame_index] = report.per_frame_modified.get(old.frame_index, 0) + 1
-    return SequenceStream(stream.header, records), report
+    return stream_of(stream.header, records), report
 
 
 _RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved
@@ -214,7 +220,7 @@ def read_stream_oracle(data: bytes) -> SequenceStream:
             records.append(PuRecord(frame_index, block_x, block_y, idx, Mvd(dx, dy)))
         except ValueError as exc:
             raise MalformedStreamError(f"invalid record {len(records)}: {exc}") from exc
-    return SequenceStream(header, records)
+    return stream_of(header, records)
 
 
 SCAFFOLD_LEFT = MotionVector(3, 9)
@@ -235,7 +241,7 @@ def scaffold_stream(target_idx: int, target_mvd: Mvd) -> SequenceStream:
         PuRecord(1, 0, 16, 0, Mvd(SCAFFOLD_LEFT.x, SCAFFOLD_LEFT.y)),
         PuRecord(1, 16, 16, target_idx, target_mvd),
     ]
-    return SequenceStream(header, records)
+    return stream_of(header, records)
 
 
 def encode_synth(
@@ -284,7 +290,7 @@ def valid_streams(draw) -> SequenceStream:
                 mvp = derive_candidates(field, f, bx, by)[idx]
                 field.put(f, bx, by, mv)
                 records.append(PuRecord(f, bx, by, idx, Mvd(mv.x - mvp.x, mv.y - mvp.y)))
-    return SequenceStream(header, records)
+    return stream_of(header, records)
 
 
 @st.composite

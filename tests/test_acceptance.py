@@ -24,7 +24,6 @@ from mvpo import (
     MotionVector,
     Mvd,
     RdParams,
-    SequenceStream,
     SynthPattern,
     SynthSpec,
     Verdict,
@@ -44,7 +43,7 @@ from mvpo import (
 )
 from mvpo.stego import _parity_adjust
 
-from mvpo_testutil import scaffold_stream, se_codeword, ue_codeword
+from mvpo_testutil import scaffold_stream, se_codeword, stream_of, ue_codeword
 
 
 @contextlib.contextmanager
@@ -277,7 +276,7 @@ def test_criterion_8_extraction_is_single_pass_and_cheap():
 
         counted = _CountingRecords(stream.records)
         t0 = time.perf_counter()  # the one pass over the records is the stream's conversion of them
-        report = optimal_rate(SequenceStream(stream.header, counted))
+        report = optimal_rate(stream_of(stream.header, counted))
         extract_s = time.perf_counter() - t0
 
         assert report.n_pus == (352 // 16) * (288 // 16) * 239

@@ -15,7 +15,6 @@ from mvpo import (
     MotionVector,
     Mvd,
     PuRecord,
-    SequenceStream,
     StreamHeader,
     Verdict,
     embed,
@@ -30,7 +29,7 @@ from mvpo.analyzer import FeatureReport, pu_rates
 from mvpo.codec import decode
 from mvpo.core import MV_MAX, MV_MIN
 
-from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, synth_covers, valid_streams
+from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, stream_of, synth_covers, valid_streams
 
 
 PAIR = CandidatePair(MotionVector(3, 9), MotionVector(3, 8))
@@ -92,7 +91,7 @@ def test_iter_pu_checks_exposes_both_rates():
 
 def test_empty_stream_is_indeterminate():
     header = StreamHeader(32, 32, 16, 25, frame_count=1)
-    report = optimal_rate(SequenceStream(header, []))
+    report = optimal_rate(stream_of(header, []))
     assert report.n_pus == 0
     assert report.optimal_rate_pct is None
     assert report.verdict is Verdict.INDETERMINATE
@@ -174,7 +173,7 @@ def test_level_decode_raises_the_walks_error(cover, damage, component, data):
         records[k] = _out_of_range(records[k], checks[k], component)
         if damage == "misplaced-and-out-of-range":  # an order error wins at the same record
             records[k] = dataclasses.replace(records[k], frame_index=0)  # the intra frame carries none
-    damaged = SequenceStream(cover.header, records)
+    damaged = stream_of(cover.header, records)
     with pytest.raises(MalformedStreamError) as walk:
         list(iter_pu_checks(damaged))
     for form in (damaged, read_stream(write_stream(damaged))):
@@ -184,6 +183,6 @@ def test_level_decode_raises_the_walks_error(cover, damage, component, data):
 
 
 def test_level_decode_handles_an_empty_grid():
-    mv, cands = decode(SequenceStream(StreamHeader(32, 32, 16, 25, frame_count=1), []))
+    mv, cands = decode(stream_of(StreamHeader(32, 32, 16, 25, frame_count=1), []))
     assert (mv.shape, cands.shape) == ((0, 2), (0, 2, 2))
     assert mv.dtype == cands.dtype == np.int64

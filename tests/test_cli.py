@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvpo import SequenceStream, StreamHeader, read_stream, write_stream
+from mvpo import StreamHeader, read_stream, write_stream
 from mvpo import cli
 from mvpo.cli import (
     EXIT_INTERNAL,
@@ -16,6 +19,7 @@ from mvpo.cli import (
     EXIT_USAGE,
     main,
 )
+from mvpo_testutil import stream_of
 
 SYNTH = "pattern=objects,size=64x64,frames=6,seed=5,amp=2x2"
 
@@ -223,7 +227,7 @@ def test_records_out_of_order_or_short_are_exit_3_for_every_reader(tmp_path, cap
     else:
         records.pop()
     bad = tmp_path / "bad.mvpo"
-    bad.write_bytes(write_stream(SequenceStream(cover.header, records)))
+    bad.write_bytes(write_stream(stream_of(cover.header, records)))
     before = sorted(tmp_path.iterdir())
     for command in (
         ["embed", "--method", "tar1", "--e", "0.5"],
@@ -240,9 +244,36 @@ def test_records_out_of_order_or_short_are_exit_3_for_every_reader(tmp_path, cap
 def test_a_huge_frame_count_without_records_is_exit_3(tmp_path, capsys):
     # the record count is checked before anything is sized by the frame count
     huge = tmp_path / "huge.mvpo"
-    huge.write_bytes(write_stream(SequenceStream(StreamHeader(64, 64, 16, 25, frame_count=2**32 - 1))))
+    huge.write_bytes(write_stream(stream_of(StreamHeader(64, 64, 16, 25, frame_count=2**32 - 1), [])))
     assert main(["analyze", "--in", str(huge)]) == EXIT_MALFORMED
     assert "record count 0 does not cover the grid" in capsys.readouterr().err
+
+
+def test_analyze_of_a_stream_without_inter_pus_warns_and_exits_0(tmp_path, capsys):
+    empty = tmp_path / "empty.mvpo"
+    empty.write_bytes(write_stream(stream_of(StreamHeader(32, 32, 16, 25, frame_count=1), [])))
+    assert main(["analyze", "--in", str(empty), "--format", "csv", "--out", "-"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "warning: stream carries no inter PUs, verdict is indeterminate\n"
+    assert out.splitlines()[1] == "0,0,,indeterminate"
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.mvpo"]
+
+
+def test_the_module_entry_point_exits_with_the_command_s_code(tmp_path):
+    # `python -m mvpo.cli` runs what the `mvpo` console script runs, `cli.run`, in a process of its own
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def mvpo(*argv):
+        command = [sys.executable, "-m", "mvpo.cli", *argv]
+        return subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+    encoded = mvpo("encode", "--synth", "pattern=shift,size=16x16,frames=2", "--out", "s.mvpo")
+    assert (encoded.returncode, encoded.stdout.split()[0]) == (EXIT_OK, "pus=1")
+    assert (tmp_path / "s.mvpo").is_file()
+    bare = mvpo()
+    assert bare.returncode == EXIT_USAGE and "the following arguments are required: command" in bare.stderr
+    missing = mvpo("analyze", "--in", "absent.mvpo")
+    assert missing.returncode == EXIT_IO and "absent.mvpo" in missing.stderr
 
 
 def test_usage_errors_exit_1():
@@ -389,6 +420,26 @@ def test_experiment_runs_plan(tmp_path, capsys):
     assert "cells=6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("yuv", ["missing", "wrong size"])
+def test_experiment_records_a_yuv_it_cannot_load_as_an_encode_error(tmp_path, capsys, yuv):
+    # the synth sequence's cells still run and the CSV is written; the yuv's are counted as errors
+    clip = tmp_path / "clip.yuv"
+    if yuv == "wrong size":
+        clip.write_bytes(bytes(100))
+    results = tmp_path / "results.csv"
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"sequences = {SYNTH} | yuv={clip},size=32x32,frames=3\nqp = 20, 30\nout = {results}\n")
+    assert main(["experiment", "--plan", str(plan)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    warnings = err.splitlines()
+    assert len(warnings) == 2 and out == f"cells=2 errors=2 out={results}\n"
+    for line, qp in zip(warnings, (20, 30)):
+        assert line.startswith(f"warning: encode clip.yuv qp={qp}: ") and str(clip) in line
+    rows = results.read_text().splitlines()[1:]
+    assert [row.split(",")[:6] for row in rows] == [["cover", str(qp), "", "", "1", "1"] for qp in (20, 30)]
+    assert (tmp_path / "results.csv.meta.json").is_file()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_experiment_jobs_below_one_is_usage_error_before_encoding(tmp_path, monkeypatch, capsys, jobs):
     import mvpo.experiment
@@ -497,6 +548,18 @@ _BAD_FIELDS = [
     # an unknown key or field would be ignored: the plan would run only cover at qp 25
     ("plan", f"sequences = {SYNTH}\nmethod = tar1\nqps = 30\n", "['method', 'qps']"),
     ("plan", "sequences = yuv=a.yuv,size=64x64,frames=3,seed=5\n", "['seed']"),
+    ("synth", "pattern=shift,size=64x64,frames=3,colour=red", "['colour']"),
+    # a field that is no key=value, a missing or unknown pattern, a missing size or frames
+    ("synth", "pattern=shift,size=64x64,frames=3,quick", "bad spec field 'quick', expected key=value"),
+    ("synth", "size=64x64,frames=3", "synth spec needs pattern= one of ['shift', "),
+    ("synth", "pattern=spiral,size=64x64,frames=3", "'pattern=spiral,size=64x64,frames=3'"),
+    ("synth", "pattern=shift,size=64x64", "synth spec needs size= and frames="),
+    ("plan", "sequences = yuv=clip.yuv,size=64x64\n", "yuv source needs size= and frames="),
+    # a plan line that is no key = value, no sequences, an unknown method
+    ("plan", f"sequences = {SYNTH}\nqp 25\n", "plan line 2: expected key = value"),
+    ("plan", "qp = 25\n", "plan needs a sequences= line"),
+    ("plan", "sequences = | \n", "plan lists no sequences"),
+    ("plan", f"sequences = {SYNTH}\nmethods = cover, tar9\n", "unknown method 'tar9', expected cover/tar1/tar2/tar3"),
 ]
 
 

@@ -44,7 +44,7 @@ from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import InputError
 from mvpo.stream import Plane, StreamHeader
 
-from mvpo_testutil import encode_oracle, encode_synth, me_oracle, se_codeword
+from mvpo_testutil import encode_oracle, encode_synth, me_oracle, se_codeword, stream_of
 
 
 # ---------------------------------------------------------------- candidates
@@ -712,7 +712,7 @@ def _walk_peak_bytes(frames: int) -> int:
     header = StreamHeader(64, 64, 8, qp=25, frame_count=frames)
     grid = [(bx, by) for by in range(0, 64, 8) for bx in range(0, 64, 8)]
     records = [PuRecord(f, bx, by, 0, Mvd(4, -4)) for f in range(1, frames) for bx, by in grid]
-    stream = SequenceStream(header, records)
+    stream = stream_of(header, records)
     # a first, cold walk makes one-time allocations (caches, interned objects) that a
     # later walk does not repeat: walk once untraced, so only the walk's own memory counts
     for _ in decode_walk(stream):
@@ -787,7 +787,7 @@ def _small_cover() -> SequenceStream:
 
 def test_decode_walk_rejects_wrong_record_count():
     stream = _small_cover()
-    short = SequenceStream(stream.header, stream.records[:-1])
+    short = stream_of(stream.header, stream.records[:-1])
     with pytest.raises(MalformedStreamError, match="record count"):
         list(decode_walk(short))
 
@@ -797,7 +797,7 @@ def test_decode_walk_rejects_out_of_order_records():
     records = list(stream.records)
     records[0], records[1] = records[1], records[0]
     with pytest.raises(MalformedStreamError, match="raster order"):
-        list(decode_walk(SequenceStream(stream.header, records)))
+        list(decode_walk(stream_of(stream.header, records)))
 
 
 def test_decode_walk_rejects_duplicate_position():
@@ -805,7 +805,7 @@ def test_decode_walk_rejects_duplicate_position():
     records = list(stream.records)
     records[1] = records[0]
     with pytest.raises(MalformedStreamError, match="raster order"):
-        list(decode_walk(SequenceStream(stream.header, records)))
+        list(decode_walk(stream_of(stream.header, records)))
 
 
 def test_decode_walk_rejects_unrepresentable_vectors():
@@ -813,7 +813,7 @@ def test_decode_walk_rejects_unrepresentable_vectors():
     records = list(stream.records)
     records[0] = dataclasses.replace(records[0], mvd=Mvd(32767, 0))
     with pytest.raises(MalformedStreamError, match="out of range"):
-        list(decode_walk(SequenceStream(stream.header, records)))
+        list(decode_walk(stream_of(stream.header, records)))
 
 
 def test_mv_field_validates_geometry():

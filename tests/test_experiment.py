@@ -3,6 +3,7 @@
 import pytest
 
 import mvpo.analyzer
+import mvpo.codec
 import mvpo.experiment
 import mvpo.stego
 from mvpo import (
@@ -64,9 +65,9 @@ TWO_SEQ = "sequences = pattern=objects,size=32x32,frames=3,seed=0 | pattern=nois
 
 
 def _count_decodes(monkeypatch) -> list[int]:
-    """Count the per-PU decode walks started through the analyzer and the embedders."""
+    """Count the per-PU decode walks started through the codec, the analyzer and the embedders."""
     calls = [0]
-    for module in (mvpo.analyzer, mvpo.stego):
+    for module in (mvpo.codec, mvpo.analyzer, mvpo.stego):
         def counted(stream, _walk=module.decode_walk):
             calls[0] += 1
             return _walk(stream)

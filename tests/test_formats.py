@@ -1,6 +1,7 @@
 """Binary stream format, YUV reader, and report rendering."""
 
 import csv
+import dataclasses
 import io
 import json
 import struct
@@ -37,7 +38,14 @@ from mvpo import stream as stream_module
 from mvpo.formats import HEADER_SIZE, MAGIC, RECORD_SIZE, VERSION
 from mvpo.stream import Plane
 
-from mvpo_testutil import encode_synth, read_stream_oracle, scaffold_stream, synth_covers, valid_streams
+from mvpo_testutil import (
+    encode_synth,
+    read_stream_oracle,
+    scaffold_stream,
+    stream_of,
+    synth_covers,
+    valid_streams,
+)
 
 
 # ---------------------------------------------------------------- layout
@@ -49,7 +57,7 @@ def test_header_is_25_bytes_and_records_16():
 
 def test_empty_stream_serializes_to_header_only():
     header = StreamHeader(64, 48, 16, 30, frame_count=1)
-    data = write_stream(SequenceStream(header, []))
+    data = write_stream(stream_of(header, []))
     assert len(data) == 25
     assert data[:4] == b"MVPO"
 
@@ -57,7 +65,7 @@ def test_empty_stream_serializes_to_header_only():
 def test_header_fields_at_documented_offsets():
     # independent parse: little-endian fields straight out of the byte string
     header = StreamHeader(352, 288, 16, 27, frame_count=9)
-    stream = SequenceStream(header, [])
+    stream = stream_of(header, [])
     data = write_stream(stream)
     assert data[0:4] == MAGIC
     assert int.from_bytes(data[4:6], "little") == VERSION
@@ -75,7 +83,7 @@ def test_record_fields_at_documented_offsets():
     record = PuRecord(2, 16, 16, 1, Mvd(-5, 7))
     records = [PuRecord(f, bx, by, 0, Mvd(0, 0)) for f in (1, 2) for by in (0, 16) for bx in (0, 16)]
     records[-1] = record
-    data = write_stream(SequenceStream(header, records))
+    data = write_stream(stream_of(header, records))
     raw = data[HEADER_SIZE + 7 * RECORD_SIZE :]
     assert len(raw) == RECORD_SIZE
     assert int.from_bytes(raw[0:4], "little") == 2
@@ -109,12 +117,13 @@ def test_a_read_stream_builds_its_records_only_when_they_are_read(monkeypatch, t
     data = write_stream(cover)
     (tmp_path / "cover.mvpo").write_bytes(data)
     built = []
+    init = PuRecord.__init__
 
-    def counted(*fields):
+    def counted(self, *fields):
         built.append(fields)
-        return PuRecord(*fields)
+        init(self, *fields)
 
-    monkeypatch.setattr(stream_module, "PuRecord", counted)
+    monkeypatch.setattr(PuRecord, "__init__", counted)  # every PuRecord built anywhere
     stream = read_stream(data)
     report = optimal_rate(stream)
     assert write_stream(stream) == data and stream.n_records == cover.n_records
@@ -125,7 +134,8 @@ def test_a_read_stream_builds_its_records_only_when_they_are_read(monkeypatch, t
     assert cli.main(["embed", "--in", "cover.mvpo", "--method", "tar1", "--e", "1", "--out", "tar1.mvpo"]) == 0
     assert cli.main(["encode", "--synth", "pattern=objects,size=32x32,frames=3", "--out", "new.mvpo"]) == 0
     capsys.readouterr()
-    # analyzing, writing, tar1 and the CLI's analyze, tar1 embed and encode report built no record
+    encode_synth("shift", frames=3)
+    # analyzing, writing, tar1, the CLI's analyze, tar1 embed and encode, and encode_sequence built no record
     assert built == []
     records = stream.records
     assert len(built) == cover.n_records
@@ -152,7 +162,7 @@ def test_save_and_load_files(tmp_path):
 
 @settings(max_examples=60)
 @given(valid_streams() | synth_covers(), st.integers(0, 2**32))
-@example(SequenceStream(StreamHeader(32, 32, 16, 25, frame_count=1), []), 0)
+@example(stream_of(StreamHeader(32, 32, 16, 25, frame_count=1), []), 0)
 def test_every_stream_is_its_header_and_one_read_only_table(cover, seed):
     streams = [cover]
     methods = ((EmbedMethod.MVD_PARITY, 0.5), (EmbedMethod.INDEX_THRESHOLD, 5), (EmbedMethod.INDEX_ADAPTIVE, 0.5))
@@ -164,7 +174,7 @@ def test_every_stream_is_its_header_and_one_read_only_table(cover, seed):
     for stream in streams:
         again = read_stream(write_stream(stream))
         assert again == stream
-        assert SequenceStream(stream.header, stream.records) == stream
+        assert stream_of(stream.header, stream.records) == stream
         for form in (stream, again):
             table = form.table
             assert form.table is table and table.dtype == stream_module.RECORD_DTYPE
@@ -187,7 +197,7 @@ def test_round_trip_arbitrary_records(cells, qp):
         PuRecord(f + 1, 0, 0, idx, Mvd(dx, dy))
         for f, (dx, dy, idx) in enumerate(cells)
     ]
-    stream = SequenceStream(header, records)
+    stream = stream_of(header, records)
     again = read_stream(write_stream(stream))
     assert again.header == stream.header
     assert again.records == stream.records
@@ -230,6 +240,10 @@ def test_read_rejects_invalid_header_fields():
     data = bytearray(_valid_bytes())
     data[12] = 1  # gop tag other than IPPP's 0
     with pytest.raises(MalformedStreamError, match="invalid header field: unknown gop tag 1"):
+        read_stream(bytes(data))
+    data = bytearray(_valid_bytes())
+    data[13:17] = bytes(4)  # no frame, not even the intra one
+    with pytest.raises(MalformedStreamError, match=r"invalid header field: frame_count 0 outside \[1, 4294967295\]"):
         read_stream(bytes(data))
 
 
@@ -330,6 +344,105 @@ def test_read_stream_matches_record_by_record_oracle(data):
     assert all(type(v) is int for r in got.records for v in (r.frame_index, r.block_x, r.block_y, r.idx, r.mvd.dx))
 
 
+# ---------------------------------------------------------------- the one constructor
+
+def _bytes_of(header: StreamHeader, records: list[PuRecord]) -> bytes:
+    """A stream's bytes packed field by field, without `write_stream` or a record table."""
+    h = header
+    fields = (MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, len(records))
+    return struct.pack("<4sHHHBBBIQ", *fields) + b"".join(
+        struct.pack("<IHHBBhhH", r.frame_index, r.block_x, r.block_y, r.idx, 0, r.mvd.dx, r.mvd.dy, 0)
+        for r in records
+    )
+
+
+_U16, _U32 = 2**16 - 1, 2**32 - 1
+_MVD_COMPONENTS = st.one_of(st.sampled_from((-(2**15), 2**15 - 1, 0)), st.integers(-(2**15), 2**15 - 1))
+
+
+@st.composite
+def _records_around_the_grid(draw) -> tuple[StreamHeader, list[PuRecord]]:
+    """A header and 0-6 records, 0-2 of them with a frame or block origin anywhere in its u32/u16 bounds.
+
+    The other records sit on the grid of an existing frame, the intra frame included.
+    """
+    ps = draw(st.sampled_from((8, 16)))
+    cols, rows, frames = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    header = StreamHeader(cols * ps, rows * ps, ps, qp=25, frame_count=frames)
+    mvd = st.builds(Mvd, _MVD_COMPONENTS, _MVD_COMPONENTS)
+    on_grid = [st.integers(0, n - 1).map(lambda c: c * ps) for n in (cols, rows)]
+    record = st.builds(PuRecord, st.integers(0, frames - 1), *on_grid, st.integers(0, 1), mvd)
+    records = draw(st.lists(record, max_size=6))
+    anywhere = {
+        "frame_index": st.one_of(st.sampled_from((frames, _U32)), st.integers(0, _U32)),
+        "block_x": st.one_of(st.sampled_from((header.width, _U16 - ps + 1, _U16)), st.integers(0, _U16)),
+        "block_y": st.one_of(st.sampled_from((header.height, _U16 - ps + 1, _U16)), st.integers(0, _U16)),
+    }
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        k, field = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(sorted(anywhere)))
+        records[k] = dataclasses.replace(records[k], **{field: draw(anywhere[field])})
+    return header, records
+
+
+@settings(max_examples=300)
+@given(_records_around_the_grid())
+@example((StreamHeader(32, 32, 16, 25, frame_count=2), [PuRecord(9, 0, 0, 0, Mvd(0, 0))]))
+@example((StreamHeader(32, 32, 16, 25, frame_count=2), [PuRecord(1, 8, 0, 0, Mvd(0, 0))]))
+def test_a_stream_is_built_only_from_records_the_reader_accepts(case):
+    # the constructor raises the reader's error on the same bytes, named by the record-by-record
+    # oracle, or builds a stream that writes those bytes and reads back equal
+    header, records = case
+    data = _bytes_of(header, records)
+    try:
+        want = read_stream_oracle(data)
+    except MalformedStreamError as exc:
+        with pytest.raises(MalformedStreamError) as built:
+            stream_of(header, records)
+        with pytest.raises(MalformedStreamError) as read:
+            read_stream(data)
+        assert str(built.value) == str(read.value) == str(exc)
+        return
+    stream = stream_of(header, records)
+    assert write_stream(stream) == data
+    assert read_stream(write_stream(stream)) == stream == want
+
+
+_DAMAGE = {"pad": st.integers(0, 255), "reserved": st.integers(0, _U16), "idx": st.integers(0, 255)}
+
+
+@settings(max_examples=100)
+@given(valid_streams(), st.sampled_from(sorted(_DAMAGE)), st.data())
+def test_a_table_with_bad_pad_reserved_or_idx_is_refused_as_the_reader_refuses_it(stream, column, data):
+    table = stream.table.copy()
+    k = data.draw(st.integers(0, len(table) - 1))
+    table[column][k] = data.draw(_DAMAGE[column])
+    raw = write_stream(stream)[:HEADER_SIZE] + table.tobytes()
+    try:
+        want = read_stream_oracle(raw)
+    except MalformedStreamError as exc:
+        with pytest.raises(MalformedStreamError) as built:
+            SequenceStream(stream.header, table)
+        assert str(built.value) == str(exc)
+        assert table.flags.writeable  # a refused table is left as it was
+        return
+    assert SequenceStream(stream.header, table) == want == read_stream(raw)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.zeros((1, 2), stream_module.RECORD_DTYPE),
+        np.zeros(2, stream_module.RECORD_DTYPE.newbyteorder(">")),
+        np.zeros(2, np.int64),
+        [PuRecord(1, 0, 0, 0, Mvd(0, 0))],  # records are read through `stream_of`, not the constructor
+    ],
+    ids=["2-D", "big-endian", "int64", "records"],
+)
+def test_the_constructor_takes_only_a_1d_record_table(table):
+    with pytest.raises(ValueError, match="a stream's table must be a 1-D RECORD_DTYPE array"):
+        SequenceStream(StreamHeader(16, 16, 16, 25, frame_count=2), table)
+
+
 def test_single_byte_corruption_never_crashes():
     base = _valid_bytes()
     for i in range(len(base)):
@@ -384,6 +497,13 @@ def test_iter_yuv_is_lazy(tmp_path):
     assert next(it).data[0, 0] == 20
     with pytest.raises(StopIteration):
         next(it)
+
+
+def test_plane_is_a_2d_uint8_array():
+    with pytest.raises(ValueError, match=r"plane must be 2-D, got shape \(16,\)"):
+        Plane(np.zeros(16, np.uint8))
+    with pytest.raises(ValueError, match="plane must be uint8, got int16"):
+        Plane(np.zeros((4, 4), np.int16))
 
 
 def test_yuv_spec_validation():

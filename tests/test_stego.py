@@ -34,7 +34,15 @@ from mvpo import (
 from mvpo.stego import _parity_adjust
 from mvpo.stream import GOP_IPPP, StreamHeader
 
-from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, synth_covers, tar3_oracle, valid_streams
+from mvpo_testutil import (
+    encode_synth,
+    report_oracle,
+    scaffold_stream,
+    stream_of,
+    synth_covers,
+    tar3_oracle,
+    valid_streams,
+)
 
 
 def _cover() -> SequenceStream:
@@ -213,7 +221,7 @@ def test_threshold_zero_selects_identical_pairs_only():
         PuRecord(1, 0, 16, 0, Mvd(-4, 8)),   # left neighbour of the target
         PuRecord(1, 16, 16, 1, Mvd(0, 0)),   # candidates (-4,8) and (4,8)
     ]
-    cover = SequenceStream(header, records)
+    cover = stream_of(header, records)
     assert optimal_rate(cover).verdict is Verdict.COVER
     cfg = EmbedConfig(EmbedMethod.INDEX_THRESHOLD, 0, payload=[0])
     stego, report = embed_index_threshold(cover, cfg)
@@ -318,7 +326,7 @@ def test_embed_dispatcher_routes_all_methods():
 def _near_bound_pair() -> SequenceStream:
     """A 32x16 two-PU stream whose tar1 nudges (payload 0) move the second vector to -8194."""
     header = StreamHeader(32, 16, 16, qp=25, gop=GOP_IPPP, frame_count=2)
-    return SequenceStream(header, [PuRecord(1, 0, 0, 0, Mvd(-8187, 0)), PuRecord(1, 16, 0, 0, Mvd(-5, 0))])
+    return stream_of(header, [PuRecord(1, 0, 0, 0, Mvd(-8187, 0)), PuRecord(1, 16, 0, 0, Mvd(-5, 0))])
 
 
 def test_parity_embed_refuses_an_output_that_would_not_decode():
@@ -415,7 +423,7 @@ def test_adaptive_embed_raises_the_walk_oracle_error_on_a_damaged_stream(stream,
         records[0], records[1] = records[1], records[0]
     else:
         records.pop()
-    damaged = SequenceStream(stream.header, records)
+    damaged = stream_of(stream.header, records)
     cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap)
     with pytest.raises(MalformedStreamError) as got:
         embed_index_adaptive(damaged, cfg)
@@ -435,11 +443,11 @@ _HELD_CONFIGS = (
 @settings(max_examples=60)
 @given(valid_streams(), st.integers(0, 2**32), _PAYLOADS)
 def test_held_decode_gives_the_same_embeds_and_analysis(stream, seed, payload):
-    checks = list(iter_pu_checks(stream))
+    walk = list(decode_walk(stream))
     assert optimal_rate(stream) == report_oracle(stream)
     for fields in _HELD_CONFIGS:
         cfg = EmbedConfig(rng_seed=seed, payload=payload, **fields)
-        held, held_report = embed(stream, cfg, checks)
+        held, held_report = embed(stream, cfg, walk)
         walked, walked_report = embed(stream, cfg)
         assert held.header == walked.header and held.records == walked.records
         assert held_report == walked_report
