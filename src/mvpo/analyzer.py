@@ -122,20 +122,17 @@ def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.n
 
 
 def optimal_rate(stream: SequenceStream) -> FeatureReport:
-    """List the violations; the decode checks one record per PU of each P-frame, so the counts follow.
+    """List the violations; a stream holds one record per PU of each P-frame, so the counts follow.
 
     The stream's record table is decoded by `codec.decode` and rated in numpy;
-    no per-PU object is built.
+    no per-PU object is built.  Each P-frame's tally counts its whole grid:
+    the stream constructor checked the record count and raster order.
     """
     table = stream.table
     chosen, other = pu_rates(table, *decode(stream))
     worse = chosen > other
     violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
-    n_pus = stream.n_records
-    n_optimal = n_pus - len(violations)
+    n = stream.header.pus_per_frame
     bad = Counter(f for f, _, _ in violations)
-    pus_per_frame = stream.header.pus_per_frame
-    per_frame = {
-        f: FrameTally(pus_per_frame, pus_per_frame - bad[f]) for f in range(1, stream.header.frame_count)
-    }
-    return FeatureReport(n_pus, n_optimal, per_frame, violations)
+    per_frame = {f: FrameTally(n, n - bad[f]) for f in range(1, stream.header.frame_count)}
+    return FeatureReport(stream.n_records, stream.n_records - len(violations), per_frame, violations)

@@ -5,20 +5,23 @@ the previous reconstructed frame, integer-pel full search over SAD plus a
 weighted motion rate, and a two-entry predictor candidate list rebuilt from
 already-decoded vectors.
 
-The decoder walks PUs in raster order, stepping frame and block counters,
-and keeps the vectors of two frames.  `decode` computes the same vectors and
-candidates from a stream's record table a level at a time: level L holds the
-PUs with frame + column + row == L, and a PU's left, above and co-located
-neighbours all sit on level L - 1, the order of HEVC's wavefront
-parallelism carried across frames.  The encoder walks each P-frame one
-anti-diagonal of PUs at a time (equal bx/ps + by/ps) and searches a whole
-diagonal in one batched `motion_estimate` call.  The order is exact: a PU's
-candidates read only its left and above neighbours, both on the previous
-diagonal, and the co-located vector of the previous frame, and its search
-reads only the previous reconstructed frame.  So each PU sees the candidates,
-window and reference it would see in raster order, and candidate lists agree
-on both sides by construction.  The encoder writes each P-frame's indices and
-differences straight into the stream's record table, in raster order.
+A stream holds one record per PU of every P-frame in raster order (the
+stream constructor checks it), so the decoders check only the vectors they
+reconstruct.  The decoder walks the records in that order, reading each PU's
+position from its record, and keeps the vectors of two frames.  `decode`
+computes the same vectors and candidates from a stream's record table a
+level at a time: level L holds the PUs with frame + column + row == L, and a
+PU's left, above and co-located neighbours all sit on level L - 1, the order
+of HEVC's wavefront parallelism carried across frames.  The encoder walks
+each P-frame one anti-diagonal of PUs at a time (equal bx/ps + by/ps) and
+searches a whole diagonal in one batched `motion_estimate` call.  The order
+is exact: a PU's candidates read only its left and above neighbours, both on
+the previous diagonal, and the co-located vector of the previous frame, and
+its search reads only the previous reconstructed frame.  So each PU sees the
+candidates, window and reference it would see in raster order, and candidate
+lists agree on both sides by construction.  The encoder writes each
+P-frame's indices and differences straight into the stream's record table,
+in raster order.
 
 Once per P-frame the encoder lays the reconstructed reference out as a
 `window_table`, in which every candidate block is one contiguous run of
@@ -56,7 +59,8 @@ from .core import (
     _SE_BITS_TABLE,
 )
 from .errors import InputError, MalformedStreamError
-from .stream import GOP_IPPP, RECORD_DTYPE, Plane, PuRecord, SequenceStream, StreamHeader, _records_of
+from .stream import (GOP_IPPP, RECORD_DTYPE, Plane, PuRecord, SequenceStream, StreamHeader, _records_of,
+                     raster_positions)
 
 
 @dataclasses.dataclass
@@ -378,9 +382,7 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     n_pus = cols * rows
     # the record table in raster order: frame and position now, each P-frame's idx, dx and dy once it is coded
     records = np.zeros((len(frames) - 1) * n_pus, RECORD_DTYPE)
-    raster = np.arange(len(records))
-    records["frame"], records["bx"] = raster // n_pus + 1, raster % cols * ps
-    records["by"] = raster % n_pus // cols * ps
+    records["frame"], records["bx"], records["by"] = raster_positions(header)
     # anti-diagonal k holds the PUs at grid (col, row) with col + row == k
     diagonals = [
         [(col * ps, (k - col) * ps) for col in range(max(0, k - rows + 1), min(k, cols - 1) + 1)]
@@ -413,25 +415,21 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
 def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePair, MotionVector]]:
     """Replay a stream in decode order, yielding each PU with its candidates and vector.
 
-    Enforces exactly one record per PU of every P-frame, in raster order, and
-    rejects reconstructed vectors that leave the representable range.  It
+    The stream holds one record per PU of every P-frame, in raster order; the
+    walk rejects reconstructed vectors that leave the representable range.  It
     builds the records of one frame of table rows at a time, sharing one `Mvd`
     per distinct difference of the whole table, and holds the vectors of the
     current and previous frame only, which candidates read.
     """
     header = stream.header
-    per_frame = header.pus_per_frame
-    n = (header.frame_count - 1) * per_frame
-    if stream.n_records != n:
-        raise MalformedStreamError(f"record count {stream.n_records} does not cover the grid (expected {n})")
-    ps, width, height = header.pu_size, header.width, header.height
-    field = MvField(width, height, ps)
+    field = MvField(header.width, header.height, header.pu_size)
     shared: dict[tuple[int, int], MotionVector] = {}  # equal vectors share one object
-    f, bx, by = 1, 0, 0  # the raster position the next record must carry
-    for record in _records_of(stream.table, per_frame):
-        if record.block_x != bx or record.block_y != by or record.frame_index != f:
-            got = (record.frame_index, record.block_x, record.block_y)
-            raise MalformedStreamError(f"record at {got} out of raster order, expected {(f, bx, by)}")
+    current = 1  # the frame whose vectors the field gathers
+    for record in _records_of(stream.table, header.pus_per_frame):
+        f, bx, by = record.frame_index, record.block_x, record.block_y
+        if f != current:  # a new frame: its candidates read only the frame before it
+            field._mvs = {key: v for key, v in field._mvs.items() if key[0] == current}
+            current = f
         cands = derive_candidates(field, f, bx, by)
         mvp, mvd = cands.mvp1 if record.idx else cands.mvp0, record.mvd
         x, y = mvd.dx + mvp.x, mvd.dy + mvp.y
@@ -444,12 +442,6 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
             shared[x, y] = mv
         field._mvs[f, bx, by] = mv
         yield record, cands, mv
-        bx += ps
-        if bx == width:
-            bx, by = 0, by + ps
-            if by == height:
-                by, f = 0, f + 1
-                field._mvs = {key: v for key, v in field._mvs.items() if key[0] == f - 1}
 
 
 @functools.lru_cache(maxsize=4)
@@ -496,16 +488,11 @@ def decode(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
 
     Returns raster-order int64 arrays `mv` (n, 2) and `cands` (n, 2, 2),
     equal to the vectors and candidate pairs `decode_walk` yields, and raises
-    the `MalformedStreamError` it raises, for the same first bad record.
+    the `MalformedStreamError` it raises for the first vector out of range.
     """
-    header = stream.header
-    pus_per_frame = header.pus_per_frame
-    n = (header.frame_count - 1) * pus_per_frame
-    if stream.n_records != n:  # before anything is sized by the frame count
-        raise MalformedStreamError(f"record count {stream.n_records} does not cover the grid (expected {n})")
-    table, ps = stream.table, header.pu_size
-    cols = header.width // ps
-    order, (left, above, colocated), bounds = _levels(header.frame_count - 1, header.height // ps, cols)
+    header, table, n = stream.header, stream.table, stream.n_records
+    rows, cols = header.height // header.pu_size, header.width // header.pu_size
+    order, (left, above, colocated), bounds = _levels(header.frame_count - 1, rows, cols)
     # int64 before any arithmetic: the int16 columns would wrap
     mvd = _pack(table["dx"].astype(np.int64), table["dy"].astype(np.int64))[order]
     signals_b = table["idx"][order].astype(bool)
@@ -520,21 +507,15 @@ def decode(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
     mv[order] = _unpack(packed[:n])
     cands[order] = _unpack(np.stack((cand_a, cand_b), axis=1))
 
-    # the walk stops at its first bad record: out of raster order, or a vector out of range
-    raster = np.arange(n)
-    frame, bx, by = raster // pus_per_frame + 1, raster % cols * ps, raster % pus_per_frame // cols * ps
-    misplaced = (table["frame"] != frame) | (table["bx"] != bx) | (table["by"] != by)
-    bad = misplaced | ((mv < MV_MIN) | (mv > MV_MAX)).any(axis=1)
+    # the walk stops at its first vector out of range
+    bad = ((mv < MV_MIN) | (mv > MV_MAX)).any(axis=1)
     if bad.any():
         k = int(bad.argmax())
-        expected = (int(frame[k]), int(bx[k]), int(by[k]))
-        if misplaced[k]:
-            got = tuple(table[["frame", "bx", "by"]][k].tolist())
-            raise MalformedStreamError(f"record at {got} out of raster order, expected {expected}")
         try:
             MotionVector(*mv[k].tolist())
         except ValueError as exc:  # the walk's message, naming x before y
-            raise MalformedStreamError(f"reconstructed vector out of range at {expected}: {exc}") from exc
+            at = tuple(table[["frame", "bx", "by"]][k].tolist())
+            raise MalformedStreamError(f"reconstructed vector out of range at {at}: {exc}") from exc
     return mv, cands
 
 

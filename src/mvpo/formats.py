@@ -8,10 +8,11 @@ truncation, count mismatches, and out-of-range fields each raise a distinct
 
 The records are read as one numpy structured array, which the stream
 constructor validates at once, column by column, as it validates every stream
-(see `stream`); a failure names the first bad record and the first check it
-fails.  The stream read keeps that array as its read-only record table and
-builds no per-record objects.  Writing is the header plus the stream's table,
-whichever way the stream was made: every stream holds one.
+(see `stream`): first that there is one record per PU of every P-frame, then
+each record's fields and its raster position.  A failure names the first bad
+record and the first check it fails.  The stream read keeps that array as its
+read-only record table and builds no per-record objects.  Writing is the header
+plus the stream's table, whichever way the stream was made: every stream holds one.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 A `SequenceStream` is its header and one read-only `RECORD_DTYPE` table, one
 row per PU as the file lays it out: a table read from bytes, the encoder's, or
 an embedder's edited copy.  Its one constructor checks every record as the
-stream reader does, so every stream in memory is one the reader accepts.
+stream reader does, so every stream in memory is one the reader accepts: one
+record per PU of every P-frame, at the position `raster_positions` gives it.
 Readers read the table as it is; each read of `.records` builds a new list.
 """
 
@@ -130,11 +131,28 @@ def _records_of(table: np.ndarray, rows: int) -> Iterator[PuRecord]:
         yield from map(PuRecord, f, x, y, i, map(mvds, dx, dy))
 
 
+@functools.lru_cache(maxsize=4)
+def raster_positions(header: StreamHeader) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `frame`, `bx` and `by` columns of every P-frame PU of `header`'s grid, in raster order.
+
+    Record k of a stream sits at entry k of each: frames count from 1, the
+    first P-frame, and blocks go row by row.  Typed as the record columns; read-only.
+    """
+    ps, cols, per_frame = header.pu_size, header.width // header.pu_size, header.pus_per_frame
+    k = np.arange((header.frame_count - 1) * per_frame)
+    positions = {"frame": k // per_frame + 1, "bx": k % cols * ps, "by": k % per_frame // cols * ps}
+    columns = tuple(column.astype(RECORD_DTYPE[name]) for name, column in positions.items())
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 class SequenceStream:
     """A coded sequence: header plus a read-only record table in decode (raster) order.
 
-    Every stream holds a table the stream reader accepts.  Two streams are
-    equal when their headers and their tables are.
+    Every stream holds a table the stream reader accepts: one record per PU of
+    every P-frame, each at its raster position.  Two streams are equal when
+    their headers and their tables are.
     """
 
     __slots__ = ("header", "table")
@@ -144,22 +162,23 @@ class SequenceStream:
         if not (isinstance(table, np.ndarray) and table.dtype == RECORD_DTYPE and table.ndim == 1):
             got = f"{table.dtype} {table.shape}" if isinstance(table, np.ndarray) else type(table).__name__
             raise ValueError(f"a stream's table must be a 1-D RECORD_DTYPE array, got {got}")
-        width, height, ps, frame_count = header.width, header.height, header.pu_size, header.frame_count
-        bx, by = table["bx"], table["by"]
+        n = (header.frame_count - 1) * header.pus_per_frame
+        if len(table) != n:  # before anything is sized by the frame count
+            raise MalformedStreamError(f"record count {len(table)} does not cover the grid (expected {n})")
+        frame, bx, by = raster_positions(header)
         checks = (  # in a record-by-record reader's order, each message formatted with the record's fields
             (table["pad"] != 0, "nonzero pad byte {pad} in record {k}"),
             (table["reserved"] != 0, "nonzero reserved field {reserved} in record {k}"),
-            (table["frame"] >= frame_count, "record {k} frame {frame} >= frame_count {frame_count}"),
-            ((bx > width - ps) | (by > height - ps) | (bx % ps != 0) | (by % ps != 0),
-             "record {k} block ({bx}, {by}) off the {width}x{height} grid"),
+            ((table["frame"] != frame) | (table["bx"] != bx) | (table["by"] != by),
+             "record at ({frame}, {bx}, {by}) out of raster order, expected {expected}"),
             (table["idx"] > 1, "invalid record {k}: idx {idx} not in {{0, 1}}"),
         )
         bad = np.logical_or.reduce([mask for mask, _ in checks])
         if bad.any():  # the reader's error: the first bad record's first failing check
             k = int(bad.argmax())
             message = next(message for mask, message in checks if mask[k])
-            record = dict(zip(RECORD_DTYPE.names, table[k].tolist()), k=k, frame_count=frame_count)
-            raise MalformedStreamError(message.format(width=width, height=height, **record))
+            record = dict(zip(RECORD_DTYPE.names, table[k].tolist()), k=k)
+            raise MalformedStreamError(message.format(expected=(int(frame[k]), int(bx[k]), int(by[k])), **record))
         table.flags.writeable = False
         self.header, self.table = header, table
 

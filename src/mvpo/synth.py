@@ -46,6 +46,11 @@ class SynthSpec:
     objects: tuple[MovingRect, ...] | None = None
 
     def __post_init__(self):
+        try:  # a pattern may be given by its value, as in `SynthSpec("shift", ...)`
+            object.__setattr__(self, "pattern", SynthPattern(self.pattern))
+        except ValueError:
+            names = [p.value for p in SynthPattern]
+            raise InputError(f"unknown pattern {self.pattern!r}, expected one of {names}") from None
         if self.width <= 0 or self.height <= 0:
             raise InputError(f"bad dimensions {self.width}x{self.height}")
         if self.frame_count < 1:
@@ -111,10 +116,5 @@ def synthesize(spec: SynthSpec) -> list[Plane]:
             frames.append(Plane(frame))
         return frames
 
-    if spec.pattern is SynthPattern.NOISE_TEXTURE:
-        return [
-            Plane(_texture(_rng(spec.seed, 0, k), spec.height, spec.width))
-            for k in range(spec.frame_count)
-        ]
-
-    raise InputError(f"unknown pattern {spec.pattern!r}")
+    # SynthPattern.NOISE_TEXTURE
+    return [Plane(_texture(_rng(spec.seed, 0, k), spec.height, spec.width)) for k in range(spec.frame_count)]

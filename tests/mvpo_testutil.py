@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the implementation:
 codeword lengths come from literally constructing the prefix code as a
 string, motion search from a double loop with scalar arithmetic,
 encoding from a raster-order walk that searches one PU at a time,
-stream parsing from a loop that unpacks and checks one record at a time,
+stream parsing from a loop that unpacks and checks one record at a time
+against a nested loop over the raster positions,
 the analysis report from a count over the per-PU checks of the decode walk,
 and tar3's slots from a sort of those checks.
 """
@@ -43,17 +44,37 @@ from mvpo import (
     select_mvp,
     synthesize,
 )
-from mvpo.analyzer import FeatureReport, FrameTally
+from mvpo.analyzer import FeatureReport, FrameTally, PuCheck
 from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import MalformedStreamError
 from mvpo.formats import _HEADER, HEADER_SIZE, MAGIC, VERSION
 from mvpo.stream import GOP_IPPP, RECORD_DTYPE
 
 
+_RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved
+
+
+def out_of_range(check: PuCheck, component: str) -> PuRecord:
+    """`check`'s record with a difference that takes its vector one step outside the range on `component`."""
+    record, mv = check.record, check.mv
+    mvp = check.cands[record.idx]
+    x, y = {"x": (MV_MAX + 1, mv.y), "y": (mv.x, MV_MIN - 1), "xy": (MV_MIN - 1, MV_MAX + 1)}[component]
+    return PuRecord(record.frame_index, record.block_x, record.block_y, record.idx, Mvd(x - mvp.x, y - mvp.y))
+
+
 def stream_of(header: StreamHeader, records) -> SequenceStream:
     """The stream of `records`, one `RECORD_DTYPE` row each with pad and reserved zero, read in one pass."""
     rows = [(r.frame_index, r.block_x, r.block_y, r.idx, 0, r.mvd.dx, r.mvd.dy, 0) for r in records]
     return SequenceStream(header, np.array(rows, RECORD_DTYPE))
+
+
+def stream_bytes(header: StreamHeader, records) -> bytes:
+    """A stream's bytes packed field by field, without `write_stream`, a record table or a check."""
+    h = header
+    fields = (MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, len(records))
+    return struct.pack("<4sHHHBBBIQ", *fields) + b"".join(
+        _RECORD.pack(r.frame_index, r.block_x, r.block_y, r.idx, 0, r.mvd.dx, r.mvd.dy, 0) for r in records
+    )
 
 
 def ue_codeword(code_num: int) -> str:
@@ -181,9 +202,6 @@ def tar3_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStrea
     return stream_of(stream.header, records), report
 
 
-_RECORD = struct.Struct("<IHHBBhhH")  # frame, bx, by, idx, pad, dx, dy, reserved
-
-
 def read_stream_oracle(data: bytes) -> SequenceStream:
     """Reference parser: unpack and check one record at a time, stopping at the first bad one."""
     if len(data) < HEADER_SIZE:
@@ -202,20 +220,22 @@ def read_stream_oracle(data: bytes) -> SequenceStream:
         raise MalformedStreamError(f"truncated stream: {len(data)} bytes, {n_records} records need {expected}")
     if len(data) > expected:
         raise MalformedStreamError(f"record count mismatch: {len(data) - expected} trailing bytes")
+    grid = (frame_count - 1) * (width // pu_size) * (height // pu_size)
+    if n_records != grid:
+        raise MalformedStreamError(f"record count {n_records} does not cover the grid (expected {grid})")
 
     records = []
-    for fields in _RECORD.iter_unpack(data[HEADER_SIZE:]):
+    rows, cols = range(0, height, pu_size), range(0, width, pu_size)
+    raster = ((f, bx, by) for f in range(1, frame_count) for by in rows for bx in cols)
+    for fields, position in zip(_RECORD.iter_unpack(data[HEADER_SIZE:]), raster):
         frame_index, block_x, block_y, idx, pad, dx, dy, reserved = fields
         if pad != 0:
             raise MalformedStreamError(f"nonzero pad byte {pad} in record {len(records)}")
         if reserved != 0:
             raise MalformedStreamError(f"nonzero reserved field {reserved} in record {len(records)}")
-        if frame_index >= frame_count:
-            raise MalformedStreamError(f"record {len(records)} frame {frame_index} >= frame_count {frame_count}")
-        if block_x + pu_size > width or block_y + pu_size > height or block_x % pu_size or block_y % pu_size:
-            raise MalformedStreamError(
-                f"record {len(records)} block ({block_x}, {block_y}) off the {width}x{height} grid"
-            )
+        if (frame_index, block_x, block_y) != position:
+            got = (frame_index, block_x, block_y)
+            raise MalformedStreamError(f"record at {got} out of raster order, expected {position}")
         try:
             records.append(PuRecord(frame_index, block_x, block_y, idx, Mvd(dx, dy)))
         except ValueError as exc:

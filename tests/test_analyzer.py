@@ -27,9 +27,18 @@ from mvpo import (
 )
 from mvpo.analyzer import FeatureReport, pu_rates
 from mvpo.codec import decode
-from mvpo.core import MV_MAX, MV_MIN
 
-from mvpo_testutil import encode_synth, report_oracle, scaffold_stream, stream_of, synth_covers, valid_streams
+from mvpo_testutil import (
+    encode_synth,
+    out_of_range,
+    read_stream_oracle,
+    report_oracle,
+    scaffold_stream,
+    stream_bytes,
+    stream_of,
+    synth_covers,
+    valid_streams,
+)
 
 
 PAIR = CandidatePair(MotionVector(3, 9), MotionVector(3, 8))
@@ -146,14 +155,6 @@ def test_level_decode_gives_the_walks_vectors_candidates_and_rates(cover, seed, 
     assert optimal_rate(read_stream(data)) == report
 
 
-def _out_of_range(record, check, component):
-    """`record` with a difference that takes its vector one step outside the range on `component`."""
-    mvp = check.cands[record.idx]
-    target = {"x": (MV_MAX + 1, check.mv.y), "y": (check.mv.x, MV_MIN - 1), "xy": (MV_MIN - 1, MV_MAX + 1)}
-    x, y = target[component]
-    return dataclasses.replace(record, mvd=Mvd(x - mvp.x, y - mvp.y))
-
-
 @settings(max_examples=80)
 @given(
     valid_streams() | synth_covers(),
@@ -165,14 +166,27 @@ def test_level_decode_raises_the_walks_error(cover, damage, component, data):
     records, checks = list(cover.records), list(iter_pu_checks(cover))
     assume(damage != "swapped" or len(records) > 1)
     k = data.draw(st.integers(0, len(records) - (2 if damage == "swapped" else 1)))
+    at = [(r.frame_index, r.block_x, r.block_y) for r in records]
     if damage == "swapped":
         records[k], records[k + 1] = records[k + 1], records[k]
+        message = f"record at {at[k + 1]} out of raster order, expected {at[k]}"
     elif damage == "dropped":
         del records[k]
+        message = f"record count {len(records)} does not cover the grid (expected {len(at)})"
     else:
-        records[k] = _out_of_range(records[k], checks[k], component)
-        if damage == "misplaced-and-out-of-range":  # an order error wins at the same record
+        records[k] = out_of_range(checks[k], component)
+        if damage == "misplaced-and-out-of-range":  # refused as misplaced before its vector is decoded
             records[k] = dataclasses.replace(records[k], frame_index=0)  # the intra frame carries none
+            message = f"record at {(0, *at[k][1:])} out of raster order, expected {at[k]}"
+    if damage != "out-of-range":
+        # a missing or misplaced record is refused with the reader's error before any decode
+        raw = stream_bytes(cover.header, records)
+        builds = (read_stream_oracle, read_stream, lambda raw: stream_of(cover.header, records))
+        for build in builds:
+            with pytest.raises(MalformedStreamError) as refused:
+                build(raw)
+            assert str(refused.value) == message
+        return
     damaged = stream_of(cover.header, records)
     with pytest.raises(MalformedStreamError) as walk:
         list(iter_pu_checks(damaged))

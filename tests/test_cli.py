@@ -19,7 +19,7 @@ from mvpo.cli import (
     EXIT_USAGE,
     main,
 )
-from mvpo_testutil import stream_of
+from mvpo_testutil import stream_bytes, stream_of
 
 SYNTH = "pattern=objects,size=64x64,frames=6,seed=5,amp=2x2"
 
@@ -227,7 +227,11 @@ def test_records_out_of_order_or_short_are_exit_3_for_every_reader(tmp_path, cap
     else:
         records.pop()
     bad = tmp_path / "bad.mvpo"
-    bad.write_bytes(write_stream(stream_of(cover.header, records)))
+    bad.write_bytes(stream_bytes(cover.header, records))
+    message = {
+        "swapped": "record at (1, 16, 0) out of raster order, expected (1, 0, 0)",
+        "short": "record count 7 does not cover the grid (expected 8)",
+    }[damage]
     before = sorted(tmp_path.iterdir())
     for command in (
         ["embed", "--method", "tar1", "--e", "0.5"],
@@ -237,16 +241,18 @@ def test_records_out_of_order_or_short_are_exit_3_for_every_reader(tmp_path, cap
     ):
         code = main([*command, "--in", str(bad), "--out", str(tmp_path / "out.mvpo")])
         assert code == EXIT_MALFORMED, command
-        assert "malformed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed" in err and message in err
         assert sorted(tmp_path.iterdir()) == before  # no artifact, no sidecar
 
 
 def test_a_huge_frame_count_without_records_is_exit_3(tmp_path, capsys):
     # the record count is checked before anything is sized by the frame count
     huge = tmp_path / "huge.mvpo"
-    huge.write_bytes(write_stream(stream_of(StreamHeader(64, 64, 16, 25, frame_count=2**32 - 1), [])))
+    huge.write_bytes(stream_bytes(StreamHeader(64, 64, 16, 25, frame_count=2**32 - 1), []))
     assert main(["analyze", "--in", str(huge)]) == EXIT_MALFORMED
-    assert "record count 0 does not cover the grid" in capsys.readouterr().err
+    assert "record count 0 does not cover the grid (expected 68719476704)" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.mvpo"]
 
 
 def test_analyze_of_a_stream_without_inter_pus_warns_and_exits_0(tmp_path, capsys):

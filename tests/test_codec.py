@@ -44,7 +44,7 @@ from mvpo.core import MV_MAX, MV_MIN
 from mvpo.errors import InputError
 from mvpo.stream import Plane, StreamHeader
 
-from mvpo_testutil import encode_oracle, encode_synth, me_oracle, se_codeword, stream_of
+from mvpo_testutil import encode_oracle, encode_synth, me_oracle, se_codeword, stream_bytes, stream_of
 
 
 # ---------------------------------------------------------------- candidates
@@ -786,26 +786,34 @@ def _small_cover() -> SequenceStream:
 
 
 def test_decode_walk_rejects_wrong_record_count():
+    # a stream covers its grid: the reader and the constructor refuse a short table before any walk
     stream = _small_cover()
-    short = stream_of(stream.header, stream.records[:-1])
-    with pytest.raises(MalformedStreamError, match="record count"):
-        list(decode_walk(short))
+    short = stream.records[:-1]
+    with pytest.raises(MalformedStreamError) as read:
+        read_stream(stream_bytes(stream.header, short))
+    with pytest.raises(MalformedStreamError) as built:
+        stream_of(stream.header, short)
+    assert str(read.value) == str(built.value) == "record count 7 does not cover the grid (expected 8)"
 
 
 def test_decode_walk_rejects_out_of_order_records():
     stream = _small_cover()
     records = list(stream.records)
     records[0], records[1] = records[1], records[0]
-    with pytest.raises(MalformedStreamError, match="raster order"):
-        list(decode_walk(stream_of(stream.header, records)))
+    # refused when the stream is built, so no walk meets it
+    with pytest.raises(MalformedStreamError) as exc:
+        stream_of(stream.header, records)
+    assert str(exc.value) == "record at (1, 16, 0) out of raster order, expected (1, 0, 0)"
 
 
 def test_decode_walk_rejects_duplicate_position():
     stream = _small_cover()
     records = list(stream.records)
     records[1] = records[0]
-    with pytest.raises(MalformedStreamError, match="raster order"):
-        list(decode_walk(stream_of(stream.header, records)))
+    # refused when the stream is built, so no walk meets it
+    with pytest.raises(MalformedStreamError) as exc:
+        stream_of(stream.header, records)
+    assert str(exc.value) == "record at (1, 0, 0) out of raster order, expected (1, 16, 0)"
 
 
 def test_decode_walk_rejects_unrepresentable_vectors():

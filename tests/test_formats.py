@@ -4,11 +4,12 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -42,6 +43,7 @@ from mvpo_testutil import (
     encode_synth,
     read_stream_oracle,
     scaffold_stream,
+    stream_bytes,
     stream_of,
     synth_covers,
     valid_streams,
@@ -65,8 +67,9 @@ def test_empty_stream_serializes_to_header_only():
 def test_header_fields_at_documented_offsets():
     # independent parse: little-endian fields straight out of the byte string
     header = StreamHeader(352, 288, 16, 27, frame_count=9)
-    stream = stream_of(header, [])
-    data = write_stream(stream)
+    rows, cols = range(0, 288, 16), range(0, 352, 16)
+    grid = [PuRecord(f, x, y, 0, Mvd(0, 0)) for f in range(1, 9) for y in rows for x in cols]
+    data = write_stream(stream_of(header, grid))
     assert data[0:4] == MAGIC
     assert int.from_bytes(data[4:6], "little") == VERSION
     assert int.from_bytes(data[6:8], "little") == 352
@@ -75,7 +78,8 @@ def test_header_fields_at_documented_offsets():
     assert data[11] == 27
     assert data[12] == 0  # IPPP tag
     assert int.from_bytes(data[13:17], "little") == 9
-    assert int.from_bytes(data[17:25], "little") == 0
+    assert int.from_bytes(data[17:25], "little") == 8 * 22 * 18 == len(grid)
+    assert len(data) == HEADER_SIZE + len(grid) * RECORD_SIZE
 
 
 def test_record_fields_at_documented_offsets():
@@ -271,19 +275,22 @@ def test_read_rejects_nonzero_pad_and_reserved():
 def test_read_rejects_frame_index_beyond_header():
     data = bytearray(_valid_bytes())
     data[HEADER_SIZE + 0] = 9  # frame_count in the scaffold header is 2
-    with pytest.raises(MalformedStreamError, match="frame"):
+    with pytest.raises(MalformedStreamError) as exc:
         read_stream(bytes(data))
+    assert str(exc.value) == "record at (9, 0, 0) out of raster order, expected (1, 0, 0)"
 
 
 def test_read_rejects_off_grid_blocks():
     data = bytearray(_valid_bytes())
     data[HEADER_SIZE + 4] = 8  # block_x 8 is not a multiple of pu_size 16
-    with pytest.raises(MalformedStreamError, match="grid"):
+    with pytest.raises(MalformedStreamError) as exc:
         read_stream(bytes(data))
+    assert str(exc.value) == "record at (1, 8, 0) out of raster order, expected (1, 0, 0)"
     data = bytearray(_valid_bytes())
     struct.pack_into("<H", data, HEADER_SIZE + 4, 32)  # beyond the 32-wide frame
-    with pytest.raises(MalformedStreamError, match="grid"):
+    with pytest.raises(MalformedStreamError) as exc:
         read_stream(bytes(data))
+    assert str(exc.value) == "record at (1, 32, 0) out of raster order, expected (1, 0, 0)"
 
 
 def test_read_names_the_first_bad_record_and_its_first_failing_check():
@@ -295,8 +302,8 @@ def test_read_names_the_first_bad_record_and_its_first_failing_check():
     for field, offset, size, message in [
         ("pad", 9, 1, "nonzero pad byte 5 in record 2"),
         ("reserved", 14, 2, "nonzero reserved field 9 in record 2"),
-        ("frame", 0, 4, "record 2 frame 7 >= frame_count 2"),
-        ("block_x", 4, 2, "record 2 block (8, 16) off the 32x32 grid"),
+        ("frame", 0, 4, "record at (7, 8, 16) out of raster order, expected (1, 0, 16)"),
+        ("block_x", 4, 2, "record at (1, 8, 16) out of raster order, expected (1, 0, 16)"),
         ("idx", 8, 1, "invalid record 2: idx 2 not in {0, 1}"),
     ]:
         with pytest.raises(MalformedStreamError) as exc:
@@ -346,38 +353,38 @@ def test_read_stream_matches_record_by_record_oracle(data):
 
 # ---------------------------------------------------------------- the one constructor
 
-def _bytes_of(header: StreamHeader, records: list[PuRecord]) -> bytes:
-    """A stream's bytes packed field by field, without `write_stream` or a record table."""
-    h = header
-    fields = (MAGIC, VERSION, h.width, h.height, h.pu_size, h.qp, h.gop, h.frame_count, len(records))
-    return struct.pack("<4sHHHBBBIQ", *fields) + b"".join(
-        struct.pack("<IHHBBhhH", r.frame_index, r.block_x, r.block_y, r.idx, 0, r.mvd.dx, r.mvd.dy, 0)
-        for r in records
-    )
-
-
 _U16, _U32 = 2**16 - 1, 2**32 - 1
 _MVD_COMPONENTS = st.one_of(st.sampled_from((-(2**15), 2**15 - 1, 0)), st.integers(-(2**15), 2**15 - 1))
 
 
+def _anywhere(header: StreamHeader) -> dict:
+    """Values anywhere in each position field's u32/u16 bounds, often ones just off `header`'s grid."""
+    ps = header.pu_size
+    return {
+        "frame_index": st.one_of(st.sampled_from((0, header.frame_count, _U32)), st.integers(0, _U32)),
+        "block_x": st.one_of(st.sampled_from((header.width, _U16 - ps + 1, _U16)), st.integers(0, _U16)),
+        "block_y": st.one_of(st.sampled_from((header.height, _U16 - ps + 1, _U16)), st.integers(0, _U16)),
+    }
+
+
 @st.composite
 def _records_around_the_grid(draw) -> tuple[StreamHeader, list[PuRecord]]:
-    """A header and 0-6 records, 0-2 of them with a frame or block origin anywhere in its u32/u16 bounds.
+    """A header and 0-6 loose records or a whole raster grid of them, 0-2 then with a position moved anywhere.
 
-    The other records sit on the grid of an existing frame, the intra frame included.
+    A loose record sits on the grid of an existing frame, the intra frame
+    included; a whole grid holds one record per P-frame PU in raster order,
+    so its records get past the count check to the record checks.
     """
     ps = draw(st.sampled_from((8, 16)))
     cols, rows, frames = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     header = StreamHeader(cols * ps, rows * ps, ps, qp=25, frame_count=frames)
     mvd = st.builds(Mvd, _MVD_COMPONENTS, _MVD_COMPONENTS)
     on_grid = [st.integers(0, n - 1).map(lambda c: c * ps) for n in (cols, rows)]
-    record = st.builds(PuRecord, st.integers(0, frames - 1), *on_grid, st.integers(0, 1), mvd)
-    records = draw(st.lists(record, max_size=6))
-    anywhere = {
-        "frame_index": st.one_of(st.sampled_from((frames, _U32)), st.integers(0, _U32)),
-        "block_x": st.one_of(st.sampled_from((header.width, _U16 - ps + 1, _U16)), st.integers(0, _U16)),
-        "block_y": st.one_of(st.sampled_from((header.height, _U16 - ps + 1, _U16)), st.integers(0, _U16)),
-    }
+    loose = st.lists(st.builds(PuRecord, st.integers(0, frames - 1), *on_grid, st.integers(0, 1), mvd), max_size=6)
+    raster = [(f, x * ps, y * ps) for f in range(1, frames) for y in range(rows) for x in range(cols)]
+    whole = st.tuples(*(st.builds(PuRecord, *map(st.just, at), st.integers(0, 1), mvd) for at in raster)).map(list)
+    records = draw(st.one_of(loose, whole))
+    anywhere = _anywhere(header)
     for _ in range(draw(st.integers(0, 2)) if records else 0):
         k, field = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(sorted(anywhere)))
         records[k] = dataclasses.replace(records[k], **{field: draw(anywhere[field])})
@@ -392,7 +399,7 @@ def test_a_stream_is_built_only_from_records_the_reader_accepts(case):
     # the constructor raises the reader's error on the same bytes, named by the record-by-record
     # oracle, or builds a stream that writes those bytes and reads back equal
     header, records = case
-    data = _bytes_of(header, records)
+    data = stream_bytes(header, records)
     try:
         want = read_stream_oracle(data)
     except MalformedStreamError as exc:
@@ -405,6 +412,35 @@ def test_a_stream_is_built_only_from_records_the_reader_accepts(case):
     stream = stream_of(header, records)
     assert write_stream(stream) == data
     assert read_stream(write_stream(stream)) == stream == want
+
+
+@settings(max_examples=200)
+@given(valid_streams() | synth_covers(), st.sampled_from(("swap", "drop", "duplicate", "move")), st.data())
+def test_a_record_off_its_raster_position_is_refused_by_the_reader_and_the_constructor(stream, damage, data):
+    # every grid PU has one record at its raster position, so each damage leaves one misplaced or the count wrong
+    records = stream.records
+    k = data.draw(st.integers(0, len(records) - 1))
+    if damage == "swap":
+        assume(len(records) > 1)
+        j = data.draw(st.integers(0, len(records) - 1).filter(lambda j: j != k))
+        records[k], records[j] = records[j], records[k]
+    elif damage == "drop":
+        del records[k]
+    elif damage == "duplicate":
+        records.insert(k, records[k])
+    else:
+        field = data.draw(st.sampled_from(("frame_index", "block_x", "block_y")))
+        value = data.draw(_anywhere(stream.header)[field].filter(lambda v: v != getattr(records[k], field)))
+        records[k] = dataclasses.replace(records[k], **{field: value})
+    raw = stream_bytes(stream.header, records)
+    with pytest.raises(MalformedStreamError) as oracle:
+        read_stream_oracle(raw)
+    assert "out of raster order" in str(oracle.value) or "does not cover the grid" in str(oracle.value)
+    with pytest.raises(MalformedStreamError) as read:
+        read_stream(raw)
+    with pytest.raises(MalformedStreamError) as built:
+        stream_of(stream.header, records)
+    assert str(read.value) == str(built.value) == str(oracle.value)
 
 
 _DAMAGE = {"pad": st.integers(0, 255), "reserved": st.integers(0, _U16), "idx": st.integers(0, 255)}
@@ -495,6 +531,21 @@ def test_iter_yuv_is_lazy(tmp_path):
     it = iter_yuv_lumas(path, YuvSpec(32, 16, 2))
     assert next(it).data[0, 0] == 10
     assert next(it).data[0, 0] == 20
+    with pytest.raises(StopIteration):
+        next(it)
+
+
+def test_iter_yuv_refuses_a_file_cut_short_while_it_is_read(tmp_path):
+    # the size is checked when the first frame is read; a cut after that shows as a short read.
+    # 64x64 frames outrun the reader's 8 KiB buffer, so the cut is not hidden by buffered bytes
+    path = tmp_path / "clip.yuv"
+    _write_yuv(path, [np.full((64, 64), v, dtype=np.uint8) for v in (10, 20, 30)])
+    spec = YuvSpec(64, 64, 3)
+    it = iter_yuv_lumas(path, spec)
+    assert next(it).data[0, 0] == 10
+    os.truncate(path, spec.frame_bytes)
+    with pytest.raises(InputError, match=r"clip\.yuv: short read, file changed underneath$"):
+        next(it)
     with pytest.raises(StopIteration):
         next(it)
 

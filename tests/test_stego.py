@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
@@ -36,6 +36,7 @@ from mvpo.stream import GOP_IPPP, StreamHeader
 
 from mvpo_testutil import (
     encode_synth,
+    out_of_range,
     report_oracle,
     scaffold_stream,
     stream_of,
@@ -414,15 +415,13 @@ def test_adaptive_embed_matches_the_walk_oracle(stream, bpap, seed, payload):
 
 
 @settings(max_examples=40)
-@given(valid_streams() | synth_covers(), st.sampled_from(("swapped", "short")), _BPAPS)
-def test_adaptive_embed_raises_the_walk_oracle_error_on_a_damaged_stream(stream, damage, bpap):
-    # the damage of test_records_out_of_order_or_short_are_exit_3_for_every_reader
+@given(valid_streams() | synth_covers(), st.sampled_from(("x", "y", "xy")), _BPAPS, st.data())
+def test_adaptive_embed_raises_the_walk_oracle_error_on_a_damaged_stream(stream, component, bpap, data):
+    # one difference that takes its vector out of range: the stream is whole, so only a decode refuses it
+    checks = list(iter_pu_checks(stream))
+    k = data.draw(st.integers(0, len(checks) - 1))
     records = stream.records
-    if damage == "swapped":
-        assume(len(records) >= 2)
-        records[0], records[1] = records[1], records[0]
-    else:
-        records.pop()
+    records[k] = record = out_of_range(checks[k], component)
     damaged = stream_of(stream.header, records)
     cfg = EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap)
     with pytest.raises(MalformedStreamError) as got:
@@ -430,6 +429,8 @@ def test_adaptive_embed_raises_the_walk_oracle_error_on_a_damaged_stream(stream,
     with pytest.raises(MalformedStreamError) as expected:
         tar3_oracle(damaged, cfg)
     assert str(got.value) == str(expected.value)
+    at = (record.frame_index, record.block_x, record.block_y)
+    assert str(got.value).startswith(f"reconstructed vector out of range at {at}: ")
 
 
 # ---------------------------------------------------------------- the held decode

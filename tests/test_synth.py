@@ -90,6 +90,16 @@ def test_spec_validation():
         SynthSpec(SynthPattern.GLOBAL_SHIFT, 32, 32, 0)
 
 
+def test_a_pattern_given_by_its_value_is_that_pattern():
+    for pattern in SynthPattern:
+        spec = SynthSpec(pattern.value, 32, 32, 3, seed=4)
+        assert spec == SynthSpec(pattern, 32, 32, 3, seed=4)
+        assert spec.pattern is pattern
+        assert synthesize(spec) == synthesize(SynthSpec(pattern, 32, 32, 3, seed=4))
+    with pytest.raises(InputError, match=r"^unknown pattern 'shiftx', expected one of \['shift', 'objects', 'noise'\]$"):
+        SynthSpec("shiftx", 32, 32, 2)
+
+
 def test_encoded_synthetic_sequences_have_full_grids():
     stream, _, _ = encode_synth("objects", size=(48, 32), frames=4, amp=(1, 1), seed=9)
     assert stream.n_records == (48 // 16) * (32 // 16) * 3
