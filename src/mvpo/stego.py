@@ -6,7 +6,9 @@ rows that differ, building no output record; every stream they return decodes.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
   nudging it by one quarter-pel when needed, then decodes its output's record
-  table with `codec.decode`, the analyzer's decode.
+  table with `codec.decode`, the analyzer's decode.  It draws each random
+  stream in one `getrandbits` call, whose 32-bit words are exactly those that
+  per-record `random()` and `getrandbits(1)` calls would consume.
 * `embed_index_threshold` and `embed_index_adaptive` hide bits in the
   candidate index and differ only in the PUs, the slots, they choose:
   tar2 walks the decode one PU at a time and takes the PUs whose two
@@ -33,7 +35,7 @@ import numpy as np
 
 from .analyzer import mvd_rates, pu_rates
 from .codec import decode, decode_walk
-from .core import CandidatePair, MotionVector, Mvd, MVD_MAX, MVD_MIN, rate_of
+from .core import CandidatePair, MotionVector, MVD_MAX, MVD_MIN
 from .stream import PuRecord, SequenceStream
 
 WalkStep = tuple[PuRecord, CandidatePair, MotionVector]  # one `decode_walk` step
@@ -53,6 +55,10 @@ class EmbedConfig:
     payload: Sequence[int] | None = None
 
     def __post_init__(self):
+        try:  # random.Random seeds a float from its hash, a stream unlike any integer's
+            object.__setattr__(self, "rng_seed", operator.index(self.rng_seed))
+        except TypeError:
+            raise ValueError(f"rng_seed {self.rng_seed} must be an integer") from None
         # random.Random(-s) seeds like Random(s), so a negative seed would alias a positive one
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed {self.rng_seed} must be >= 0")
@@ -115,34 +121,21 @@ class EmbedReport:
         }
 
 
-def _payload(cfg: EmbedConfig, seed: int, n: int) -> list[int]:
-    """The first `n` payload bits: the explicit payload cycled, else `n` draws of a PRNG seeded `seed`."""
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    """`rng`'s next `n` 32-bit outputs, in order: one `getrandbits` call puts the first in the lowest bits."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+
+
+def _payload(cfg: EmbedConfig, seed: int, n: int) -> np.ndarray:
+    """The first `n` payload bits: the explicit payload cycled, else n `getrandbits(1)` draws seeded `seed`."""
     if cfg.payload is not None:
-        return [cfg.payload[j % len(cfg.payload)] for j in range(n)]
-    rng = random.Random(seed)
-    return [rng.getrandbits(1) for _ in range(n)]
+        return np.resize(np.array(cfg.payload, np.int64), n)
+    return (_words(random.Random(seed), n) >> 31).astype(np.int64)
 
 
 def t_value(cands: CandidatePair) -> int:
     """Absolute-component distance between the two candidates."""
     return abs(abs(cands.mvp1.x) - abs(cands.mvp0.x)) + abs(abs(cands.mvp1.y) - abs(cands.mvp0.y))
-
-
-def _parity_adjust(mvd: Mvd, use_x: bool, bit: int) -> Mvd:
-    """Force the parity of one component to `bit`, moving one quarter-pel at most.
-
-    A component already carrying the right parity stays put.  Otherwise the
-    direction that codes cheaper wins; an exact rate tie steps down.
-    """
-    value = mvd.dx if use_x else mvd.dy
-    if value & 1 == bit:
-        return mvd
-
-    def rebuilt(v: int) -> Mvd:
-        return Mvd(v, mvd.dy) if use_x else Mvd(mvd.dx, v)
-
-    options = [rebuilt(value + step) for step in (-1, +1) if MVD_MIN <= value + step <= MVD_MAX]
-    return min(options, key=rate_of)  # min() keeps the first of a tie: the -1 step
 
 
 def _stego(
@@ -166,33 +159,34 @@ def _stego(
 def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
     """Select each PU with probability e, `cfg.value`, and host one parity bit there.
 
-    All randomness is drawn per record, keyed to decode order, so the PUs
+    Each record k takes the k-th draw of each random stream, so the PUs
     selected at a lower strength are a subset of those at a higher one under
-    the same seed, and each keeps the same component and payload bit.  The
-    output is decoded whole, so a malformed input, or a nudge that pushes a
-    later vector out of range, raises `MalformedStreamError`.
+    the same seed, and each keeps the same component and payload bit.  A
+    component without the bit's parity moves one quarter-pel, to the option
+    in range that codes cheaper; an exact rate tie steps down.  The output is
+    decoded whole, so a malformed input, or a nudge that pushes a later
+    vector out of range, raises `MalformedStreamError`.
     """
     if cfg.method is not EmbedMethod.MVD_PARITY:
         raise ValueError(f"config method {cfg.method} does not match embed_mvd_parity")
     master = random.Random(cfg.rng_seed)
-    select = random.Random(master.getrandbits(64))
-    coin = random.Random(master.getrandbits(64))
-    payload = _payload(cfg, master.getrandbits(64), stream.n_records)
-
+    select, coin = random.Random(master.getrandbits(64)), random.Random(master.getrandbits(64))
+    n = stream.n_records
+    payload = _payload(cfg, master.getrandbits(64), n)
+    # random() builds (a >> 5) * 2**26 + (b >> 6) over 2**53 from its next two outputs a, b
+    a, b = _words(select, 2 * n).astype(np.int64).reshape(-1, 2).T
+    selected = ((a >> 5) * 2**26 + (b >> 6)) * 2.0**-53 < cfg.value
+    use_x = _words(coin, n) >> 31 == 1  # getrandbits(1) is the top bit of one output
     table = stream.table.copy()
-    dxs, dys = table["dx"].tolist(), table["dy"].tolist()
-    bits = 0
-    draw, flip, e = select.random, coin.getrandbits, cfg.value
-    for k, (dx, dy) in enumerate(zip(dxs, dys)):
-        u = draw()
-        use_x = flip(1) == 1
-        if u < e:
-            bits += 1
-            if (dx if use_x else dy) & 1 != payload[k]:  # else the parity already holds the bit
-                mvd = _parity_adjust(Mvd(dx, dy), use_x, payload[k])
-                dxs[k], dys[k] = mvd.dx, mvd.dy
-    table["dx"], table["dy"] = dxs, dys
-    stego, report = _stego(EmbedMethod.MVD_PARITY, stream, table, bits)
+    mvd = np.stack((table["dx"], table["dy"]), 1).astype(np.int64)
+    k = np.flatnonzero(selected & (np.where(use_x, mvd[:, 0], mvd[:, 1]) & 1 != payload))
+    step = np.stack((use_x[k], ~use_x[k]), 1)  # one quarter-pel on the chosen component
+    down, up = mvd[k] - step, mvd[k] + step
+    # the clip only keeps the pricing in range: a step past the range is masked, and -1 wins a rate tie
+    rate_down, rate_up = np.split(mvd_rates(*np.clip(np.concatenate((down, up)), MVD_MIN, MVD_MAX).T), 2)
+    take_down = (down.min(1) >= MVD_MIN) & ((up.max(1) > MVD_MAX) | (rate_down <= rate_up))
+    table["dx"][k], table["dy"][k] = np.where(take_down[:, None], down, up).T
+    stego, report = _stego(EmbedMethod.MVD_PARITY, stream, table, int(np.count_nonzero(selected)))
     decode(stego)
     return stego, report
 
@@ -205,7 +199,7 @@ def _write_indices(
     The new difference is taken against the newly signalled candidate, so the
     vector survives; a record whose index already holds its bit is kept as is.
     """
-    bits = np.array(_payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots)), np.int64)
+    bits = _payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots))
     write = np.flatnonzero(stream.table["idx"][slots] != bits)
     k, bit = slots[write], bits[write]
     mvd = mv[write] - cands[write, bit]

@@ -7,6 +7,7 @@ encoding from a raster-order walk that searches one PU at a time,
 stream parsing from a loop that unpacks and checks one record at a time
 against a nested loop over the raster positions,
 the analysis report from a count over the per-PU checks of the decode walk,
+tar1's output from a loop that draws and nudges one record at a time,
 and tar3's slots from a sort of those checks.
 """
 
@@ -35,6 +36,7 @@ from mvpo import (
     StreamHeader,
     SynthPattern,
     SynthSpec,
+    decode_walk,
     derive_candidates,
     encode_sequence,
     iter_pu_checks,
@@ -45,7 +47,7 @@ from mvpo import (
     synthesize,
 )
 from mvpo.analyzer import FeatureReport, FrameTally, PuCheck
-from mvpo.core import MV_MAX, MV_MIN
+from mvpo.core import MV_MAX, MV_MIN, MVD_MAX, MVD_MIN
 from mvpo.errors import MalformedStreamError
 from mvpo.formats import _HEADER, HEADER_SIZE, MAGIC, VERSION
 from mvpo.stream import GOP_IPPP, RECORD_DTYPE
@@ -173,6 +175,58 @@ def report_oracle(stream: SequenceStream) -> FeatureReport:
     return FeatureReport(n_pus, n_optimal, per_frame, violations)
 
 
+def payload_oracle(cfg: EmbedConfig, seed: int, n: int) -> list[int]:
+    """The first `n` payload bits: the explicit payload cycled, else one `getrandbits(1)` call per bit."""
+    if cfg.payload is not None:
+        return [cfg.payload[j % len(cfg.payload)] for j in range(n)]
+    rng = random.Random(seed)
+    return [rng.getrandbits(1) for _ in range(n)]
+
+
+def parity_adjust(mvd: Mvd, use_x: bool, bit: int) -> Mvd:
+    """Force the parity of one component to `bit`, moving one quarter-pel at most.
+
+    A component already carrying the right parity stays put.  Otherwise the
+    direction in range that codes cheaper wins; an exact rate tie steps down.
+    """
+    value = mvd.dx if use_x else mvd.dy
+    if value & 1 == bit:
+        return mvd
+
+    def rebuilt(v: int) -> Mvd:
+        return Mvd(v, mvd.dy) if use_x else Mvd(mvd.dx, v)
+
+    options = [rebuilt(value + step) for step in (-1, +1) if MVD_MIN <= value + step <= MVD_MAX]
+    return min(options, key=rate_of)  # min() keeps the first of a tie: the -1 step
+
+
+def tar1_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
+    """Reference tar1: draw, select and nudge one record at a time, then walk the output's decode.
+
+    Record k takes the k-th `random()` of the selection PRNG, the k-th
+    `getrandbits(1)` of the component PRNG and payload bit k.
+    """
+    master = random.Random(cfg.rng_seed)
+    select = random.Random(master.getrandbits(64))
+    coin = random.Random(master.getrandbits(64))
+    records = stream.records
+    payload = payload_oracle(cfg, master.getrandbits(64), len(records))
+    report = EmbedReport(EmbedMethod.MVD_PARITY, pus_visited=len(records))
+    for k, old in enumerate(records):
+        u = select.random()
+        use_x = coin.getrandbits(1) == 1
+        if u < cfg.value:
+            report.bits_embedded += 1
+            mvd = parity_adjust(old.mvd, use_x, payload[k])
+            if mvd != old.mvd:
+                records[k] = PuRecord(old.frame_index, old.block_x, old.block_y, old.idx, mvd)
+                report.pus_modified += 1
+                report.per_frame_modified[old.frame_index] = report.per_frame_modified.get(old.frame_index, 0) + 1
+    stego = stream_of(stream.header, records)
+    list(decode_walk(stego))
+    return stego, report
+
+
 def tar3_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
     """Reference tar3: sort the `iter_pu_checks` of the decode walk by rate gap, then rewrite one record at a time.
 
@@ -184,11 +238,7 @@ def tar3_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStrea
     target = math.ceil(Fraction(repr(float(cfg.value))) * len(checks))
     gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
     slots = sorted(range(len(checks)), key=gaps.__getitem__)[:target]
-    if cfg.payload is not None:
-        bits = [cfg.payload[j % len(cfg.payload)] for j in range(len(slots))]
-    else:
-        rng = random.Random(random.Random(cfg.rng_seed).getrandbits(64))
-        bits = [rng.getrandbits(1) for _ in slots]
+    bits = payload_oracle(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots))
     records = [check.record for check in checks]
     report = EmbedReport(EmbedMethod.INDEX_ADAPTIVE, pus_visited=len(records), bits_embedded=len(slots))
     for k, bit in zip(slots, bits):

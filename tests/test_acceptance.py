@@ -41,9 +41,7 @@ from mvpo import (
     ue_bits,
     write_stream,
 )
-from mvpo.stego import _parity_adjust
-
-from mvpo_testutil import scaffold_stream, se_codeword, stream_of, ue_codeword
+from mvpo_testutil import parity_adjust, scaffold_stream, se_codeword, stream_of, ue_codeword
 
 
 @contextlib.contextmanager
@@ -210,7 +208,7 @@ def test_criterion_5_worked_example_streams():
         assert write_stream(produced) == write_stream(flipped)
 
         # (c) a one-quarter-pel difference change: decoder sees 5 against 3
-        assert _parity_adjust(Mvd(0, 0), use_x=False, bit=1) == Mvd(0, -1)
+        assert parity_adjust(Mvd(0, 0), use_x=False, bit=1) == Mvd(0, -1)
         nudged = scaffold_stream(0, Mvd(0, -1))
         report_c = optimal_rate(nudged)
         assert report_c.verdict is Verdict.STEGO

@@ -1,13 +1,20 @@
 """CLI harness: exit codes, artifacts, determinism, report rendering."""
 
+import contextlib
+import functools
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpo import StreamHeader, read_stream, write_stream
 from mvpo import cli
@@ -19,7 +26,9 @@ from mvpo.cli import (
     EXIT_USAGE,
     main,
 )
-from mvpo_testutil import stream_bytes, stream_of
+from mvpo.formats import HEADER_SIZE
+from mvpo.stego import METHOD_TAGS
+from mvpo_testutil import encode_synth, stream_bytes, stream_of
 
 SYNTH = "pattern=objects,size=64x64,frames=6,seed=5,amp=2x2"
 
@@ -607,3 +616,111 @@ def test_bad_size_names_the_field_it_parses(tmp_path, monkeypatch, capsys, argv,
     assert main(["encode", *argv, "--out", "out.mvpo"]) == EXIT_IO
     assert capsys.readouterr().err == f"mvpo: error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["clip.yuv"]
+
+
+# ---------------------------------------------------------------- embed over any flag text and input
+
+# flag texts at and past every edge: NaN, infinities, negative zero, overflow, hex, fractions, and
+# integers past 64 bits, past a float and past the interpreter's 4300-digit conversion limit
+_FLAG_TEXTS = ("nan", "inf", "-inf", "-0", "1e400", "0x10", "1.5", "-1", "0", "1", "0.3", "5",
+               str(2**64 + 1), "9" * 400, "9" * 5000)
+_SOURCES = ("cover", "truncated", "damaged idx", "missing")
+
+
+@functools.cache
+def _small_cover() -> bytes:
+    stream, _, _ = encode_synth("objects", size=(32, 32), frames=3, amp=(2, 2))
+    return write_stream(stream)
+
+
+def _converts(convert, text: str) -> bool:
+    """Whether argparse hands `text` to its flag and `convert` takes it: a leading '-' must read as a number."""
+    if text.startswith("-") and not re.fullmatch(r"-\d+|-\d*\.\d+", text):
+        return False  # argparse reads it as an option, so the flag misses its argument
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """`main(argv)`'s exit code, an argparse exit included, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _files(root: str) -> set[str]:
+    return {os.path.join(folder, name) for folder, _, names in os.walk(root) for name in names}
+
+
+# each draw leans towards a valid choice, so that a fair share of the runs reach the input and succeed
+_TEXTS = st.sampled_from(("0", "1", "-0", "0.3", "5", str(2**64 + 1))) | st.sampled_from(_FLAG_TEXTS)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(sorted(METHOD_TAGS)),
+    _TEXTS | st.none(),
+    st.just({}) | st.dictionaries(st.sampled_from(sorted(METHOD_TAGS)), _TEXTS, max_size=1),
+    st.none() | _TEXTS,
+    st.just("cover") | st.sampled_from(_SOURCES),
+    st.just(True) | st.booleans(),
+)
+def test_embed_exits_by_the_first_fault_in_its_flags_and_files(method, own, others, seed, source, out_dir):
+    tag = METHOD_TAGS[method]
+    flags = {tag.param: own} if own is not None else {}
+    flags.update({METHOD_TAGS[m].param: text for m, text in others.items() if m != method})
+    with tempfile.TemporaryDirectory() as root:
+        stream = os.path.join(root, "in.mvpo")
+        data = bytearray(_small_cover())
+        if source == "truncated":
+            del data[-5:]
+        if source == "damaged idx":
+            data[HEADER_SIZE + 8] = 2  # record 0's idx byte, after frame (u32), bx and by (u16)
+        if source != "missing":
+            with open(stream, "wb") as f:
+                f.write(data)
+        out = os.path.join(root, "stego", "out.mvpo")
+        if out_dir:
+            os.mkdir(os.path.dirname(out))
+        argv = ["embed", "--in", stream, "--method", method, "--out", out]
+        for flag, text in flags.items():
+            argv += [f"--{flag}", text]
+        if seed is not None:
+            argv += ["--seed", seed]
+        before = _files(root)
+        code, err = _run(argv)
+        after = _files(root)
+
+    # the checks run in this order: argparse's conversions, the output directory, the values, the input
+    converts = {t.param: t.convert for t in METHOD_TAGS.values()}
+    unparsed = [f"--{flag}" for flag, text in flags.items() if not _converts(converts[flag], text)]
+    if seed is not None and not _converts(int, seed):
+        unparsed.append("--seed")
+    refused = [f"--{flag}" for flag in flags if flag != tag.param]
+    if own is None:
+        refused.append(f"--{tag.param}")
+    elif not unparsed and not tag.low <= tag.convert(own) <= tag.high:  # NaN fails too
+        refused.append(f"error: {tag.param} ")
+    if seed is not None and not unparsed and int(seed) < 0:
+        refused.append("error: rng_seed ")
+    if unparsed or (out_dir and refused):
+        assert code == EXIT_USAGE, err
+        assert any(name in err for name in unparsed or refused), err
+    elif not out_dir:
+        assert (code, err) == (EXIT_IO, f"mvpo: error: output directory {os.path.dirname(out)} does not exist\n")
+    elif source == "missing":
+        assert code == EXIT_IO and err.startswith("mvpo: error: ") and stream in err, err
+    elif source != "cover":
+        assert code == EXIT_MALFORMED and err.startswith("mvpo: malformed stream: "), err
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        assert after - before == {out, out + ".report.json"}
+    if code != EXIT_OK:
+        assert after == before

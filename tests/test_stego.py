@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,16 +33,18 @@ from mvpo import (
     t_value,
     write_stream,
 )
-from mvpo.stego import _parity_adjust
+from mvpo.core import MVD_MAX, MVD_MIN
 from mvpo.stream import GOP_IPPP, StreamHeader
 
 from mvpo_testutil import (
     encode_synth,
     out_of_range,
+    parity_adjust,
     report_oracle,
     scaffold_stream,
     stream_of,
     synth_covers,
+    tar1_oracle,
     tar3_oracle,
     valid_streams,
 )
@@ -85,6 +89,17 @@ def test_config_validates_per_method():
         assert bits == (1, 0) and all(type(b) is int for b in bits)
 
 
+def test_config_seed_is_an_integer():
+    # a numpy integer seeds like the int it holds; a float is refused, not seeded from its hash
+    cover = scaffold_stream(0, Mvd(0, 0))
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, rng_seed=np.int64(3))
+    assert type(cfg.rng_seed) is int and cfg == EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, rng_seed=3)
+    assert embed(cover, cfg) == embed(cover, EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, rng_seed=3))
+    for seed in (2.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match=rf"^rng_seed {seed} must be an integer$"):
+            EmbedConfig(EmbedMethod.MVD_PARITY, 0.5, rng_seed=seed)
+
+
 def test_embed_dispatch_checks_method():
     cover = scaffold_stream(0, Mvd(0, 0))
     cfg = EmbedConfig(EmbedMethod.MVD_PARITY, 0.5)
@@ -106,18 +121,18 @@ def test_t_value_examples():
 # ---------------------------------------------------------------- parity embedder
 
 def test_parity_adjust_keeps_matching_parity():
-    assert _parity_adjust(Mvd(0, 0), use_x=False, bit=0) == Mvd(0, 0)
-    assert _parity_adjust(Mvd(3, 5), use_x=True, bit=1) == Mvd(3, 5)
+    assert parity_adjust(Mvd(0, 0), use_x=False, bit=0) == Mvd(0, 0)
+    assert parity_adjust(Mvd(3, 5), use_x=True, bit=1) == Mvd(3, 5)
 
 
 def test_parity_adjust_moves_one_quarter_pel_toward_cheaper_code():
     # from zero both directions cost the same; the tie steps down
-    assert _parity_adjust(Mvd(0, 0), use_x=False, bit=1) == Mvd(0, -1)
-    assert _parity_adjust(Mvd(0, 0), use_x=True, bit=1) == Mvd(-1, 0)
+    assert parity_adjust(Mvd(0, 0), use_x=False, bit=1) == Mvd(0, -1)
+    assert parity_adjust(Mvd(0, 0), use_x=True, bit=1) == Mvd(-1, 0)
     # from an odd magnitude the smaller-magnitude side codes cheaper
-    assert _parity_adjust(Mvd(0, 3), use_x=False, bit=0) == Mvd(0, 2)
-    assert _parity_adjust(Mvd(0, -3), use_x=False, bit=0) == Mvd(0, -2)
-    assert _parity_adjust(Mvd(5, 0), use_x=True, bit=0) == Mvd(4, 0)
+    assert parity_adjust(Mvd(0, 3), use_x=False, bit=0) == Mvd(0, 2)
+    assert parity_adjust(Mvd(0, -3), use_x=False, bit=0) == Mvd(0, -2)
+    assert parity_adjust(Mvd(5, 0), use_x=True, bit=0) == Mvd(4, 0)
 
 
 def test_parity_embed_strength_zero_is_identity():
@@ -339,6 +354,48 @@ def test_parity_embed_refuses_an_output_that_would_not_decode():
 
 
 _PAYLOADS = st.none() | st.lists(st.integers(0, 1), min_size=1, max_size=4)
+
+# components at and next to the ends of the difference range, where one step leaves it, and around zero, where steps tie
+_MVD_EDGES = st.sampled_from((MVD_MIN, MVD_MIN + 1, -1, 0, 1, MVD_MAX - 1, MVD_MAX))
+
+
+def _edge_stream(mvds: list[Mvd]) -> SequenceStream:
+    """One P-frame of one PU per difference in `mvds`; most edge differences leave the vector range."""
+    header = StreamHeader(16 * len(mvds), 16, 16, qp=25, gop=GOP_IPPP, frame_count=2)
+    return stream_of(header, [PuRecord(1, 16 * c, 0, 0, mvd) for c, mvd in enumerate(mvds)])
+
+
+_EDGE_STREAMS = st.lists(st.builds(Mvd, _MVD_EDGES, _MVD_EDGES), min_size=1, max_size=2).map(_edge_stream)
+
+
+@settings(max_examples=150)
+@given(
+    valid_streams() | synth_covers() | _EDGE_STREAMS,
+    st.sampled_from((0.0, 1.0)) | st.floats(0, 1),
+    st.none() | st.integers(0, 3),
+    st.integers(0, 2**80),
+    _PAYLOADS,
+)
+# a component at an end of the range steps inwards; the other one at an end leaves both steps of this one in range
+@example(_edge_stream([Mvd(-1, MVD_MAX), Mvd(MVD_MAX, MVD_MIN + 1)]), 1.0, None, 0, [0])
+@example(_edge_stream([Mvd(MVD_MIN, MVD_MIN), Mvd(MVD_MIN, MVD_MIN)]), 1.0, None, 0, [1])
+@example(_edge_stream([Mvd(0, MVD_MIN), Mvd(MVD_MIN, 0)] * 2), 1.0, None, 0, [1])
+def test_parity_embed_matches_the_record_oracle(stream, e, exact, seed, payload):
+    if exact is not None:  # e equal to a record's selection uniform: < leaves the record, <= would take it
+        select = random.Random(random.Random(seed).getrandbits(64))
+        e = [select.random() for _ in range(exact % stream.n_records + 1)][-1]
+    cfg = EmbedConfig(EmbedMethod.MVD_PARITY, e, rng_seed=seed, payload=payload)
+    # the nudges alone, also where the output would not decode: neither side decodes it here
+    with mock.patch("mvpo.stego.decode"), mock.patch("mvpo_testutil.decode_walk", return_value=()):
+        assert embed_mvd_parity(stream, cfg) == tar1_oracle(stream, cfg)
+    try:
+        expected = tar1_oracle(stream, cfg)
+    except MalformedStreamError as exc:
+        with pytest.raises(MalformedStreamError) as got:
+            embed_mvd_parity(stream, cfg)
+        assert str(got.value) == str(exc)
+        return
+    assert embed_mvd_parity(stream, cfg) == expected
 
 
 @settings(max_examples=60)
