@@ -10,8 +10,10 @@ codeword lengths alone, never on the Lagrangian multiplier.
 of PUs at a time, and rates every PU with numpy: each distinct difference is
 priced once by `rate_of`, the one bit model.  It is the one analysis path: the
 CLI and the experiment both score a stream with it, and tar3 picks its slots
-from the same arrays.  The per-PU form, `iter_pu_checks`, replays
-`decode_walk` and yields a `PuCheck` for each PU.
+from the same arrays.  `stream_rates` keeps a stream's rates on it, beside
+its decode, so each stream is decoded and rated at most once per process; an
+index embed's output inherits both from its input.  The per-PU form,
+`iter_pu_checks`, replays `decode_walk` and yields a `PuCheck` for each PU.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .codec import decode, decode_walk
 from .core import CandidatePair, MotionVector, Mvd, rate_of
-from .stream import PuRecord, SequenceStream
+from .stream import PuRecord, SequenceStream, _read_only
 
 
 class Verdict(enum.Enum):
@@ -121,15 +123,23 @@ def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.n
     return rates[:n], rates[n:]
 
 
+def stream_rates(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
+    """`pu_rates` of the stream's table and `codec.decode`, kept on the stream, read-only, from the first call."""
+    if stream._rates is None:
+        stream._rates = _read_only(*pu_rates(stream.table, *decode(stream)))
+    return stream._rates
+
+
 def optimal_rate(stream: SequenceStream) -> FeatureReport:
     """List the violations; a stream holds one record per PU of each P-frame, so the counts follow.
 
-    The stream's record table is decoded by `codec.decode` and rated in numpy;
-    no per-PU object is built.  Each P-frame's tally counts its whole grid:
-    the stream constructor checked the record count and raster order.
+    The stream's record table is decoded by `codec.decode` and rated in numpy,
+    or its kept rates are read (`stream_rates`); no per-PU object is built.
+    Each P-frame's tally counts its whole grid: the stream constructor
+    checked the record count and raster order.
     """
     table = stream.table
-    chosen, other = pu_rates(table, *decode(stream))
+    chosen, other = stream_rates(stream)
     worse = chosen > other
     violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
     n = stream.header.pus_per_frame

@@ -59,8 +59,8 @@ from .core import (
     _SE_BITS_TABLE,
 )
 from .errors import InputError, MalformedStreamError
-from .stream import (GOP_IPPP, RECORD_DTYPE, Plane, PuRecord, SequenceStream, StreamHeader, _records_of,
-                     raster_positions)
+from .stream import (GOP_IPPP, RECORD_DTYPE, Plane, PuRecord, SequenceStream, StreamHeader, _read_only,
+                     _records_of, raster_positions)
 
 
 @dataclasses.dataclass
@@ -489,7 +489,11 @@ def decode(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
     Returns raster-order int64 arrays `mv` (n, 2) and `cands` (n, 2, 2),
     equal to the vectors and candidate pairs `decode_walk` yields, and raises
     the `MalformedStreamError` it raises for the first vector out of range.
+    The first decode of a stream is kept on it, read-only, and returned by
+    every later call: a stream is decoded at most once per process.
     """
+    if stream._decoded is not None:
+        return stream._decoded
     header, table, n = stream.header, stream.table, stream.n_records
     rows, cols = header.height // header.pu_size, header.width // header.pu_size
     order, (left, above, colocated), bounds = _levels(header.frame_count - 1, rows, cols)
@@ -516,7 +520,8 @@ def decode(stream: SequenceStream) -> tuple[np.ndarray, np.ndarray]:
         except ValueError as exc:  # the walk's message, naming x before y
             at = tuple(table[["frame", "bx", "by"]][k].tolist())
             raise MalformedStreamError(f"reconstructed vector out of range at {at}: {exc}") from exc
-    return mv, cands
+    stream._decoded = _read_only(mv, cands)
+    return stream._decoded
 
 
 def reconstruct_mvs(stream: SequenceStream) -> MvField:

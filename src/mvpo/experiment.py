@@ -245,6 +245,9 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
     as `mvpo analyze` does.  The tar2 cells of one cover share one walk of it,
     `list(decode_walk(cover))`, built for its first tar2 cell and dropped
     before the next cover; tar1 and tar3 decode as arrays and read no walk.
+    A stream keeps its decode and rates, so a cover is decoded and rated
+    once for all its cells, a tar2 or tar3 stego inherits its cover's, and
+    each tar1 stego is decoded once, by its embed's output check.
     Errors come encodes first, then by cell, then by sequence.
     `jobs`, the threads that encode the covers, must be at least 1.
     """

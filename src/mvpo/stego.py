@@ -3,6 +3,8 @@
 Each writes its output into a copy of the input's record table, which the
 stream constructor checks as the reader does, and counts its report from the
 rows that differ, building no output record; every stream they return decodes.
+The copy is one copy of the table's bytes: numpy would copy the packed record
+fields one at a time.
 
 * `embed_mvd_parity` hides bits in the parity of one difference component,
   nudging it by one quarter-pel when needed, then decodes its output's record
@@ -17,7 +19,9 @@ rows that differ, building no output record; every stream they return decodes.
   where a flip is cheapest (smallest rate gap), a greedy stand-in for a
   trellis-coded assignment.  One writer, on arrays, then puts payload bit j
   into the index of slot j, recomputing the difference so every
-  reconstructed vector survives.
+  reconstructed vector survives.  So the output inherits its input's kept
+  decode, and its kept rates with the two swapped at each written row: an
+  index stego of a decoded and rated input is neither decoded nor rated again.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analyzer import mvd_rates, pu_rates
+from .analyzer import mvd_rates, stream_rates
 from .codec import decode, decode_walk
 from .core import CandidatePair, MotionVector, MVD_MAX, MVD_MIN
-from .stream import PuRecord, SequenceStream
+from .stream import RECORD_DTYPE, PuRecord, SequenceStream, _read_only
 
 WalkStep = tuple[PuRecord, CandidatePair, MotionVector]  # one `decode_walk` step
 
@@ -138,6 +142,11 @@ def t_value(cands: CandidatePair) -> int:
     return abs(abs(cands.mvp1.x) - abs(cands.mvp0.x)) + abs(abs(cands.mvp1.y) - abs(cands.mvp0.y))
 
 
+def _copy(table: np.ndarray) -> np.ndarray:
+    """A writable copy of a record table, its bytes copied in one go rather than field by field."""
+    return np.ascontiguousarray(table).view(np.uint8).copy().view(RECORD_DTYPE)
+
+
 def _stego(
     method: EmbedMethod, stream: SequenceStream, table: np.ndarray, bits: int
 ) -> tuple[SequenceStream, EmbedReport]:
@@ -177,7 +186,7 @@ def embed_mvd_parity(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequence
     a, b = _words(select, 2 * n).astype(np.int64).reshape(-1, 2).T
     selected = ((a >> 5) * 2**26 + (b >> 6)) * 2.0**-53 < cfg.value
     use_x = _words(coin, n) >> 31 == 1  # getrandbits(1) is the top bit of one output
-    table = stream.table.copy()
+    table = _copy(stream.table)
     mvd = np.stack((table["dx"], table["dy"]), 1).astype(np.int64)
     k = np.flatnonzero(selected & (np.where(use_x, mvd[:, 0], mvd[:, 1]) & 1 != payload))
     step = np.stack((use_x[k], ~use_x[k]), 1)  # one quarter-pel on the chosen component
@@ -198,14 +207,23 @@ def _write_indices(
 
     The new difference is taken against the newly signalled candidate, so the
     vector survives; a record whose index already holds its bit is kept as is.
+    Every vector, and so every candidate, is unchanged: the output keeps the
+    input's decode, and each written row, whose index flipped, swaps its two
+    kept rates.
     """
     bits = _payload(cfg, random.Random(cfg.rng_seed).getrandbits(64), len(slots))
     write = np.flatnonzero(stream.table["idx"][slots] != bits)
     k, bit = slots[write], bits[write]
     mvd = mv[write] - cands[write, bit]
-    table = stream.table.copy()
+    table = _copy(stream.table)
     table["idx"][k], table["dx"][k], table["dy"][k] = bit, mvd[:, 0], mvd[:, 1]
-    return _stego(cfg.method, stream, table, len(slots))
+    stego, report = _stego(cfg.method, stream, table, len(slots))
+    stego._decoded = stream._decoded
+    if stream._rates is not None:
+        chosen, other = (rates.copy() for rates in stream._rates)
+        chosen[k], other[k] = stream._rates[1][k], stream._rates[0][k]
+        stego._rates = _read_only(chosen, other)
+    return stego, report
 
 
 def embed_index_threshold(
@@ -235,7 +253,8 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
     """Host bpap, `cfg.value`, bits per PU in the cheapest index flips.
 
     Every PU's flip cost is the gap between its two candidate rates, which
-    `codec.decode` and `pu_rates` give for the whole stream as arrays.  The
+    `codec.decode` and `stream_rates` give for the whole stream as arrays,
+    computed once per stream and kept on it.  The
     requested bit count lands in the PUs with the smallest gaps (decode order
     breaks ties), assigned greedily in that order.  bpap is at most 1, so the
     request never exceeds the PU count.
@@ -243,7 +262,7 @@ def embed_index_adaptive(stream: SequenceStream, cfg: EmbedConfig) -> tuple[Sequ
     if cfg.method is not EmbedMethod.INDEX_ADAPTIVE:
         raise ValueError(f"config method {cfg.method} does not match embed_index_adaptive")
     mv, cands = decode(stream)
-    chosen, other = pu_rates(stream.table, mv, cands)
+    chosen, other = stream_rates(stream)
     # the shortest decimal repr keeps 0.1 * 30 at exactly 3 bits, where the
     # raw binary fraction of 0.1 would tip the ceiling to 4; float() first,
     # because a numpy scalar's repr is not a number
@@ -262,7 +281,10 @@ def embed(
     embeds one stream many times (the experiment, for each cover) walks it
     once and passes the walk, so tar2 does not replay the stream again.
     tar1 and tar3 ignore it: tar1 decodes its own output, not its input, and
-    tar3 decodes its input as arrays.
+    tar3 decodes its input as arrays.  A decode is kept on the stream it
+    decodes, so a stream embedded many times is decoded and rated once; a
+    tar2 or tar3 output inherits its input's, and a tar1 output keeps the
+    decode that checked it.
     """
     if cfg.method is EmbedMethod.MVD_PARITY:
         return embed_mvd_parity(stream, cfg)

@@ -6,6 +6,11 @@ an embedder's edited copy.  Its one constructor checks every record as the
 stream reader does, so every stream in memory is one the reader accepts: one
 record per PU of every P-frame, at the position `raster_positions` gives it.
 Readers read the table as it is; each read of `.records` builds a new list.
+A stream cannot change once built, so the first `codec.decode` of it and the
+first rating of it by the analyzer are kept on it, read-only, and every later
+reader gets the same arrays: each stream is decoded at most once per process.
+They cost up to 64 bytes per PU, against the table's 16, while the stream is
+alive.  An index embed keeps every vector, so its output inherits them.
 """
 
 from __future__ import annotations
@@ -147,15 +152,24 @@ def raster_positions(header: StreamHeader) -> tuple[np.ndarray, np.ndarray, np.n
     return columns
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`arrays`, each made read-only, as a tuple: the form a stream keeps its decode and rates in."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 class SequenceStream:
     """A coded sequence: header plus a read-only record table in decode (raster) order.
 
     Every stream holds a table the stream reader accepts: one record per PU of
     every P-frame, each at its raster position.  Two streams are equal when
-    their headers and their tables are.
+    their headers and their tables are.  `_decoded`, the `codec.decode` pair
+    `(mv, cands)`, and `_rates`, the analyzer's `(chosen, other)`, start empty
+    and are filled, read-only, on first use; a decode that raises fills nothing.
     """
 
-    __slots__ = ("header", "table")
+    __slots__ = ("header", "table", "_decoded", "_rates")
 
     def __init__(self, header: StreamHeader, table: np.ndarray):
         """Check `table`, a 1-D `RECORD_DTYPE` array, as the stream reader does; make it read-only and keep it."""
@@ -181,6 +195,8 @@ class SequenceStream:
             raise MalformedStreamError(message.format(expected=(int(frame[k]), int(bx[k]), int(by[k])), **record))
         table.flags.writeable = False
         self.header, self.table = header, table
+        self._decoded: tuple[np.ndarray, np.ndarray] | None = None
+        self._rates: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def records(self) -> list[PuRecord]:

@@ -718,7 +718,7 @@ def test_embed_exits_by_the_first_fault_in_its_flags_and_files(method, own, othe
     elif source == "missing":
         assert code == EXIT_IO and err.startswith("mvpo: error: ") and stream in err, err
     elif source != "cover":
-        assert code == EXIT_MALFORMED and err.startswith("mvpo: malformed stream: "), err
+        assert code == EXIT_MALFORMED and err.startswith(f"mvpo: malformed stream: {stream}: "), err
     else:
         assert (code, err) == (EXIT_OK, "")
         assert after - before == {out, out + ".report.json"}

@@ -96,6 +96,38 @@ def test_each_cover_is_decoded_once_for_its_cells(monkeypatch, methods, per_cove
     assert calls[0] == per_cover * len(plan.sequences) * len(plan.qps)
 
 
+@pytest.mark.parametrize(
+    "methods, per_cover",
+    [
+        # the cover cell decodes and rates the cover; each tar1 stego is decoded by its
+        # embed's output check and rated by its analysis; every tar2 and tar3 stego inherits
+        ("cover, tar1, tar2, tar3", 1 + 5),
+        ("tar3, tar2", 1),
+        ("tar1", 5),
+    ],
+)
+def test_each_stream_is_decoded_and_rated_at_most_once(monkeypatch, methods, per_cover):
+    counts = {"decode": 0, "rates": 0}
+    real_decode, real_rates = mvpo.codec.decode, mvpo.analyzer.pu_rates
+
+    def decode(stream):
+        counts["decode"] += stream._decoded is None  # a call that finds the stream's decode kept computes none
+        return real_decode(stream)
+
+    def pu_rates(*args):
+        counts["rates"] += 1
+        return real_rates(*args)
+
+    for module in (mvpo.codec, mvpo.analyzer, mvpo.stego):
+        monkeypatch.setattr(module, "decode", decode)
+    monkeypatch.setattr(mvpo.analyzer, "pu_rates", pu_rates)
+    plan = parse_plan(TWO_SEQ + f"methods = {methods}\n")
+    rows, errors = run_experiment(plan)
+    assert errors == [] and all(r.n_sequences == 2 for r in rows)
+    n_covers = len(plan.sequences) * len(plan.qps)
+    assert counts == {"decode": per_cover * n_covers, "rates": per_cover * n_covers}
+
+
 def test_every_cell_scores_its_streams_as_analyze_does(monkeypatch):
     scored = []  # each cell's (n_pus, n_optimal) per sequence, in cell order
     real_summarize = mvpo.experiment.summarize

@@ -33,7 +33,11 @@ from mvpo import (
     t_value,
     write_stream,
 )
+from mvpo.analyzer import stream_rates
+from mvpo.codec import decode
 from mvpo.core import MVD_MAX, MVD_MIN
+from mvpo.formats import read_stream
+from mvpo.stego import METHOD_TAGS
 from mvpo.stream import GOP_IPPP, StreamHeader
 
 from mvpo_testutil import (
@@ -562,3 +566,42 @@ def test_reports_match_a_recount_of_the_records(cover, e, bpap, seed):
             # a flip keeps every vector and candidate, so in an all-optimal
             # cover each flip that costs bits is exactly one violation
             assert analysis.n_pus - analysis.n_optimal == report.flips_rate_asymmetric
+
+
+# ---------------------------------------------------------------- the decode and rates a stream keeps
+
+@settings(max_examples=80)
+@given(
+    valid_streams() | synth_covers(),
+    st.sampled_from(sorted(METHOD_TAGS)),
+    st.floats(0, 1),
+    st.integers(0, 50),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_kept_decode_and_rates_are_those_of_the_same_bytes_read_afresh(cover, tag, share, threshold, seed, rated):
+    method = METHOD_TAGS[tag].method
+    if rated:  # the cover's rates are kept before the embed, so an index stego inherits them
+        optimal_rate(cover)
+    try:
+        stego, _ = embed(cover, EmbedConfig(method, threshold if tag == "tar2" else share, seed))
+    except MalformedStreamError:  # a nudge pushed a later vector out of range; the cover is still checked
+        stego = None
+    if stego is not None:
+        if method is EmbedMethod.MVD_PARITY:  # kept by the output check, rated by nothing yet
+            assert stego._decoded is not None and stego._rates is None
+        else:  # an index write keeps every vector: the cover's decode, and rates whenever the cover's are kept
+            assert stego._decoded is cover._decoded
+            assert (stego._rates is None) is (cover._rates is None)
+    for stream in (cover, stego):
+        if stream is None:
+            continue
+        kept = (*decode(stream), *stream_rates(stream))
+        fresh = read_stream(write_stream(stream))
+        assert fresh._decoded is None and fresh._rates is None
+        for array, expected in zip(kept, (*decode(fresh), *stream_rates(fresh))):
+            assert array.dtype == expected.dtype and np.array_equal(array, expected)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert all(a is b for a, b in zip(kept, (*decode(stream), *stream_rates(stream))))
