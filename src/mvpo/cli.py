@@ -1,10 +1,10 @@
 """Command-line harness: encode, embed, analyze, experiment.
 
 Exit codes: 0 success (including an indeterminate verdict, which warns on
-stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream (also
-a tar1 output that would not decode), 70 internal error: any other failure
-is a fault in mvpo and is reported with its traceback.  An output's
-directory is checked before any work; outputs are written only after a
+stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream, named
+by its file (also a tar1 output that would not decode), 70 internal error:
+any other failure is a fault in mvpo and is reported with its traceback.  An
+output's directory is checked before any work; outputs are written only after a
 command has fully succeeded, and every artifact gets a sidecar or inline
 record of the invocation that produced it, so reruns are auditable.  Each
 file is written whole through a temp file and a rename, a sidecar just before
@@ -243,8 +243,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"mvpo: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MalformedStreamError as exc:
-        print(f"mvpo: malformed stream: {exc}", file=sys.stderr)
+    except MalformedStreamError as exc:  # the reader's or a decode's refusal of --in: only embed and analyze read one
+        print(f"mvpo: malformed stream: {args.input}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except Exception as exc:
         # not a fault of the arguments or the input: say so, with the traceback to report

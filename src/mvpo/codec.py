@@ -13,13 +13,16 @@ computes the same vectors and candidates from a stream's record table a
 level at a time: level L holds the PUs with frame + column + row == L, and a
 PU's left, above and co-located neighbours all sit on level L - 1, the order
 of HEVC's wavefront parallelism carried across frames.  The encoder walks
-each P-frame one anti-diagonal of PUs at a time (equal bx/ps + by/ps) and
+each P-frame by the same levels, those `_levels` gives one frame: its
+anti-diagonals of PUs (equal bx/ps + by/ps), each in raster order, and
 searches a whole diagonal in one batched `motion_estimate` call.  The order
 is exact: a PU's candidates read only its left and above neighbours, both on
 the previous diagonal, and the co-located vector of the previous frame, and
 its search reads only the previous reconstructed frame.  So each PU sees the
 candidates, window and reference it would see in raster order, and candidate
-lists agree on both sides by construction.  The encoder writes each
+lists agree on both sides by construction.  `derive_candidates` checks no
+position: every caller passes a PU on the grid, the encoder one it generates
+and the walk one the stream constructor checked.  The encoder writes each
 P-frame's indices and differences straight into the stream's record table,
 in raster order.
 
@@ -89,22 +92,12 @@ def derive_candidates(field: MvField, frame_index: int, block_x: int, block_y: i
     Candidate A is the left neighbour's vector, candidate B the one above;
     a missing neighbour contributes the zero vector.  When A equals B, B is
     replaced by the co-located vector from the previous frame (zero again if
-    that frame carries no vectors).  Duplicates are allowed to remain.
+    that frame carries no vectors).  Duplicates are allowed to remain.  The
+    position must be a PU of a P-frame on the field's grid, and is not
+    checked: the encoder passes positions it generates, and `decode_walk`
+    positions the stream constructor has checked.
     """
     ps = field.pu_size
-    if frame_index < 1:
-        raise MalformedStreamError(f"frame {frame_index} carries no inter PUs")
-    if (
-        block_x < 0
-        or block_y < 0
-        or block_x % ps
-        or block_y % ps
-        or block_x + ps > field.width
-        or block_y + ps > field.height
-    ):
-        raise MalformedStreamError(
-            f"block ({block_x}, {block_y}) outside the {field.width}x{field.height} grid"
-        )
     get = field._mvs.get
     a = get((frame_index, block_x - ps, block_y), ZERO_MV) if block_x else ZERO_MV
     b = get((frame_index, block_x, block_y - ps), ZERO_MV) if block_y else ZERO_MV
@@ -370,12 +363,9 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
                 f"frame {i} is {plane.width}x{plane.height}, expected {w}x{h}"
             )
     ps = params.pu_size
-    if w % ps or h % ps:
-        raise InputError(f"{w}x{h} frames are not a multiple of pu_size {ps}")
-
     try:
         header = StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames))
-    except ValueError as exc:  # frames wider or taller than a stream can describe
+    except ValueError as exc:  # frames off the PU grid, or larger than a stream can describe
         raise InputError(f"{w}x{h} frames do not fit a stream: {exc}") from exc
     field = MvField(w, h, ps)
     cols, rows = w // ps, h // ps
@@ -383,24 +373,22 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
     # the record table in raster order: frame and position now, each P-frame's idx, dx and dy once it is coded
     records = np.zeros((len(frames) - 1) * n_pus, RECORD_DTYPE)
     records["frame"], records["bx"], records["by"] = raster_positions(header)
-    # anti-diagonal k holds the PUs at grid (col, row) with col + row == k
-    diagonals = [
-        [(col * ps, (k - col) * ps) for col in range(max(0, k - rows + 1), min(k, cols - 1) + 1)]
-        for k in range(cols + rows - 1)
-    ]
+    # a frame's anti-diagonals are its decode levels: each one's raster indices, and their block origins
+    order, _, bounds = _levels(1, rows, cols)
+    levels = (order[start:end].tolist() for start, end in zip(bounds, bounds[1:]))
+    diagonals = [(ks, [(k % cols * ps, k // cols * ps) for k in ks]) for ks in levels]
     ref = frames[0].data
     for f in range(1, len(frames)):
         cur = frames[f].data
         table, sums = window_table(ref, ps), block_sums(ref, ps)
         idxs, dxs, dys = [0] * n_pus, [0] * n_pus, [0] * n_pus
         sources: list[tuple[int, int]] = [(0, 0)] * n_pus  # the reference block each PU copies
-        for diagonal in diagonals:
-            cands = [derive_candidates(field, f, bx, by) for bx, by in diagonal]
-            found = motion_estimate(cur, table, sums, diagonal, cands, params)
-            for (bx, by), pair, (mv, _) in zip(diagonal, cands, found):
+        for ks, origins in diagonals:
+            cands = [derive_candidates(field, f, bx, by) for bx, by in origins]
+            found = motion_estimate(cur, table, sums, origins, cands, params)
+            for k, (bx, by), pair, (mv, _) in zip(ks, origins, cands, found):
                 idx, mvd = select_mvp(mv, pair)
                 field.put(f, bx, by, mv)
-                k = (by // ps) * cols + bx // ps
                 idxs[k], dxs[k], dys[k] = idx, mvd.dx, mvd.dy
                 sources[k] = (bx - mv.x // 4, by - mv.y // 4)
         coded = records[(f - 1) * n_pus : f * n_pus]
@@ -465,7 +453,8 @@ def _levels(frames: int, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, 
     none = np.full(n, n)
     shifts = ((col > 0, 1), (row > 0, cols), (frame > 0, rows * cols))
     neighbours = np.stack([at[np.where(has, k - d, none)] for has, d in shifts])[:, order]
-    bounds = np.searchsorted(level[order], np.arange(frames + rows + cols - 1))
+    # levels 0 .. frames + rows + cols - 3, none without a P-frame: each one's start, then n
+    bounds = np.searchsorted(level[order], np.arange(frames and frames + rows + cols - 2))
     for array in (order, neighbours):
         array.flags.writeable = False
     return order, neighbours, (*bounds.tolist(), n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import codec
-from .analyzer import optimal_rate
+from .analyzer import optimal_rate, stream_rates
 from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError
@@ -94,6 +94,8 @@ def parse_sequence_source(text: str) -> SequenceSource:
     kv = _parse_kv(text)
     if "yuv" in kv:
         path = kv.pop("yuv")
+        if "\0" in path:  # no file can have it, and `open` would raise ValueError on it
+            raise InputError(f"yuv path {path!r} holds a NUL byte")
         if "size" not in kv or "frames" not in kv:
             raise InputError(f"yuv source needs size= and frames=: {text!r}")
         width, height = _parse_size("size", kv.pop("size"))
@@ -246,8 +248,9 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
     `list(decode_walk(cover))`, built for its first tar2 cell and dropped
     before the next cover; tar1 and tar3 decode as arrays and read no walk.
     A stream keeps its decode and rates, so a cover is decoded and rated
-    once for all its cells, a tar2 or tar3 stego inherits its cover's, and
-    each tar1 stego is decoded once, by its embed's output check.
+    once for all its cells, whatever their order, a tar2 or tar3 stego
+    inherits its cover's, and each tar1 stego is decoded once, by its embed's
+    output check.
     Errors come encodes first, then by cell, then by sequence.
     `jobs`, the threads that encode the covers, must be at least 1.
     """
@@ -291,6 +294,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 if cfg is not None:
                     if walk is None and method == "tar2":  # the one embedder that walks its input
                         walk = list(codec.decode_walk(cover))
+                        stream_rates(cover)  # kept on the cover, for its tar2 stegos to inherit
                     stream = embed(cover, cfg, walk)[0]
                 report = optimal_rate(stream)
                 tallies[ci].append((report.n_pus, report.n_optimal))

@@ -4,7 +4,7 @@ The stream format is fixed-layout little-endian: a 25-byte header (magic,
 version, geometry, coding parameters, counts) followed by one 16-byte record
 per PU.  Readers reject rather than guess: bad magic, unknown version,
 truncation, count mismatches, and out-of-range fields each raise a distinct
-`MalformedStreamError`; `load_stream` puts the file's path before its message.
+`MalformedStreamError`; the CLI puts the file's path before its message.
 
 The records are read as one numpy structured array, which the stream
 constructor validates at once, column by column, as it validates every stream
@@ -111,13 +111,9 @@ def save_stream(
 
 
 def load_stream(path: str | os.PathLike) -> SequenceStream:
-    """The stream in file `path`; a refusal names the file, as an error opening it does."""
+    """The stream in file `path`, read with `read_stream`."""
     with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return read_stream(data)
-    except MalformedStreamError as exc:
-        raise MalformedStreamError(f"{os.fspath(path)}: {exc}") from exc
+        return read_stream(f.read())
 
 
 @dataclass(frozen=True)

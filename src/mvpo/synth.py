@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import MV_MAX
 from .errors import InputError
 from .stream import Plane
 
@@ -57,6 +58,9 @@ class SynthSpec:
             raise InputError(f"frame_count {self.frame_count} must be >= 1")
         if self.seed < 0:
             raise InputError(f"seed {self.seed} must be >= 0")
+        ax, ay = self.amplitude
+        if max(abs(ax), abs(ay)) > MV_MAX // 4:  # an object's velocity is drawn within the amplitude
+            raise InputError(f"amp {ax}x{ay} exceeds the {MV_MAX // 4} pels a motion vector carries")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

@@ -554,6 +554,8 @@ _BAD_FIELDS = [
     ("plan", f"sequences = {SYNTH}\nmethods = cover, tar2\ntar2_t = 5, 5\n", "tar2_t"),
     ("plan", f"sequences = {SYNTH}\nmethods = tar1\ntar1_e = 0.1, 0.10\n", "tar1_e"),
     ("synth", "pattern=shift,size=32x32,frames=3,amp=abc", "amp"),
+    # a larger motion than a vector carries; an object's velocity was drawn in numpy's int64 and overflowed
+    ("synth", "pattern=objects,size=32x32,frames=3,amp=99999999999999999999x1", "amp 99999999999999999999x1 exceeds"),
     # a repeated sequence would be encoded and counted twice in every cell
     ("plan", f"sequences = {SYNTH} | {SYNTH}\n", "sequences"),
     # a key given twice would silently keep its last value
@@ -563,6 +565,7 @@ _BAD_FIELDS = [
     # an unknown key or field would be ignored: the plan would run only cover at qp 25
     ("plan", f"sequences = {SYNTH}\nmethod = tar1\nqps = 30\n", "['method', 'qps']"),
     ("plan", "sequences = yuv=a.yuv,size=64x64,frames=3,seed=5\n", "['seed']"),
+    ("plan", "sequences = yuv=a\0.yuv,size=64x64,frames=3\n", "yuv path 'a\\x00.yuv' holds a NUL byte"),
     ("synth", "pattern=shift,size=64x64,frames=3,colour=red", "['colour']"),
     # a field that is no key=value, a missing or unknown pattern, a missing size or frames
     ("synth", "pattern=shift,size=64x64,frames=3,quick", "bad spec field 'quick', expected key=value"),
@@ -624,7 +627,7 @@ def test_bad_size_names_the_field_it_parses(tmp_path, monkeypatch, capsys, argv,
 # integers past 64 bits, past a float and past the interpreter's 4300-digit conversion limit
 _FLAG_TEXTS = ("nan", "inf", "-inf", "-0", "1e400", "0x10", "1.5", "-1", "0", "1", "0.3", "5",
                str(2**64 + 1), "9" * 400, "9" * 5000)
-_SOURCES = ("cover", "truncated", "damaged idx", "missing")
+_SOURCES = ("cover", "truncated", "damaged idx", "far vector", "missing")
 
 
 @functools.cache
@@ -683,6 +686,8 @@ def test_embed_exits_by_the_first_fault_in_its_flags_and_files(method, own, othe
             del data[-5:]
         if source == "damaged idx":
             data[HEADER_SIZE + 8] = 2  # record 0's idx byte, after frame (u32), bx and by (u16)
+        if source == "far vector":  # a whole stream whose decode refuses it: record 0's dx, after idx and pad
+            data[HEADER_SIZE + 10 : HEADER_SIZE + 12] = (2**15 - 1).to_bytes(2, "little")
         if source != "missing":
             with open(stream, "wb") as f:
                 f.write(data)
@@ -718,9 +723,191 @@ def test_embed_exits_by_the_first_fault_in_its_flags_and_files(method, own, othe
     elif source == "missing":
         assert code == EXIT_IO and err.startswith("mvpo: error: ") and stream in err, err
     elif source != "cover":
+        # the reader's refusal and the decode's both name the file, once
         assert code == EXIT_MALFORMED and err.startswith(f"mvpo: malformed stream: {stream}: "), err
+        assert err.count(stream) == 1, err
     else:
         assert (code, err) == (EXIT_OK, "")
         assert after - before == {out, out + ".report.json"}
+    if code != EXIT_OK:
+        assert after == before
+
+
+# ---------------------------------------------------------------- experiment and analyze over any plan and input
+
+# values that parse, fail to parse, leave a range, overflow or repeat; no larger than a few frames of 64x64
+_PLAN_VALID = {
+    "qp": ("25", "20, 30"),
+    "methods": ("cover", "cover, tar2", "tar1, tar3", "tar2"),
+    "tar1_e": ("0.5",),
+    "tar2_t": ("0, 5",),
+    "tar3_bpap": ("0.3",),
+    "pu_size": ("16", "8"),
+    "search_range": ("4",),
+    "seed": ("0", "7"),
+}
+_PLAN_HOSTILE = ("", "abc", "-1", "0", "1.5", "nan", "1e400", "0x10", "99", "25, 25", str(2**64 + 1), "9" * 5000)
+_SPEC_VALID = {
+    "pattern": ("objects", "noise", "shift"),
+    "size": ("16x16", "32x32", "64x32"),
+    "frames": ("2", "3"),
+    "seed": ("1",),
+    "amp": ("2x2", "1x0"),
+}
+_SPEC_HOSTILE = {
+    "pattern": ("spiral", ""),
+    "size": ("", "abc", "0x0", "-16x16", "16", "40x40", "4x64"),
+    "frames": ("", "abc", "0", "-1", "1", "1.5"),
+    "seed": ("-1", "abc", str(2**64 + 1), "9" * 5000),
+    "amp": ("abc", "1", "-3x3", "3000x0", "9" * 20 + "x1"),
+}
+_YUV_STATES = ("whole", "short", "missing")
+
+
+@st.composite
+def _plans(draw):
+    """(plan text, its hostile (key, value) pair if any, the state of its yuv source or None).
+
+    Every value is valid but at most one, which is drawn from the hostile ones of its key.
+    """
+    specs = []
+    for i in range(draw(st.integers(1, 2))):
+        specs.append({key: draw(st.sampled_from(valid)) for key, valid in _SPEC_VALID.items()})
+        specs[i]["seed"] = str(i + 1)  # two sources never repeat
+    keys = draw(st.lists(st.sampled_from(sorted(_PLAN_VALID)), unique=True, max_size=3))
+    lines = {key: draw(st.sampled_from(_PLAN_VALID[key])) for key in keys}
+    slots = [(spec, key, _SPEC_HOSTILE[key]) for spec in specs for key in spec]
+    slots += [(lines, key, _PLAN_HOSTILE) for key in lines]
+    culprits = []
+    hostile = draw(st.none() | st.integers(0, len(slots)))
+    if hostile == len(slots):  # a field no synth spec has
+        specs[0]["colour"] = "red"
+        culprits.append(("colour", "red"))
+    elif hostile is not None:
+        values, key, choices = slots[hostile]
+        values[key] = draw(st.sampled_from(choices))
+        culprits.append((key, values[key]))
+    sources = [",".join(f"{key}={value}" for key, value in spec.items()) for spec in specs]
+    yuv = draw(st.none() | st.sampled_from(_YUV_STATES))
+    if yuv is not None:
+        sources.append("yuv={clip},size=32x32,frames=3")
+    text = f"sequences = {' | '.join(sources)}\n" + "".join(f"{key} = {value}\n" for key, value in lines.items())
+    return text, culprits, yuv
+
+
+def _names_one(err: str, culprits: list[tuple[str, str]]) -> bool:
+    """Whether `err` names one culprit: its key, or one of its comma-separated values; plan keys read lower-case."""
+    err = err.lower()
+    for key, value in culprits:
+        if key.lower() in err or any(item.strip() and item.strip().lower() in err for item in value.split(",")):
+            return True
+    return False
+
+
+@settings(max_examples=150)
+@given(
+    _plans(),
+    st.just("none") | st.sampled_from(("mutated", "not utf-8", "out missing", "out is a directory")),
+    st.integers(0, 2**16),
+    st.integers(0, 255),
+)
+def test_experiment_exits_by_the_first_fault_in_its_plan_sources_and_output(plan_case, fault, at, byte):
+    text, culprits, yuv = plan_case
+    with tempfile.TemporaryDirectory() as root:
+        clip, plan = os.path.join(root, "clip.yuv"), os.path.join(root, "plan.txt")
+        if yuv != "missing" and yuv is not None:
+            with open(clip, "wb") as f:
+                f.write(bytes(range(256)) * 18 if yuv == "whole" else bytes(100))  # 3 frames of 32x32 4:2:0
+        data = bytearray(text.replace("{clip}", clip).encode())
+        if fault == "mutated":  # one byte replaced; a value it makes can only be as large as the ones drawn
+            k = at % len(data)
+            n = data[:k].count(b"\n") + 1
+            data[k] = byte
+            # the message may name the key of the line hit, its line (or the next, if a newline moved) or
+            # something near it, or the plan file itself, if the byte is no UTF-8
+            near = data.decode("utf-8", "replace").splitlines()[max(n - 2, 0) : n + 1]
+            culprits = culprits + [(text.splitlines()[n - 1].split("=")[0].strip(), ""), (f"line {n}", ""),
+                                   (f"line {n + 1}", ""), (plan, "")]
+            tokens = [t for line in near for t in re.split(r"[\s,=|#]+", line) if t]
+            # a token as such if it is not a lone character, or quoted as a message quotes it
+            culprits += [(name, "") for t in tokens for name in (t, repr(t)) if len(name) > 1]
+        if fault == "not utf-8":
+            data += b"# caf\xe9\n"
+        with open(plan, "wb") as f:
+            f.write(data)
+        out = os.path.join(root, "results.csv")
+        if fault == "out missing":
+            out = os.path.join(root, "missing", "results.csv")
+        if fault == "out is a directory":
+            os.mkdir(out)
+        before = _files(root)
+        code, err = _run(["experiment", "--plan", plan, "--out", out])
+        after = _files(root)
+
+    assert code in (EXIT_OK, EXIT_IO), err  # never an internal error: the plan reads no stream and no flag is bad
+    if code == EXIT_OK:
+        assert after - before == {out, out + ".meta.json"}
+        warnings = err.splitlines()
+        assert all(line.startswith("warning: ") for line in warnings), err
+        if yuv in ("short", "missing") and fault == "none":  # its encodes fail, and name the file
+            assert any(clip in line for line in warnings), err
+        return
+    assert after == before  # no CSV, no sidecar, no temp file
+    assert err.startswith("mvpo: error: ") and err.count("\n") == 1, err
+    if fault == "out missing":  # checked before the plan is read
+        assert err == f"mvpo: error: output directory {os.path.dirname(out)} does not exist\n"
+    elif fault == "not utf-8":
+        assert err.startswith(f"mvpo: error: plan {plan} is not UTF-8 text: ")
+    else:
+        assert culprits or fault == "out is a directory", err
+        assert _names_one(err, culprits + [(out, "")]), err
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(_SOURCES) | st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+    st.sampled_from(("json", "csv")),
+    st.sampled_from(("none", "-", "file", "missing directory", "directory")),
+)
+def test_analyze_exits_by_the_first_fault_in_its_input_and_output(source, fmt, out_kind):
+    with tempfile.TemporaryDirectory() as root:
+        stream = os.path.join(root, "in.mvpo")
+        data = bytearray(_small_cover())
+        if source == "truncated":
+            del data[-5:]
+        if source == "damaged idx":
+            data[HEADER_SIZE + 8] = 2
+        if source == "far vector":
+            data[HEADER_SIZE + 10 : HEADER_SIZE + 12] = (2**15 - 1).to_bytes(2, "little")
+        if isinstance(source, tuple):  # one byte of the header or a record replaced
+            data[source[0] % len(data)] = source[1]
+        if source != "missing":
+            with open(stream, "wb") as f:
+                f.write(data)
+        out = {"none": None, "-": "-", "file": os.path.join(root, "report")}.get(out_kind)
+        if out_kind == "missing directory":
+            out = os.path.join(root, "missing", "report")
+        if out_kind == "directory":
+            out = os.path.join(root, "folder")
+            os.mkdir(out)
+        argv = ["analyze", "--in", stream, "--format", fmt] + (["--out", out] if out else [])
+        before = _files(root)
+        code, err = _run(argv)
+        after = _files(root)
+
+    if out_kind == "missing directory":
+        assert (code, err) == (EXIT_IO, f"mvpo: error: output directory {os.path.dirname(out)} does not exist\n")
+    elif source == "missing":
+        assert code == EXIT_IO and err.startswith("mvpo: error: ") and stream in err, err
+    elif code == EXIT_MALFORMED:  # the reader's refusal or the decode's, naming the file once
+        assert source != "cover", err
+        assert err.startswith(f"mvpo: malformed stream: {stream}: ") and err.count(stream) == 1, err
+    elif out_kind == "directory":
+        assert code == EXIT_IO and err.startswith("mvpo: error: ") and out in err, err
+    else:
+        assert code == EXIT_OK and (source == "cover" or isinstance(source, tuple)), (code, err)
+        assert err == "", err
+        written = {out} | ({out + ".meta.json"} if fmt == "csv" else set()) if out_kind == "file" else set()
+        assert after - before == written
     if code != EXIT_OK:
         assert after == before

@@ -88,16 +88,6 @@ def test_derive_candidates_missing_neighbours_use_zero_then_colocated():
     assert cands == CandidatePair(ZERO_MV, MotionVector(-4, 12))
 
 
-def test_derive_candidates_rejects_bad_positions():
-    field = MvField(64, 64, 16)
-    with pytest.raises(MalformedStreamError):
-        derive_candidates(field, 0, 0, 0)
-    with pytest.raises(MalformedStreamError):
-        derive_candidates(field, 1, 8, 0)     # off the PU grid
-    with pytest.raises(MalformedStreamError):
-        derive_candidates(field, 1, 64, 0)    # outside the frame
-
-
 def test_seed_candidate_prefers_cheaper_code():
     cheap = MotionVector(0, 0)
     costly = MotionVector(64, 64)
@@ -590,6 +580,22 @@ def test_encode_searches_one_batch_per_anti_diagonal(monkeypatch):
     assert calls == {"motion_estimate": (cols + rows - 1) * (frames - 1), "_search": (cols + rows - 1) * (frames - 1)}
 
 
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6))
+def test_levels_are_the_wavefronts_and_none_is_empty(frames, rows, cols):
+    # `decode` runs one pass per level and the encoder one search per diagonal, so an empty level is wasted work
+    order, _, bounds = codec._levels(frames, rows, cols)
+    assert len(bounds) - 1 == frames + rows + cols - 2
+    assert sorted(order.tolist()) == list(range(frames * rows * cols)) and bounds[-1] == len(order)
+    for level, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        ks = order[start:end]
+        assert len(ks) and ks.tolist() == sorted(ks.tolist())  # raster order within a level
+        assert (ks // (rows * cols) + ks // cols % rows + ks % cols == level).all()
+
+
+def test_a_stream_without_p_frames_has_no_level():
+    assert codec._levels(0, 3, 4)[2] == (0,)
+
+
 def _oracle_positions(w, h, ps, reach):
     """Positions `me_oracle` scores for one frame: PUs times the clamped window of each axis."""
     return (w // ps) * (h // ps) * min(2 * reach + 1, w - ps + 1) * min(2 * reach + 1, h - ps + 1)
@@ -742,8 +748,8 @@ def test_encode_requires_two_frames_and_uniform_geometry():
     ]
     with pytest.raises(InputError):
         encode_sequence(mixed, RdParams(pu_size=16))
-    odd = [Plane(np.zeros((40, 40), dtype=np.uint8))] * 2
-    with pytest.raises(InputError):
+    odd = [Plane(np.zeros((64, 40), dtype=np.uint8))] * 2
+    with pytest.raises(InputError, match="^40x64 frames do not fit a stream: width 40 not a multiple of pu_size 16$"):
         encode_sequence(odd, RdParams(pu_size=16))
     # wider than the 16-bit width field of a stream header
     wide = [Plane(np.zeros((16, 65536), dtype=np.uint8))] * 2

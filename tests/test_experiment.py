@@ -103,6 +103,7 @@ def test_each_cover_is_decoded_once_for_its_cells(monkeypatch, methods, per_cove
         # embed's output check and rated by its analysis; every tar2 and tar3 stego inherits
         ("cover, tar1, tar2, tar3", 1 + 5),
         ("tar3, tar2", 1),
+        ("tar2", 1),
         ("tar1", 5),
     ],
 )
