@@ -25,6 +25,7 @@ from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MalformedStreamError
 from .experiment import (
+    _check_geometry,
     _parse_size,
     parse_plan,
     parse_synth_spec,
@@ -103,8 +104,10 @@ def _load_frames(args):
     if not args.size:
         raise UsageError("--yuv needs --size WxH")
     w, h = _parse_size("size", args.size)
-    YuvSpec(w, h, 1)  # the geometry is checked before a frame size is derived from it
     frames = args.frames
+    # the geometry is checked before a frame size is derived from it
+    _check_geometry("--size", "--frames", w, h, 1 if frames is None else frames)
+    YuvSpec(w, h, 1)  # and 4:2:0's even dimensions
     if frames is None:
         frame_bytes = w * h * 3 // 2
         total = os.stat(args.yuv).st_size

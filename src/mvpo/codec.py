@@ -39,12 +39,23 @@ narrow integers: |a - b| = 2 max(a, b) - a - b, so a block's SAD is twice the
 sum of its uint8 maxima, summed 256 samples at a time in uint16, less the two
 block sums.  One search call works within a fixed byte budget that holds a
 whole CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
+
+A PU whose window holds an integer-pel candidate that predicts it exactly
+takes that candidate without a search: its cost, 0 + 3 lambda, is the least
+any position can have, since SAD >= 0 and a rate is at least 3 bits, one per
+difference component and the index bit.  Of two exact candidates the search's
+tie order picks (smaller |dy|, then |dx|, then raster order), so the vectors
+and bytes are those of the full search.  The test is one pass over the call's
+PUs in plain integers, the block sums first and the blocks only where the sums
+agree; it is skipped when 3 lambda overflows to inf, where every cost is inf
+and the least |d| of SAD 0 wins instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -236,26 +247,82 @@ def motion_estimate(
     (vector in quarter-pel units, SAD) per PU; each PU's result is
     independent of the others in the batch.  Raises ValueError unless
     `origins` and `cands` have the same length.
+
+    Early accept: a PU whose window holds an integer-pel candidate that
+    predicts it exactly takes that candidate, with SAD 0, and its window is
+    not scored.  No position costs less: SAD >= 0 and a rate is at least 3
+    bits, one per difference component plus the index bit, so 3 lambda is
+    the least cost and only an exact candidate has it.  Of two exact
+    candidates the tie order above picks.  The rule holds only while
+    3 lambda is finite; at lambda = inf, or large enough that 3 lambda
+    overflows, every cost is inf, the least |d| of SAD 0 wins, and every
+    window is scored.
     """
-    if len(cands) != len(origins):
-        raise ValueError(f"one candidate pair per origin: {len(origins)} origins, {len(cands)} pairs")
+    n = len(origins)
+    if len(cands) != n:
+        raise ValueError(f"one candidate pair per origin: {n} origins, {len(cands)} pairs")
+    ps, reach = params.pu_size, params.search_range
+    last_x, last_y = table.shape[0] - 1, table.shape[1] - 1  # the last block origin on each axis
+    current = np.array([cur[y : y + ps, x : x + ps] for x, y in origins]).reshape(n, ps * ps)
+    current_sums = np.add.reduce(current, axis=1, dtype=np.int64)
+    targets = current_sums.tolist() if math.isfinite(3 * params.lambda_motion) else None
+    found: list = [None] * n  # each PU's (vector, SAD), set below
+    # each PU left to score: its index, and its window bounds, position and candidates
+    searched: list[int] = []
+    fields: list[int] = []
+    k_x, k_y = 1, 1  # the widest window left to score: its columns and rows
+    for i, ((x, y), p) in enumerate(zip(origins, cands)):
+        s, c0, c1 = seed_candidate(p), p.mvp0, p.mvp1
+        lo_x, hi_x = _axis_window(x, last_x, s.x >> 2, reach)
+        lo_y, hi_y = _axis_window(y, last_y, s.y >> 2, reach)
+        if targets is not None:
+            exact = None
+            for c in (c0, c1):
+                dx, dy = c.x >> 2, c.y >> 2
+                if (c.x | c.y) & 3 or not (lo_x <= dx <= hi_x and lo_y <= dy <= hi_y):
+                    continue  # quarter-pel, or outside the window
+                # the cheap test first: the reference block's sum
+                if sums.item(x - dx, y - dy) == targets[i] and table[x - dx, y - dy].tobytes() == current[i].tobytes():
+                    exact = c if exact is None or _tie_order(c) < _tie_order(exact) else exact
+            if exact is not None:
+                found[i] = (exact, 0)
+                continue
+        searched.append(i)
+        fields += (lo_x, lo_y, hi_x, hi_y, x, y, c0.x, c0.y, c1.x, c1.y)
+        if hi_x - lo_x >= k_x:
+            k_x = hi_x - lo_x + 1
+        if hi_y - lo_y >= k_y:
+            k_y = hi_y - lo_y + 1
+    m = len(searched)
+    if not m:
+        return found
+    if m < n:
+        current, current_sums = current[searched], current_sums[searched]
+    windows = np.array(fields, dtype=np.int64).reshape(m, 10)
+
     # each axis searches at most 2R+1 positions, and never more than the frame
     # has or a vector can reach
-    span_x, span_y = (min(2 * params.search_range + 1, k, _PEL_MAX - _PEL_MIN + 1) for k in table.shape[:2])
+    span_x, span_y = (min(2 * reach + 1, k, _PEL_MAX - _PEL_MIN + 1) for k in table.shape[:2])
     row_bytes = span_x * table.shape[2]
     step = max(1, _BATCH_BYTES // (span_y * row_bytes))
     # a PU whose window alone exceeds the budget is searched a band of dy rows at a
     # time; bands run in raster order, so the earlier one keeps a full (cost, key) tie
     rows = max(1, min(span_y, _BATCH_BYTES // row_bytes))
     (row0, row1), *bands = [(r, min(r + rows, span_y)) for r in range(0, span_y, rows)]
-    found: list[tuple[MotionVector, int]] = []
-    for i in range(0, len(origins), step):
-        batch = (cur, table, sums, origins[i : i + step], cands[i : i + step], params)
+    for j in range(0, m, step):
+        part = slice(j, j + step)
+        batch = (table, sums, current[part], current_sums[part], windows[part], (k_x, k_y), params)
         best = _search(*batch, row0, row1)
         for band in bands:
             best = [b if b <= p else p for b, p in zip(best, _search(*batch, *band))]
-        found += [(_key_vector(key), key >> 32) for _, key in best]
+        for i, (_, key) in zip(searched[part], best):
+            found[i] = (_key_vector(key), key >> 32)
     return found
+
+
+def _tie_order(v: MotionVector) -> tuple[int, int, int, int]:
+    """Orders vectors of equal cost and SAD as the search does: |dy|, then |dx|, then raster order."""
+    return abs(v.y), abs(v.x), v.y, v.x
 
 
 def _axis_window(pos: int, last: int, centre: int, reach: int) -> tuple[int, int]:
@@ -271,42 +338,33 @@ def _axis_window(pos: int, last: int, centre: int, reach: int) -> tuple[int, int
 
 
 def _search(
-    cur: np.ndarray,
     table: np.ndarray,
     sums: np.ndarray,
-    origins: Sequence[tuple[int, int]],
-    cands: Sequence[CandidatePair],
+    current: np.ndarray,
+    current_sums: np.ndarray,
+    windows: np.ndarray,
+    span: tuple[int, int],
     params: RdParams,
     row0: int,
     row1: int,
 ) -> list[tuple[float, int]]:
     """Each PU's best (cost, key) in rows [row0, row1) of its window, in one batch.
 
-    The key packs (SAD, |dy|, |dx|, dy > 0, dx > 0), the SAD in its bits from
-    32 up.  Among positions tied on SAD, |dy| and |dx|, a negative
-    displacement comes first in a window, whose displacements ascend, so the
-    least key among the cheapest positions is the first in raster order that
-    `motion_estimate` documents, and it names its (dx, dy).
+    PU i has the (ps * ps,) block `current[i]` with sample sum
+    `current_sums[i]`, and `windows[i]` holds its window (lo_x, lo_y, hi_x,
+    hi_y), its origin (x, y) and the quarter-pel (x, y) of both candidates;
+    `span` is the widest window's (columns, rows).  The key packs (SAD, |dy|,
+    |dx|, dy > 0, dx > 0), the SAD in its bits from 32 up.  Among positions
+    tied on SAD, |dy| and |dx|, a negative displacement comes first in a
+    window, whose displacements ascend, so the least key among the cheapest
+    positions is the first in raster order that `motion_estimate` documents,
+    and it names its (dx, dy).
     """
-    ps, reach = params.pu_size, params.search_range
-    last_x, last_y = table.shape[0] - 1, table.shape[1] - 1  # the last block origin on each axis
-    k_x, k_y = 1, 1  # the widest window of the batch: its columns, and its rows from row0
-    fields: list[int] = []
-    current = []
-    for (x, y), p in zip(origins, cands):
-        s, c0, c1 = seed_candidate(p), p.mvp0, p.mvp1
-        lo_x, hi_x = _axis_window(x, last_x, s.x >> 2, reach)
-        lo_y, hi_y = _axis_window(y, last_y, s.y >> 2, reach)
-        lo_y += row0
-        if hi_x - lo_x >= k_x:
-            k_x = hi_x - lo_x + 1
-        if hi_y - lo_y >= k_y:
-            k_y = hi_y - lo_y + 1
-        fields += (lo_x, lo_y, hi_x, hi_y, x, y, c0.x, c0.y, c1.x, c1.y)
-        current.append(cur[y : y + ps, x : x + ps])
-    n, k_y = len(current), min(k_y, row1 - row0)
-    a = np.array(fields, dtype=np.int64).reshape(n, 10)
-    lo, hi, pos = a[:, :6].reshape(n, 3, 2, 1).transpose(1, 0, 2, 3)  # each (n, axis, 1)
+    n = len(windows)
+    k_x, k_y = span[0], max(1, min(span[1] - row0, row1 - row0))
+    lo, hi, pos = windows[:, :6].reshape(n, 3, 2, 1).transpose(1, 0, 2, 3)  # each (n, axis, 1)
+    if row0:
+        lo = lo + [[0], [row0]]  # a later band: its rows start row0 below each window's first
     # a narrower window repeats its hi up to the widest: a repeat has its original's
     # key, so it names the same displacement
     d = np.minimum(lo + _OFFSETS[: max(k_x, k_y)], hi)  # (n, axis, offset)
@@ -315,17 +373,17 @@ def _search(
     dxs, dys = d[:, 0, :k_x], d[:, 1, :k_y]
 
     blocks = table[xs, ys]  # (n, dy, dx, ps * ps)
-    current = np.array(current).reshape(n, 1, 1, ps * ps)
+    current = current[:, None, None, :]
     # |a - b| = 2 max(a, b) - a - b: the maxima stay in uint8 and sums of _CHUNK
-    # of them fit uint16; the block sums come from `sums`, the current ones from here
+    # of them fit uint16; the block sums come from `sums`, the current ones from the caller
     np.maximum(blocks, current, out=blocks)
-    chunk = min(_CHUNK, ps * ps)
+    chunk = min(_CHUNK, blocks.shape[3])
     sad = blocks.reshape(*blocks.shape[:3], -1, chunk).sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
     sad <<= 1
     sad -= sums[xs, ys]
-    sad -= np.add.reduce(current, axis=3, dtype=np.int64)
+    sad -= current_sums[:, None, None]
 
-    cost = sad + params.lambda_motion * _rates(dxs, dys, a[:, 6:].reshape(n, 2, 2))
+    cost = sad + params.lambda_motion * _rates(dxs, dys, windows[:, 6:].reshape(n, 2, 2))
     low_cost = np.minimum.reduce(cost, axis=(1, 2), keepdims=True)
     # the SAD becomes the key in place: SAD < 2**31 for 64x64 PUs of 8-bit samples,
     # and |d| <= 2048 < 2**12 inside the vector range

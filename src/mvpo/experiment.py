@@ -39,6 +39,24 @@ def _parse_int(key: str, text: str) -> int:
         raise InputError(f"bad {key} value {text.strip()!r}, expected an integer") from exc
 
 
+def _check_geometry(size_key: str, frames_key: str, width: int, height: int, frames: int, where: str = "") -> None:
+    """Refuse a size or frame count no sequence has, naming the key it was given by and, after it, `where`."""
+    if width <= 0 or height <= 0:
+        raise InputError(f"{size_key} {width}x{height} must be positive{where}")
+    if frames < 1:
+        raise InputError(f"{frames_key} {frames} must be >= 1{where}")
+
+
+def _parse_geometry(kind: str, kv: dict[str, str], text: str) -> tuple[int, int, int]:
+    """Pop a spec's size= and frames=; a bad value is refused by its key and the spec's text."""
+    if "size" not in kv or "frames" not in kv:
+        raise InputError(f"{kind} needs size= and frames=: {text!r}")
+    width, height = _parse_size("size", kv.pop("size"))
+    frames = _parse_int("frames", kv.pop("frames"))
+    _check_geometry("size", "frames", width, height, frames, f": {text.strip()!r}")
+    return width, height, frames
+
+
 def _parse_kv(text: str) -> dict[str, str]:
     out = {}
     for part in text.split(","):
@@ -63,10 +81,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
     except (KeyError, ValueError) as exc:
         raise InputError(f"synth spec needs pattern= one of "
                          f"{[p.value for p in SynthPattern]}: {text!r}") from exc
-    if "size" not in kv or "frames" not in kv:
-        raise InputError(f"synth spec needs size= and frames=: {text!r}")
-    width, height = _parse_size("size", kv.pop("size"))
-    frames = _parse_int("frames", kv.pop("frames"))
+    width, height, frames = _parse_geometry("synth spec", kv, text)
     seed = _parse_int("seed", kv.pop("seed", "0"))
     ax, ay = _parse_size("amp", kv.pop("amp", "1x0"))
     if kv:
@@ -96,10 +111,7 @@ def parse_sequence_source(text: str) -> SequenceSource:
         path = kv.pop("yuv")
         if "\0" in path:  # no file can have it, and `open` would raise ValueError on it
             raise InputError(f"yuv path {path!r} holds a NUL byte")
-        if "size" not in kv or "frames" not in kv:
-            raise InputError(f"yuv source needs size= and frames=: {text!r}")
-        width, height = _parse_size("size", kv.pop("size"))
-        spec = YuvSpec(width, height, _parse_int("frames", kv.pop("frames")))
+        spec = YuvSpec(*_parse_geometry("yuv source", kv, text))
         if kv:
             raise InputError(f"unknown yuv source fields {sorted(kv)}")
         return SequenceSource(name=os.path.basename(path), yuv_path=path, yuv_spec=spec)

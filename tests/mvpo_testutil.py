@@ -365,16 +365,20 @@ def valid_streams(draw) -> SequenceStream:
 
 @st.composite
 def synth_covers(draw) -> SequenceStream:
-    """A small synthetic cover: 1-4 x 1-3 PUs of size 8 or 16 over 2-4 frames."""
-    ps = draw(st.sampled_from((8, 16)))
+    """A small synthetic cover at any PU size, qp and search range 1-16, over 2-4 frames.
+
+    Frames are 1-4 x 1-3 PUs of size 8-32, and 1-2 x 1 PUs of size 64: at
+    most 128 x 96 pels, so the covers stay cheap at every parameter.
+    """
+    ps = draw(st.sampled_from((8, 16, 32, 64)))
     stream, _, _ = encode_synth(
         draw(st.sampled_from(("shift", "objects", "noise"))),
-        size=(ps * draw(st.integers(1, 4)), ps * draw(st.integers(1, 3))),
+        size=(ps * draw(st.integers(1, min(4, 128 // ps))), ps * draw(st.integers(1, min(3, 96 // ps)))),
         frames=draw(st.integers(2, 4)),
         seed=draw(st.integers(0, 99)),
         amp=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
-        qp=draw(st.sampled_from((20, 25, 30))),
+        qp=draw(st.integers(0, 51)),
         pu_size=ps,
-        search_range=4,
+        search_range=draw(st.integers(1, 16)),
     )
     return stream

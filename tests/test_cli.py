@@ -573,6 +573,15 @@ _BAD_FIELDS = [
     ("synth", "pattern=spiral,size=64x64,frames=3", "'pattern=spiral,size=64x64,frames=3'"),
     ("synth", "pattern=shift,size=64x64", "synth spec needs size= and frames="),
     ("plan", "sequences = yuv=clip.yuv,size=64x64\n", "yuv source needs size= and frames="),
+    # a size or frame count no sequence has is named by its key, with the spec it is in
+    ("synth", "pattern=shift,size=64x64,frames=0", "frames 0 must be >= 1: 'pattern=shift,size=64x64,frames=0'"),
+    ("synth", "pattern=shift,size=0x0,frames=3", "size 0x0 must be positive: 'pattern=shift,size=0x0,frames=3'"),
+    ("plan", "sequences = yuv=clip.yuv,size=64x64,frames=0\n", "frames 0 must be >= 1: 'yuv=clip.yuv,size=64x64,frames=0'"),
+    ("plan", "sequences = yuv=clip.yuv,size=0x0,frames=3\n", "size 0x0 must be positive: 'yuv=clip.yuv,size=0x0,frames=3'"),
+    ("plan", f"sequences = {SYNTH} | pattern=noise,size=32x32,frames=0\n",
+     "frames 0 must be >= 1: 'pattern=noise,size=32x32,frames=0'"),
+    ("plan", f"sequences = {SYNTH} | yuv=clip.yuv,size=0x0,frames=3\n",
+     "size 0x0 must be positive: 'yuv=clip.yuv,size=0x0,frames=3'"),
     # a plan line that is no key = value, no sequences, an unknown method
     ("plan", f"sequences = {SYNTH}\nqp 25\n", "plan line 2: expected key = value"),
     ("plan", "qp = 25\n", "plan needs a sequences= line"),
@@ -609,7 +618,8 @@ def test_malformed_synth_and_plan_fields_exit_2_before_encoding(tmp_path, monkey
         (["--synth", "pattern=shift,size=abc,frames=3"], "bad size 'abc', expected WxH"),
         (["--yuv", "clip.yuv", "--size", "abc"], "bad size 'abc', expected WxH"),
         # the geometry is checked before the file size is divided by a frame's size
-        (["--yuv", "clip.yuv", "--size", "0x16"], "bad dimensions 0x16"),
+        (["--yuv", "clip.yuv", "--size", "0x16"], "--size 0x16 must be positive"),
+        (["--yuv", "clip.yuv", "--size", "16x16", "--frames", "0"], "--frames 0 must be >= 1"),
         (["--yuv", "clip.yuv", "--size", "3x3"], "4:2:0 needs even dimensions, got 3x3"),
     ],
 )

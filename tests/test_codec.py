@@ -4,6 +4,7 @@ import dataclasses
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,6 +539,111 @@ def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
     _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
+# ---------------------------------------------------------------- early accept
+
+def _texture(kind, rng, h, w):
+    if kind == "flat":
+        return np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+    if kind == "two-level":
+        return (rng.integers(0, 2, size=(h, w)) * 255).astype(np.uint8)
+    return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+
+
+# a candidate's quarter-pel remainders: one in three candidates is quarter-pel
+_REMAINDERS = st.sampled_from([(0, 0)] * 6 + [(1, 0), (0, 2), (3, 3)])
+
+
+@st.composite
+def _planted_batches(draw):
+    """A whole grid of PUs in one batch, with reference blocks copied to where candidates point.
+
+    Each candidate's pel part (x >> 2, y >> 2) reads a block inside the frame,
+    within three ranges of the PU, so it may lie inside or outside the window;
+    some carry a quarter-pel remainder.  A PU's block is copied from its first
+    candidate's reference block, its second's, or neither.  For two exact
+    candidates, the first's reference block is also copied to the second's, the
+    second drawn at random or as a mirror of the first (equal |dy| and |dx|).
+    """
+    ps = draw(st.sampled_from((8, 16)))
+    w, h = ps * draw(st.integers(1, 4)), ps * draw(st.integers(1, 3))
+    reach = draw(st.integers(1, 4))
+    texture = draw(st.sampled_from(("random", "flat", "two-level")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ref, cur = _texture(texture, rng, h, w), _texture(texture, rng, h, w)
+    origins = [(bx, by) for by in range(0, h, ps) for bx in range(0, w, ps)]
+
+    def pel(pos, size):  # a displacement whose reference block starts in [0, size - ps]
+        return draw(st.integers(max(pos - (size - ps), -3 * reach), min(pos, 3 * reach)))
+
+    def block(plane, x, y, dx, dy):
+        return plane[y - dy : y - dy + ps, x - dx : x - dx + ps]
+
+    cands, plants = [], []
+    for x, y in origins:
+        d0 = pel(x, w), pel(y, h)
+        plant = draw(st.sampled_from(("none", "first", "second", "both", "mirror")))
+        d1 = pel(x, w), pel(y, h)
+        if plant == "mirror":  # a sign flip of d0 whose block lies in the frame, else d0 itself
+            flips = [(sx * d0[0], sy * d0[1]) for sx, sy in ((-1, 1), (1, -1), (-1, -1))]
+            d1 = draw(st.sampled_from([(dx, dy) for dx, dy in flips if 0 <= x - dx <= w - ps and 0 <= y - dy <= h - ps] or [d0]))
+        rems = [draw(_REMAINDERS) for _ in range(2)]
+        cands.append(CandidatePair(*(MotionVector(4 * dx + rx, 4 * dy + ry) for (dx, dy), (rx, ry) in zip((d0, d1), rems))))
+        plants.append((x, y, d0, d1, plant))
+    for x, y, d0, d1, plant in plants:
+        if plant in ("both", "mirror"):
+            block(ref, x, y, *d1)[...] = block(ref, x, y, *d0).copy()
+    for x, y, d0, d1, plant in plants:
+        if plant != "none":
+            block(cur, x, y, 0, 0)[...] = block(ref, x, y, *(d1 if plant == "second" else d0))
+    lam = draw(st.sampled_from((None, 1.0, 2.0, float("inf"), 1e308)))
+    params = RdParams(qp=draw(st.integers(0, 51)), lambda_motion=lam, search_range=reach, pu_size=ps)
+    # the default budget, one row of one PU a call, or bands of three rows
+    budget = draw(st.sampled_from((_BATCH_BYTES, 1, 3 * (2 * reach + 1) * ps * ps)))
+    return cur, ref, origins, cands, params, budget
+
+
+@settings(max_examples=200)
+@given(_planted_batches())
+def test_early_accept_matches_the_oracle_on_planted_candidates(case):
+    # a PU whose window holds an integer-pel candidate that predicts it exactly takes it
+    # unscored, and gets the vector and SAD of the full search at every lambda, budget and texture
+    cur, ref, origins, cands, params, budget = case
+    # lambda = 1e308 times a rate of 5 bits or more overflows to inf, which numpy warns of
+    with mock.patch.object(codec, "_BATCH_BYTES", budget), np.errstate(over="ignore"):
+        _assert_batch_matches_oracle(cur, ref, origins, cands, params)
+
+
+def test_exact_candidates_skip_the_search(monkeypatch):
+    # on a flat plane every integer-pel candidate in its window is exact: no window is scored,
+    # and of two exact candidates the smaller |dy| wins over the first in raster order
+    def _no_search(*args):
+        raise AssertionError("scored a window that holds an exact candidate")
+
+    monkeypatch.setattr(codec, "_search", _no_search)
+    flat = np.full((32, 32), 40, dtype=np.uint8)
+    params = RdParams(qp=25, search_range=3, pu_size=8)
+    origins = [(8, 8), (16, 8), (8, 16)]
+    cands = [
+        CandidatePair(ZERO_MV, MotionVector(4, -4)),
+        CandidatePair(MotionVector(0, -8), MotionVector(4, 4)),
+        CandidatePair(MotionVector(4, -4), MotionVector(-4, 4)),
+    ]
+    assert _estimate(flat, flat, origins, cands, params) == [
+        (ZERO_MV, 0), (MotionVector(4, 4), 0), (MotionVector(4, -4), 0)
+    ]
+    _assert_batch_matches_oracle(flat, flat, origins, cands, params)
+
+
+@pytest.mark.parametrize("lam", [float("inf"), 1e308])
+def test_early_accept_is_off_when_three_lambda_overflows(lam):
+    # every cost is inf, so the least |d| of SAD 0 wins, although the candidate is exact
+    flat = np.zeros((32, 32), dtype=np.uint8)
+    params = RdParams(qp=25, lambda_motion=lam, search_range=3, pu_size=8)
+    case = (flat, flat, 8, 8, CandidatePair(MotionVector(8, 4), MotionVector(8, 4)), params)
+    with np.errstate(over="ignore"):  # 1e308 times a rate of 5 bits overflows to inf
+        assert _search_one(*case) == _oracle(*case) == (ZERO_MV, 0)
+
+
 # ---------------------------------------------------------------- encoding
 
 def test_encode_static_sequence_emits_zero_motion():
@@ -562,9 +668,8 @@ def test_encode_global_shift_recovers_motion():
                 assert field.get(f, bx, by) == MotionVector(4, 0)
 
 
-def test_encode_searches_one_batch_per_anti_diagonal(monkeypatch):
-    # each P-frame makes one motion_estimate call per anti-diagonal of the PU
-    # grid, and each call one _search; per-call costs are read per diagonal
+def _count_search_calls(monkeypatch, pattern, cols, rows, frames):
+    """The `motion_estimate` and `_search` calls of one encode of a PU-16 clip."""
     calls = {"motion_estimate": 0, "_search": 0}
     for name in calls:
         real = getattr(codec, name)
@@ -574,10 +679,27 @@ def test_encode_searches_one_batch_per_anti_diagonal(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(codec, name, counted)
-    cols, rows, frames = 6, 4, 4
-    clip = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 16 * cols, 16 * rows, frames, seed=2))
+    clip = synthesize(SynthSpec(SynthPattern(pattern), 16 * cols, 16 * rows, frames, seed=1))
     encode_sequence(clip, RdParams(qp=25, search_range=8, pu_size=16))
-    assert calls == {"motion_estimate": (cols + rows - 1) * (frames - 1), "_search": (cols + rows - 1) * (frames - 1)}
+    return calls
+
+
+def test_encode_searches_one_batch_per_anti_diagonal(monkeypatch):
+    # each P-frame makes one motion_estimate call per anti-diagonal of the PU grid;
+    # on noise no candidate predicts its PU exactly, so each call makes one _search
+    cols, rows, frames = 6, 4, 4
+    diagonals = (cols + rows - 1) * (frames - 1)
+    calls = _count_search_calls(monkeypatch, "noise", cols, rows, frames)
+    assert calls == {"motion_estimate": diagonals, "_search": diagonals}
+
+
+def test_encode_skips_the_search_of_a_diagonal_of_exact_candidates(monkeypatch):
+    # on objects the static background's PUs take their exact zero candidate, and a
+    # diagonal with no PU left to score makes no _search call
+    cols, rows, frames = 6, 4, 4
+    diagonals = (cols + rows - 1) * (frames - 1)
+    calls = _count_search_calls(monkeypatch, "objects", cols, rows, frames)
+    assert calls["motion_estimate"] == diagonals and calls["_search"] < diagonals
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6))
@@ -625,7 +747,8 @@ def _sequences(draw):
         frames = synthesize(SynthSpec(SynthPattern(pattern), w, h, n, seed=seed, amplitude=amp))
     params = RdParams(
         qp=draw(st.integers(0, 51)),
-        lambda_motion=draw(st.sampled_from((None, 0.5, 1.0, 2.0))),
+        # at lambda = inf every cost is inf, and no exact candidate is taken unscored
+        lambda_motion=draw(st.sampled_from((None, 0.5, 1.0, 2.0, float("inf")))),
         search_range=reach,
         pu_size=ps,
     )

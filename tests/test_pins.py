@@ -1,7 +1,9 @@
-"""Byte pins: a small seed-0 cover, its three embeds and their analyses, and a small experiment CSV.
+"""Byte pins: a small seed-0 cover, its three embeds and their analyses, a small experiment CSV, and encodes
+of small clips across the PU sizes, qps, search ranges and lambdas.
 
-The digests were taken from the code before the decode side moved to a
-one-buffer record table and slotted value types.  Any change of stream
+The first digests were taken from the code before the decode side moved to a
+one-buffer record table and slotted value types, the encode grid's before the
+search accepted exact candidates unscored.  Any change of stream
 bytes, analysis JSON or embed report fails here, so a change that claims
 the same bytes is checked on every test run, not only in the benchmark.
 """
@@ -102,3 +104,51 @@ def test_experiment_csv_matches_pin():
     rows, errors = run_experiment(parse_plan(EXPERIMENT_PLAN))
     assert errors == []
     assert _sha(rows_to_csv(rows)) == EXPERIMENT_CSV_PIN
+
+
+# (pattern, pu_size) -> sha256 over the stream bytes of the clip's encodes at every qp in
+# ENCODE_QPS, range in ENCODE_RANGES and lambda in ENCODE_LAMBDAS, in that nesting order;
+# taken before the search accepted an exact candidate without scoring its window
+ENCODE_GRID_PINS = {
+    ("shift", 8): "105bcd803cf838d86e3fe7c305c728f736ac477aba0e3ebdd63972cbab71d326",
+    ("shift", 16): "8cb150f63b29afe93843c044acf192bb7ad17ab37084bee2badd682d073b3a39",
+    ("shift", 32): "ff1ce9226580f2223cd47eadc06fc7c04245f1848ac897e3668412372b9cd917",
+    ("shift", 64): "f09c2553411ad27b4c06c9b60d4180f4941f8317f3ccb93a7334004989642fd1",
+    ("objects", 8): "cd82f07c865a14e8d62cd61575140bc6b40ea3f24f4c5866d2e5480b11d9a308",
+    ("objects", 16): "024e74dd27a9f19c032671e4a4f439d4deddf876954235bdd00a1bca613bccdb",
+    ("objects", 32): "2a537866a41936a29fe251672fcc3bfac243d84aaae47393d1383de1dee5f52c",
+    ("objects", 64): "1fe77c7edc84c80a85af7dd49ff4bde27652c6a48bca1769e5d11f014fa07d62",
+    ("noise", 8): "bd5280d93c808e13e0f7b34860c15f8c4047d2a1437dd71c06fe33bbaf88df1b",
+    ("noise", 16): "dc966d4682519d96315b58d937579391b8ea804b17a393f89b9300af8bf71a3d",
+    ("noise", 32): "62e6b34cf2306240d28ed545f81be21374fec871d30c60449aa3dae23d94cde3",
+    ("noise", 64): "fbe948a991aa55f5f6dc377f24e83fe54687c0127367c6884399a20f18a89718",
+}
+ENCODE_QPS, ENCODE_RANGES, ENCODE_LAMBDAS = (0, 25, 51), (1, 8, 16), (None, 1.0, float("inf"))
+# frame size and count per PU size: PU 64 is 128 wide and tall, so at range 16 its
+# 33 x 33 window exceeds one search call's byte budget and is searched in bands of rows
+ENCODE_CLIPS = {8: (32, 24, 4), 16: (64, 48, 4), 32: (96, 64, 3), 64: (128, 128, 3)}
+
+
+def _grid_clip(pattern: str, ps: int):
+    """The pattern's clip for PU size `ps`, its bottom PU row flat from half a PU in.
+
+    On the flat run every displacement along it has SAD 0, so at lambda = inf,
+    where every cost is infinite, the least |d| wins, not an exact candidate.
+    """
+    w, h, n = ENCODE_CLIPS[ps]
+    frames = synthesize(SynthSpec(SynthPattern(pattern), w, h, n, seed=4, amplitude=(2, -1)))
+    for plane in frames:
+        plane.data[h - ps :, ps // 2 :] = 128
+    return frames
+
+
+@pytest.mark.parametrize("pattern, ps", sorted(ENCODE_GRID_PINS))
+def test_encode_grid_matches_pins(pattern, ps):
+    frames = _grid_clip(pattern, ps)
+    digest = hashlib.sha256()
+    for qp in ENCODE_QPS:
+        for reach in ENCODE_RANGES:
+            for lam in ENCODE_LAMBDAS:
+                params = RdParams(qp=qp, lambda_motion=lam, search_range=reach, pu_size=ps)
+                digest.update(write_stream(encode_sequence(frames, params)[0]))
+    assert digest.hexdigest() == ENCODE_GRID_PINS[pattern, ps]
