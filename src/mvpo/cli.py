@@ -23,9 +23,8 @@ from . import __version__
 from .analyzer import mvd_rates, optimal_rate
 from .codec import encode_sequence
 from .core import RdParams
-from .errors import InputError, MalformedStreamError
+from .errors import InputError, MalformedStreamError, check_geometry
 from .experiment import (
-    _check_geometry,
     _parse_size,
     parse_plan,
     parse_synth_spec,
@@ -106,7 +105,7 @@ def _load_frames(args):
     w, h = _parse_size("size", args.size)
     frames = args.frames
     # the geometry is checked before a frame size is derived from it
-    _check_geometry("--size", "--frames", w, h, 1 if frames is None else frames)
+    check_geometry(w, h, 1 if frames is None else frames, "--size", "--frames")
     YuvSpec(w, h, 1)  # and 4:2:0's even dimensions
     if frames is None:
         frame_bytes = w * h * 3 // 2

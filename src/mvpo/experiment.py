@@ -18,7 +18,7 @@ from . import codec
 from .analyzer import optimal_rate, stream_rates
 from .codec import encode_sequence
 from .core import RdParams
-from .errors import InputError, MvpoError
+from .errors import InputError, MvpoError, check_geometry
 from .formats import YuvSpec, read_yuv
 from .stego import METHOD_TAGS, EmbedConfig, MethodTag, embed
 from .stream import Plane, SequenceStream
@@ -39,21 +39,13 @@ def _parse_int(key: str, text: str) -> int:
         raise InputError(f"bad {key} value {text.strip()!r}, expected an integer") from exc
 
 
-def _check_geometry(size_key: str, frames_key: str, width: int, height: int, frames: int, where: str = "") -> None:
-    """Refuse a size or frame count no sequence has, naming the key it was given by and, after it, `where`."""
-    if width <= 0 or height <= 0:
-        raise InputError(f"{size_key} {width}x{height} must be positive{where}")
-    if frames < 1:
-        raise InputError(f"{frames_key} {frames} must be >= 1{where}")
-
-
 def _parse_geometry(kind: str, kv: dict[str, str], text: str) -> tuple[int, int, int]:
     """Pop a spec's size= and frames=; a bad value is refused by its key and the spec's text."""
     if "size" not in kv or "frames" not in kv:
         raise InputError(f"{kind} needs size= and frames=: {text!r}")
     width, height = _parse_size("size", kv.pop("size"))
     frames = _parse_int("frames", kv.pop("frames"))
-    _check_geometry("size", "frames", width, height, frames, f": {text.strip()!r}")
+    check_geometry(width, height, frames, "size", "frames", f": {text.strip()!r}")
     return width, height, frames
 
 

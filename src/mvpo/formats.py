@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .analyzer import FeatureReport
-from .errors import InputError, MalformedStreamError
+from .errors import InputError, MalformedStreamError, check_geometry
 from .stream import RECORD_DTYPE, Plane, SequenceStream, StreamHeader
 
 MAGIC = b"MVPO"
@@ -125,12 +125,9 @@ class YuvSpec:
     frame_count: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InputError(f"bad dimensions {self.width}x{self.height}")
+        check_geometry(self.width, self.height, self.frame_count, "size", "frame_count")
         if self.width % 2 or self.height % 2:
             raise InputError(f"4:2:0 needs even dimensions, got {self.width}x{self.height}")
-        if self.frame_count < 1:
-            raise InputError(f"frame_count {self.frame_count} must be >= 1")
 
     @property
     def luma_bytes(self) -> int:

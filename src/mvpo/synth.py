@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MV_MAX
-from .errors import InputError
+from .errors import InputError, check_geometry
 from .stream import Plane
 
 
@@ -52,10 +52,7 @@ class SynthSpec:
         except ValueError:
             names = [p.value for p in SynthPattern]
             raise InputError(f"unknown pattern {self.pattern!r}, expected one of {names}") from None
-        if self.width <= 0 or self.height <= 0:
-            raise InputError(f"bad dimensions {self.width}x{self.height}")
-        if self.frame_count < 1:
-            raise InputError(f"frame_count {self.frame_count} must be >= 1")
+        check_geometry(self.width, self.height, self.frame_count, "size", "frame_count")
         if self.seed < 0:
             raise InputError(f"seed {self.seed} must be >= 0")
         ax, ay = self.amplitude

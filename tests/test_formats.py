@@ -558,11 +558,11 @@ def test_plane_is_a_2d_uint8_array():
 
 
 def test_yuv_spec_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^size 0x16 must be positive$"):
         YuvSpec(0, 16, 1)
-    with pytest.raises(InputError):
-        YuvSpec(31, 16, 1)  # odd width cannot be 4:2:0
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^4:2:0 needs even dimensions, got 31x16$"):
+        YuvSpec(31, 16, 1)
+    with pytest.raises(InputError, match=r"^frame_count 0 must be >= 1$"):
         YuvSpec(32, 16, 0)
     assert YuvSpec(32, 16, 2).frame_bytes == 32 * 16 * 3 // 2
 

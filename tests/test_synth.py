@@ -84,9 +84,9 @@ def test_default_objects_are_seed_stable_and_in_motion():
 
 
 def test_spec_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^size 0x32 must be positive$"):
         SynthSpec(SynthPattern.GLOBAL_SHIFT, 0, 32, 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^frame_count 0 must be >= 1$"):
         SynthSpec(SynthPattern.GLOBAL_SHIFT, 32, 32, 0)
 
 
