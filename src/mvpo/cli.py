@@ -106,9 +106,8 @@ def _load_frames(args):
     frames = args.frames
     # the geometry is checked before a frame size is derived from it
     check_geometry(w, h, 1 if frames is None else frames, "--size", "--frames")
-    YuvSpec(w, h, 1)  # and 4:2:0's even dimensions
+    frame_bytes = YuvSpec(w, h, 1).frame_bytes  # and 4:2:0's even dimensions
     if frames is None:
-        frame_bytes = w * h * 3 // 2
         total = os.stat(args.yuv).st_size
         if total == 0 or total % frame_bytes:
             raise InputError(f"{args.yuv}: size {total} is not a whole number of {w}x{h} 4:2:0 frames")

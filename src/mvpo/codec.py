@@ -38,17 +38,18 @@ and the displacement, names the winner in one reduction.  SAD is exact in
 narrow integers: |a - b| = 2 max(a, b) - a - b, so a block's SAD is twice the
 sum of its uint8 maxima, summed 256 samples at a time in uint16, less the two
 block sums.  One search call works within a fixed byte budget that holds a
-whole CIF diagonal; a PU whose window exceeds it is searched in bands of rows.
+whole CIF diagonal; a call sizes its batches from its widest window, and a PU
+whose window alone exceeds the budget is searched in bands of rows.
 
 A PU whose window holds an integer-pel candidate that predicts it exactly
 takes that candidate without a search: its cost, 0 + 3 lambda, is the least
 any position can have, since SAD >= 0 and a rate is at least 3 bits, one per
-difference component and the index bit.  Of two exact candidates the search's
-tie order picks (smaller |dy|, then |dx|, then raster order), so the vectors
-and bytes are those of the full search.  The test is one pass over the call's
-PUs in plain integers, the block sums first and the blocks only where the sums
-agree; it is skipped when 3 lambda overflows to inf, where every cost is inf
-and the least |d| of SAD 0 wins instead.
+difference component and the index bit.  Of two exact candidates the lesser
+search key wins, the order the search reduces by (|dy|, then |dx|, then
+dy > 0, then dx > 0), so the vectors and bytes are those of the full search.
+The test is one pass over the call's PUs in plain integers, the block sums
+first and the blocks only where the sums agree; it is skipped when 3 lambda
+overflows to inf, where every cost is inf and the least |d| of SAD 0 wins.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ def motion_estimate(
     `cands[i]`.  Cost ties fall back to smaller SAD, then smaller |dy|, then
     smaller |dx|, then first position in raster scan order.  Returns one
     (vector in quarter-pel units, SAD) per PU; each PU's result is
-    independent of the others in the batch.  Raises ValueError unless
+    independent of the others in the batch, so the call sizes its batches and
+    bands of rows from the widest window it scores.  Raises ValueError unless
     `origins` and `cands` have the same length.
 
     Early accept: a PU whose window holds an integer-pel candidate that
@@ -253,10 +255,10 @@ def motion_estimate(
     not scored.  No position costs less: SAD >= 0 and a rate is at least 3
     bits, one per difference component plus the index bit, so 3 lambda is
     the least cost and only an exact candidate has it.  Of two exact
-    candidates the tie order above picks.  The rule holds only while
-    3 lambda is finite; at lambda = inf, or large enough that 3 lambda
-    overflows, every cost is inf, the least |d| of SAD 0 wins, and every
-    window is scored.
+    candidates the lesser search key, the tie order above, wins.  The rule
+    holds only while 3 lambda is finite; at lambda = inf, or large enough that
+    3 lambda overflows, every cost is inf, the least |d| of SAD 0 wins, and
+    every window is scored.
     """
     n = len(origins)
     if len(cands) != n:
@@ -276,14 +278,15 @@ def motion_estimate(
         lo_x, hi_x = _axis_window(x, last_x, s.x >> 2, reach)
         lo_y, hi_y = _axis_window(y, last_y, s.y >> 2, reach)
         if targets is not None:
-            exact = None
+            exact, best = None, _NO_KEY
             for c in (c0, c1):
                 dx, dy = c.x >> 2, c.y >> 2
                 if (c.x | c.y) & 3 or not (lo_x <= dx <= hi_x and lo_y <= dy <= hi_y):
                     continue  # quarter-pel, or outside the window
-                # the cheap test first: the reference block's sum
+                # the cheap test first, the reference block's sum; the lesser search key wins
                 if sums.item(x - dx, y - dy) == targets[i] and table[x - dx, y - dy].tobytes() == current[i].tobytes():
-                    exact = c if exact is None or _tie_order(c) < _tie_order(exact) else exact
+                    if (key := _KEY_DY[dy] | _KEY_DX[dx]) < best:
+                        exact, best = c, key
             if exact is not None:
                 found[i] = (exact, 0)
                 continue
@@ -300,15 +303,13 @@ def motion_estimate(
         current, current_sums = current[searched], current_sums[searched]
     windows = np.array(fields, dtype=np.int64).reshape(m, 10)
 
-    # each axis searches at most 2R+1 positions, and never more than the frame
-    # has or a vector can reach
-    span_x, span_y = (min(2 * reach + 1, k, _PEL_MAX - _PEL_MIN + 1) for k in table.shape[:2])
-    row_bytes = span_x * table.shape[2]
-    step = max(1, _BATCH_BYTES // (span_y * row_bytes))
-    # a PU whose window alone exceeds the budget is searched a band of dy rows at a
-    # time; bands run in raster order, so the earlier one keeps a full (cost, key) tie
-    rows = max(1, min(span_y, _BATCH_BYTES // row_bytes))
-    (row0, row1), *bands = [(r, min(r + rows, span_y)) for r in range(0, span_y, rows)]
+    # the budget holds `step` PUs of the widest window; a PU whose window alone exceeds it
+    # is searched a band of dy rows at a time, and bands run in raster order, so the
+    # earlier one keeps a full (cost, key) tie
+    row_bytes = k_x * table.shape[2]
+    step = max(1, _BATCH_BYTES // (k_y * row_bytes))
+    rows = max(1, min(k_y, _BATCH_BYTES // row_bytes))
+    (row0, row1), *bands = [(r, min(r + rows, k_y)) for r in range(0, k_y, rows)]
     for j in range(0, m, step):
         part = slice(j, j + step)
         batch = (table, sums, current[part], current_sums[part], windows[part], (k_x, k_y), params)
@@ -318,11 +319,6 @@ def motion_estimate(
         for i, (_, key) in zip(searched[part], best):
             found[i] = (_key_vector(key), key >> 32)
     return found
-
-
-def _tie_order(v: MotionVector) -> tuple[int, int, int, int]:
-    """Orders vectors of equal cost and SAD as the search does: |dy|, then |dx|, then raster order."""
-    return abs(v.y), abs(v.x), v.y, v.x
 
 
 def _axis_window(pos: int, last: int, centre: int, reach: int) -> tuple[int, int]:
@@ -353,15 +349,15 @@ def _search(
     PU i has the (ps * ps,) block `current[i]` with sample sum
     `current_sums[i]`, and `windows[i]` holds its window (lo_x, lo_y, hi_x,
     hi_y), its origin (x, y) and the quarter-pel (x, y) of both candidates;
-    `span` is the widest window's (columns, rows).  The key packs (SAD, |dy|,
-    |dx|, dy > 0, dx > 0), the SAD in its bits from 32 up.  Among positions
-    tied on SAD, |dy| and |dx|, a negative displacement comes first in a
-    window, whose displacements ascend, so the least key among the cheapest
-    positions is the first in raster order that `motion_estimate` documents,
-    and it names its (dx, dy).
+    `span` is the widest window's (columns, rows), whose rows hold [row0,
+    row1).  The key packs (SAD, |dy|, |dx|, dy > 0, dx > 0), the SAD in its
+    bits from 32 up.  Among positions tied on SAD, |dy| and |dx|, a negative
+    displacement comes first in a window, whose displacements ascend, so the
+    least key among the cheapest positions is the first in raster order that
+    `motion_estimate` documents, and it names its (dx, dy).
     """
     n = len(windows)
-    k_x, k_y = span[0], max(1, min(span[1] - row0, row1 - row0))
+    k_x, k_y = span[0], row1 - row0
     lo, hi, pos = windows[:, :6].reshape(n, 3, 2, 1).transpose(1, 0, 2, 3)  # each (n, axis, 1)
     if row0:
         lo = lo + [[0], [row0]]  # a later band: its rows start row0 below each window's first
@@ -383,7 +379,8 @@ def _search(
     sad -= sums[xs, ys]
     sad -= current_sums[:, None, None]
 
-    cost = sad + params.lambda_motion * _rates(dxs, dys, windows[:, 6:].reshape(n, 2, 2))
+    with np.errstate(over="ignore"):  # a lambda near the float limit makes costs inf, as intended
+        cost = sad + params.lambda_motion * _rates(dxs, dys, windows[:, 6:].reshape(n, 2, 2))
     low_cost = np.minimum.reduce(cost, axis=(1, 2), keepdims=True)
     # the SAD becomes the key in place: SAD < 2**31 for 64x64 PUs of 8-bit samples,
     # and |d| <= 2048 < 2**12 inside the vector range
@@ -464,12 +461,13 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
     The stream holds one record per PU of every P-frame, in raster order; the
     walk rejects reconstructed vectors that leave the representable range.  It
     builds the records of one frame of table rows at a time, sharing one `Mvd`
-    per distinct difference of the whole table, and holds the vectors of the
-    current and previous frame only, which candidates read.
+    per distinct difference and one `MotionVector` per distinct vector of the
+    whole table, and holds the vectors of the current and previous frame only,
+    which candidates read.
     """
     header = stream.header
     field = MvField(header.width, header.height, header.pu_size)
-    shared: dict[tuple[int, int], MotionVector] = {}  # equal vectors share one object
+    vectors = functools.cache(MotionVector)
     current = 1  # the frame whose vectors the field gathers
     for record in _records_of(stream.table, header.pus_per_frame):
         f, bx, by = record.frame_index, record.block_x, record.block_y
@@ -478,14 +476,10 @@ def decode_walk(stream: SequenceStream) -> Iterator[tuple[PuRecord, CandidatePai
             current = f
         cands = derive_candidates(field, f, bx, by)
         mvp, mvd = cands.mvp1 if record.idx else cands.mvp0, record.mvd
-        x, y = mvd.dx + mvp.x, mvd.dy + mvp.y
-        mv = shared.get((x, y))
-        if mv is None:
-            try:
-                mv = MotionVector(x, y)
-            except ValueError as exc:
-                raise MalformedStreamError(f"reconstructed vector out of range at {(f, bx, by)}: {exc}") from exc
-            shared[x, y] = mv
+        try:  # the cache keeps no exception, so an out-of-range vector raises every time
+            mv = vectors(mvd.dx + mvp.x, mvd.dy + mvp.y)
+        except ValueError as exc:
+            raise MalformedStreamError(f"reconstructed vector out of range at {(f, bx, by)}: {exc}") from exc
         field._mvs[f, bx, by] = mv
         yield record, cands, mv
 

@@ -157,8 +157,7 @@ def ue_bits(code_num: int) -> int:
 def se_bits(value: int) -> int:
     """Codeword length of a signed value under the standard zigzag mapping."""
     value = operator.index(value)
-    # codeNum + 1 of the zigzag code: 2v - 1 + 1 for v > 0, -2v + 1 otherwise
-    return 2 * ((2 * value if value > 0 else 1 - 2 * value).bit_length() - 1) + 1
+    return ue_bits(2 * value - 1 if value > 0 else -2 * value)
 
 
 def _se_bits_table() -> np.ndarray:

@@ -308,18 +308,10 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
     errors.extend(message for _, _, message in sorted(cell_errors))
 
     rows = []
-    for (method, qp, param, value), cell_tallies, n_err in zip(cells, tallies, n_errors):
+    for (method, qp, param, value), cell_tallies, n_err in sorted(zip(cells, tallies, n_errors), key=lambda c: c[0]):
         mean_pct, prop_100 = summarize(cell_tallies)
         rows.append(CellRow(method, qp, param, str(value), len(cell_tallies), n_err, mean_pct, prop_100))
-    rows.sort(key=lambda r: (r.method, r.qp, r.param, _numeric(r.value)))
     return rows, errors
-
-
-def _numeric(value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        return -1.0
 
 
 def rows_to_csv(rows: list[CellRow]) -> str:

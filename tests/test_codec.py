@@ -539,6 +539,27 @@ def test_one_pu_wider_than_the_budget_is_searched_in_bands_of_rows():
     _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
+def test_a_window_clamped_at_a_corner_sizes_its_bands_from_itself(monkeypatch):
+    # PU 64 at range 16 at (0, 0) of a 128x128 plane holds 17 x 17 positions, not the
+    # 33 x 33 of range 16: the whole window fits the budget, so it is one search call
+    ps = 64
+    assert 17 * 17 * ps * ps <= _BATCH_BYTES < 33 * 33 * ps * ps
+    calls = []
+    real = codec._search
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return real(*args)
+
+    monkeypatch.setattr(codec, "_search", counted)
+    rng = np.random.default_rng(26)
+    cur, ref = (rng.integers(0, 256, size=(128, 128), dtype=np.uint8) for _ in range(2))
+    params = RdParams(qp=25, search_range=16, pu_size=ps)
+    zero = CandidatePair(ZERO_MV, ZERO_MV)
+    assert _search_one(cur, ref, 0, 0, zero, params) == _oracle(cur, ref, 0, 0, zero, params)
+    assert calls == [(0, 17)]
+
+
 # ---------------------------------------------------------------- early accept
 
 def _texture(kind, rng, h, w):
@@ -608,8 +629,7 @@ def test_early_accept_matches_the_oracle_on_planted_candidates(case):
     # a PU whose window holds an integer-pel candidate that predicts it exactly takes it
     # unscored, and gets the vector and SAD of the full search at every lambda, budget and texture
     cur, ref, origins, cands, params, budget = case
-    # lambda = 1e308 times a rate of 5 bits or more overflows to inf, which numpy warns of
-    with mock.patch.object(codec, "_BATCH_BYTES", budget), np.errstate(over="ignore"):
+    with mock.patch.object(codec, "_BATCH_BYTES", budget):
         _assert_batch_matches_oracle(cur, ref, origins, cands, params)
 
 
@@ -640,8 +660,8 @@ def test_early_accept_is_off_when_three_lambda_overflows(lam):
     flat = np.zeros((32, 32), dtype=np.uint8)
     params = RdParams(qp=25, lambda_motion=lam, search_range=3, pu_size=8)
     case = (flat, flat, 8, 8, CandidatePair(MotionVector(8, 4), MotionVector(8, 4)), params)
-    with np.errstate(over="ignore"):  # 1e308 times a rate of 5 bits overflows to inf
-        assert _search_one(*case) == _oracle(*case) == (ZERO_MV, 0)
+    # 1e308 times a rate of 5 bits overflows to inf, without a warning
+    assert _search_one(*case) == _oracle(*case) == (ZERO_MV, 0)
 
 
 # ---------------------------------------------------------------- encoding

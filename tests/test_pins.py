@@ -106,6 +106,14 @@ def test_experiment_csv_matches_pin():
     assert _sha(rows_to_csv(rows)) == EXPERIMENT_CSV_PIN
 
 
+def test_experiment_csv_matches_pin_with_grids_listed_out_of_order():
+    # rows follow each grid in numeric order: 1000 comes after 20 and 5, as text would not sort them
+    grids = "tar1_e = 0.5, 0.4, 0.3, 0.2, 0.1\ntar2_t = 1000, 20, 5, 1, 0\ntar3_bpap = 0.3, 0.1, 0.5, 0.2, 0.4\n"
+    rows, errors = run_experiment(parse_plan(EXPERIMENT_PLAN + grids))
+    assert errors == []
+    assert _sha(rows_to_csv(rows)) == EXPERIMENT_CSV_PIN
+
+
 # (pattern, pu_size) -> sha256 over the stream bytes of the clip's encodes at every qp in
 # ENCODE_QPS, range in ENCODE_RANGES and lambda in ENCODE_LAMBDAS, in that nesting order;
 # taken before the search accepted an exact candidate without scoring its window
