@@ -4,11 +4,15 @@ Exit codes: 0 success (including an indeterminate verdict, which warns on
 stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream, named
 by its file (also a tar1 output that would not decode), 70 internal error:
 any other failure is a fault in mvpo and is reported with its traceback.  An
-output's directory is checked before any work; outputs are written only after a
-command has fully succeeded, and every artifact gets a sidecar or inline
-record of the invocation that produced it, so reruns are auditable.  Each
-file is written whole through a temp file and a rename, a sidecar just before
-the file it describes and put back if that file's rename fails.
+output path is checked before any work: it must name a file, not a directory,
+in a directory that exists.  Outputs are written only after a command has
+fully succeeded, and every artifact gets a sidecar or inline record of the
+invocation that produced it, so reruns are auditable.  Each file is written
+whole through a temp file and a rename, a sidecar just before the file it
+describes and put back if that file's rename fails.  `encode --yuv` hands
+the encoder the YUV reader itself, so the clip is read once, a frame at a
+time, while it is encoded: a frame that cannot be read fails the encode
+there, and nothing is written.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import os
 import sys
 import traceback
 
-from . import __version__
+from . import __version__, formats
 from .analyzer import mvd_rates, optimal_rate
 from .codec import encode_sequence
 from .core import RdParams
@@ -34,7 +38,6 @@ from .experiment import (
 from .formats import (
     YuvSpec,
     load_stream,
-    read_yuv,
     report_to_csv,
     report_to_json,
     save_stream,
@@ -85,8 +88,16 @@ def _to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _check_out_dir(path: str) -> None:
-    """Refuse an output path whose directory is missing, before the work that would be lost at the write."""
+def _check_out_path(path: str) -> None:
+    """Refuse an output path the final rename would fail on, before the work that would be lost there.
+
+    The path must name a file: not be empty, end in a path separator or be
+    an existing directory; and its directory must exist.
+    """
+    if not os.path.basename(path):
+        raise InputError(f"output path {path!r} names no file")
+    if os.path.isdir(path):
+        raise InputError(f"output {path} is a directory")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise InputError(f"output directory {folder} does not exist")
@@ -112,7 +123,8 @@ def _load_frames(args):
         if total == 0 or total % frame_bytes:
             raise InputError(f"{args.yuv}: size {total} is not a whole number of {w}x{h} 4:2:0 frames")
         frames = total // frame_bytes
-    return read_yuv(args.yuv, YuvSpec(w, h, frames))
+    # the reader itself, looked up on `formats`, where perfbench's tracer wraps it; the encode reads it once
+    return formats.iter_yuv_lumas(args.yuv, YuvSpec(w, h, frames))
 
 
 def cmd_encode(args) -> int:
@@ -182,8 +194,8 @@ def cmd_experiment(args) -> int:
     except UnicodeDecodeError as exc:  # a ValueError, which would read as a fault in mvpo
         raise InputError(f"plan {args.plan} is not UTF-8 text: {exc}") from exc
     plan = parse_plan(text)
-    out = args.out or plan.out
-    _check_out_dir(out)  # the plan's out, when --out is not given
+    out = plan.out if args.out is None else args.out  # an empty --out is refused, not replaced
+    _check_out_path(out)  # the plan's out, when --out is not given
     rows, errors = run_experiment(plan, jobs=args.jobs)
     meta = _invocation("experiment", {"plan": args.plan, "jobs": args.jobs, "seed": plan.seed})
     write_atomic(out, rows_to_csv(rows), sidecar=(out + ".meta.json", _to_json(meta)))
@@ -235,8 +247,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out not in (None, "-"):  # every command has --out; "-" is analyze's stdout
-            _check_out_dir(args.out)
+        if args.out is not None and (args.out, args.command) != ("-", "analyze"):  # "-" is analyze's stdout
+            _check_out_path(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"mvpo: error: {exc}", file=sys.stderr)

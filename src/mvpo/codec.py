@@ -57,7 +57,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,39 +402,51 @@ def select_mvp(mv: MotionVector, cands: CandidatePair) -> tuple[int, Mvd]:
     return 0, Mvd(dx0, dy0)
 
 
-def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStream, MvField]:
+def _stream_header(w: int, h: int, params: RdParams, frame_count: int) -> StreamHeader:
+    """The header of `frame_count` w x h frames coded with `params`; frames no stream describes are an input error."""
+    try:
+        return StreamHeader(w, h, params.pu_size, params.qp, GOP_IPPP, frame_count)
+    except ValueError as exc:  # frames off the PU grid, or larger than a stream can describe
+        raise InputError(f"{w}x{h} frames do not fit a stream: {exc}") from exc
+
+
+def encode_sequence(frames: Iterable[Plane], params: RdParams) -> tuple[SequenceStream, MvField]:
     """Encode an IPPP sequence; the first frame is intra and emits no records.
 
     Each P-frame predicts from the previous reconstructed frame via a pure
     motion-compensated copy.  Returns the stream and the reconstructed motion
-    field for inspection.
+    field for inspection.  `frames` is any iterable of planes, a YUV reader
+    too, and is read once, a plane at a time: the encoder holds the current
+    plane and its own reconstruction of the one before, not the sequence.
+    Fewer than 2 planes, or a second plane of another size than the first,
+    is an `InputError` before any search; then the geometry is checked
+    against what a stream can describe, and each later plane's size as it
+    arrives, once the planes before it are coded.
     """
-    if len(frames) < 2:
-        raise InputError(f"need at least 2 frames, got {len(frames)}")
-    w, h = frames[0].width, frames[0].height
-    for i, plane in enumerate(frames):
+    planes = iter(frames)
+    ref, plane = next(planes, None), next(planes, None)
+    if plane is None:
+        raise InputError(f"need at least 2 frames, got {0 if ref is None else 1}")
+    w, h, ps = ref.width, ref.height, params.pu_size
+
+    def samples(f: int, plane: Plane) -> np.ndarray:
+        """Frame f's samples; it must have the first frame's size."""
         if (plane.width, plane.height) != (w, h):
-            raise InputError(
-                f"frame {i} is {plane.width}x{plane.height}, expected {w}x{h}"
-            )
-    ps = params.pu_size
-    try:
-        header = StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames))
-    except ValueError as exc:  # frames off the PU grid, or larger than a stream can describe
-        raise InputError(f"{w}x{h} frames do not fit a stream: {exc}") from exc
+            raise InputError(f"frame {f} is {plane.width}x{plane.height}, expected {w}x{h}")
+        return plane.data
+
+    ref, cur = ref.data, samples(1, plane)  # the samples alone: frame 0's go once frame 1 is coded
+    _stream_header(w, h, params, 2)  # the geometry, once two planes agree on it
     field = MvField(w, h, ps)
     cols, rows = w // ps, h // ps
     n_pus = cols * rows
-    # the record table in raster order: frame and position now, each P-frame's idx, dx and dy once it is coded
-    records = np.zeros((len(frames) - 1) * n_pus, RECORD_DTYPE)
-    records["frame"], records["bx"], records["by"] = raster_positions(header)
+    coded: list[np.ndarray] = []  # each P-frame's records in raster order, positions left for the end
     # a frame's anti-diagonals are its decode levels: each one's raster indices, and their block origins
     order, _, bounds = _levels(1, rows, cols)
     levels = (order[start:end].tolist() for start, end in zip(bounds, bounds[1:]))
     diagonals = [(ks, [(k % cols * ps, k // cols * ps) for k in ks]) for ks in levels]
-    ref = frames[0].data
-    for f in range(1, len(frames)):
-        cur = frames[f].data
+    f = 1
+    while cur is not None:
         table, sums = window_table(ref, ps), block_sums(ref, ps)
         idxs, dxs, dys = [0] * n_pus, [0] * n_pus, [0] * n_pus
         sources: list[tuple[int, int]] = [(0, 0)] * n_pus  # the reference block each PU copies
@@ -446,12 +458,19 @@ def encode_sequence(frames: list[Plane], params: RdParams) -> tuple[SequenceStre
                 field.put(f, bx, by, mv)
                 idxs[k], dxs[k], dys[k] = idx, mvd.dx, mvd.dy
                 sources[k] = (bx - mv.x // 4, by - mv.y // 4)
-        coded = records[(f - 1) * n_pus : f * n_pus]
-        coded["idx"], coded["dx"], coded["dy"] = idxs, dxs, dys
+        records = np.zeros(n_pus, RECORD_DTYPE)
+        records["idx"], records["dx"], records["dy"] = idxs, dxs, dys
+        coded.append(records)
         # the reconstruction is each PU's reference block, gathered in raster order
         xs, ys = np.array(sources).T
         ref = table[xs, ys].reshape(rows, cols, ps, ps).swapaxes(1, 2).reshape(h, w)
         del table, sums  # one table alive per encode: drop it before the next frame builds its own
+        f += 1
+        plane = next(planes, None)
+        cur = None if plane is None else samples(f, plane)
+    header = _stream_header(w, h, params, f)
+    records = np.concatenate(coded)
+    records["frame"], records["bx"], records["by"] = raster_positions(header)
     return SequenceStream(header, records), field
 
 

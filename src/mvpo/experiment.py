@@ -14,12 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from . import codec
+from . import codec, formats
 from .analyzer import optimal_rate, stream_rates
 from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MvpoError, check_geometry
-from .formats import YuvSpec, read_yuv
+from .formats import YuvSpec
 from .stego import METHOD_TAGS, EmbedConfig, MethodTag, embed
 from .stream import Plane, SequenceStream
 from .synth import SynthPattern, SynthSpec, synthesize
@@ -90,10 +90,15 @@ class SequenceSource:
     yuv_path: str | None = None
     yuv_spec: YuvSpec | None = None
 
-    def load(self) -> list[Plane]:
+    def load(self) -> Iterable[Plane]:
+        """The planes: a synthetic source's list, or a yuv source's reader, which opens the file when first read.
+
+        `encode_sequence` reads the reader once, a plane at a time, so a cover
+        never holds its whole clip; a missing or wrong-size file raises then.
+        """
         if self.synth is not None:
             return synthesize(self.synth)
-        return read_yuv(self.yuv_path, self.yuv_spec)
+        return formats.iter_yuv_lumas(self.yuv_path, self.yuv_spec)
 
 
 def parse_sequence_source(text: str) -> SequenceSource:
@@ -264,7 +269,12 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
     errors: list[str] = []
 
     def _encode(source: SequenceSource, qp: int) -> SequenceStream:
-        return encode_sequence(source.load(), params[qp])[0]
+        frames = source.load()
+        try:
+            return encode_sequence(frames, params[qp])[0]
+        finally:  # a yuv reader closes its file here, also when the encode stops early
+            if source.synth is None:
+                frames.close()
 
     covers: dict[tuple[int, int], SequenceStream | None] = {}
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -139,7 +139,14 @@ class YuvSpec:
 
 
 def iter_yuv_lumas(path: str | os.PathLike, spec: YuvSpec) -> Iterator[Plane]:
-    """Stream luma planes from a 4:2:0 file, skipping chroma, one frame at a time."""
+    """Stream luma planes from a 4:2:0 file, skipping chroma, one frame at a time.
+
+    A generator: the file's size is checked and the file opened when the
+    first plane is asked for, and it is closed after the last plane or when
+    the generator is closed.  Each plane is a read-only view of its own
+    frame's bytes, so a consumer that keeps one plane at a time, as
+    `encode_sequence` does, holds one frame of the file, not all of it.
+    """
     actual = os.stat(path).st_size
     expected = spec.frame_bytes * spec.frame_count
     if actual != expected:

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpo import StreamHeader, read_stream, write_stream
-from mvpo import cli
+from mvpo import cli, formats
 from mvpo.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -68,6 +69,33 @@ def test_encode_accepts_yuv(tmp_path, capsys):
     code = main(["encode", "--yuv", str(clip), "--size", "32x32", "--out", str(out)])
     assert code == EXIT_OK
     assert "pus=8" in capsys.readouterr().out  # frame count derived from size
+
+
+def _record_opens(monkeypatch) -> list:
+    """Every file `formats` opens from now on, to check that each one was closed."""
+    files = []
+
+    def _open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(formats, "open", _open, raising=False)
+    return files
+
+
+def test_a_yuv_encode_that_fails_after_its_reader_started_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # a whole 40x64 clip, which no grid of 16-pel PUs covers: the encode reads its first two
+    # planes, refuses their geometry, writes no output or sidecar and closes the clip at once
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(range(256)) * (40 * 64 * 3 // 2 * 3 // 256))
+    files = _record_opens(monkeypatch)
+    argv = ["encode", "--yuv", str(clip), "--size", "40x64", "--pu-size", "16", "--out", str(tmp_path / "out.mvpo")]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "mvpo: error: 40x64 frames do not fit a stream: width 40 not a multiple of pu_size 16\n"
+    )
+    assert [f.name for f in files] == [str(clip)] and files[0].closed  # the reader started, and was closed
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.yuv"]
 
 
 def test_analyze_cover_prints_verdict(tmp_path, capsys):
@@ -455,6 +483,26 @@ def test_experiment_records_a_yuv_it_cannot_load_as_an_encode_error(tmp_path, ca
     assert (tmp_path / "results.csv.meta.json").is_file()
 
 
+def test_experiment_closes_a_yuv_reader_its_encode_stopped(tmp_path, monkeypatch, capsys):
+    # a whole 32x32 clip that no 64-pel PU covers: each encode reads two planes and refuses them.
+    # Its file is closed when the encode fails, not when a collection frees the failed encode's frames
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(32 * 32 * 3 // 2 * 3))
+    files = _record_opens(monkeypatch)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"sequences = yuv={clip},size=32x32,frames=3\npu_size = 64\nqp = 20, 30\nout = {tmp_path / 'r.csv'}\n")
+    gc.disable()
+    try:
+        assert main(["experiment", "--plan", str(plan), "--jobs", "2"]) == EXIT_OK
+        assert [f.closed for f in files if f.name == str(clip)] == [True, True]
+    finally:
+        gc.enable()
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: encode clip.yuv qp={qp}: 32x32 frames do not fit a stream: width 32 not a multiple of pu_size 64"
+        for qp in (20, 30)
+    ]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_experiment_jobs_below_one_is_usage_error_before_encoding(tmp_path, monkeypatch, capsys, jobs):
     import mvpo.experiment
@@ -486,19 +534,30 @@ def test_experiment_plan_that_is_not_utf8_is_io_error(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["plan.txt"]
 
 
+@pytest.mark.parametrize("target", ["missing directory", "empty", "trailing separator", "directory"])
 @pytest.mark.parametrize("command", ["encode", "embed", "analyze", "experiment --out", "experiment plan out"])
-def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
+def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, target):
+    # and every other output path whose final rename would fail: one that names no file, or a directory
     import mvpo.experiment
 
     cover = _encode(tmp_path)
     missing = tmp_path / "missing"
+    (tmp_path / "folder").mkdir()
+    out, message = {
+        "missing directory": (str(missing / "out"), f"output directory {missing} does not exist"),
+        "empty": ("", "output path '' names no file"),
+        "trailing separator": (str(tmp_path) + os.sep, f"output path {str(tmp_path) + os.sep!r} names no file"),
+        "directory": (str(tmp_path / "folder"), f"output {tmp_path / 'folder'} is a directory"),
+    }[target]
     plan = tmp_path / "plan.txt"
-    plan.write_text(f"sequences = {SYNTH}\nout = {missing / 'results.csv'}\n")
+    # the plan's out is another path, so an empty --out that fell back to it would show
+    plan_out = str(missing / "results.csv") if command == "experiment --out" else out
+    plan.write_text(f"sequences = {SYNTH}\nout = {plan_out}\n")
     argv = {
-        "encode": ["encode", "--synth", SYNTH, "--out", str(missing / "out.mvpo")],
-        "embed": ["embed", "--in", str(cover), "--method", "tar2", "--T", "5", "--out", str(missing / "out.mvpo")],
-        "analyze": ["analyze", "--in", str(cover), "--out", str(missing / "report.json")],
-        "experiment --out": ["experiment", "--plan", str(plan), "--out", str(missing / "results.csv")],
+        "encode": ["encode", "--synth", SYNTH, "--out", out],
+        "embed": ["embed", "--in", str(cover), "--method", "tar2", "--T", "5", "--out", out],
+        "analyze": ["analyze", "--in", str(cover), "--out", out],
+        "experiment --out": ["experiment", "--plan", str(plan), "--out", out],
         "experiment plan out": ["experiment", "--plan", str(plan)],
     }[command]
 
@@ -512,7 +571,34 @@ def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeyp
     assert main(argv) == EXIT_IO
     out, err = capsys.readouterr()
     assert out == ""  # no verdict or summary line for an output that cannot be written
-    assert err == f"mvpo: error: output directory {missing} does not exist\n"
+    assert err == f"mvpo: error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["encode", "embed", "experiment"])
+def test_dash_names_a_file_outside_analyze(tmp_path, monkeypatch, capsys, command):
+    # only analyze writes "-" to stdout; to the other commands it is a path, checked as any other
+    import mvpo.experiment
+
+    cover = _encode(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").mkdir()
+    (tmp_path / "plan.txt").write_text(f"sequences = {SYNTH}\n")
+    argv = {
+        "encode": ["encode", "--synth", SYNTH],
+        "embed": ["embed", "--in", str(cover), "--method", "tar2", "--T", "5"],
+        "experiment": ["experiment", "--plan", "plan.txt"],
+    }[command]
+
+    def _no_work(*args):
+        raise AssertionError("read or encoded before the output path was checked")
+
+    for module, name in ((cli, "encode_sequence"), (cli, "load_stream"), (mvpo.experiment, "encode_sequence")):
+        monkeypatch.setattr(module, name, _no_work)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == EXIT_IO
+    assert capsys.readouterr().err == "mvpo: error: output - is a directory\n"
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -866,11 +952,13 @@ def test_experiment_exits_by_the_first_fault_in_its_plan_sources_and_output(plan
     assert err.startswith("mvpo: error: ") and err.count("\n") == 1, err
     if fault == "out missing":  # checked before the plan is read
         assert err == f"mvpo: error: output directory {os.path.dirname(out)} does not exist\n"
+    elif fault == "out is a directory":  # so is this
+        assert err == f"mvpo: error: output {out} is a directory\n"
     elif fault == "not utf-8":
         assert err.startswith(f"mvpo: error: plan {plan} is not UTF-8 text: ")
     else:
-        assert culprits or fault == "out is a directory", err
-        assert _names_one(err, culprits + [(out, "")]), err
+        assert culprits, err
+        assert _names_one(err, culprits), err
 
 
 @settings(max_examples=100)
@@ -907,13 +995,13 @@ def test_analyze_exits_by_the_first_fault_in_its_input_and_output(source, fmt, o
 
     if out_kind == "missing directory":
         assert (code, err) == (EXIT_IO, f"mvpo: error: output directory {os.path.dirname(out)} does not exist\n")
+    elif out_kind == "directory":  # refused, like a missing directory, before the input is read
+        assert (code, err) == (EXIT_IO, f"mvpo: error: output {out} is a directory\n")
     elif source == "missing":
         assert code == EXIT_IO and err.startswith("mvpo: error: ") and stream in err, err
     elif code == EXIT_MALFORMED:  # the reader's refusal or the decode's, naming the file once
         assert source != "cover", err
         assert err.startswith(f"mvpo: malformed stream: {stream}: ") and err.count(stream) == 1, err
-    elif out_kind == "directory":
-        assert code == EXIT_IO and err.startswith("mvpo: error: ") and out in err, err
     else:
         assert code == EXIT_OK and (source == "cover" or isinstance(source, tuple)), (code, err)
         assert err == "", err

@@ -4,6 +4,7 @@ import dataclasses
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -881,23 +882,53 @@ def test_decode_walk_memory_does_not_grow_with_frames():
     assert _walk_peak_bytes(40) < 1.5 * _walk_peak_bytes(4)
 
 
+def test_encode_holds_two_input_planes_at_a_time():
+    # a one-pass input is read a plane at a time: when the encoder asks for a plane, it holds at most
+    # the one before, so it never keeps more than two input planes alive however long the sequence is
+    base = np.random.default_rng(6).integers(0, 256, (64, 64), dtype=np.uint8)
+    alive = []  # a weak reference to each plane's samples
+    most = 0
+
+    def make(k: int) -> Plane:
+        nonlocal most
+        samples = np.roll(base, (k, 2 * k), axis=(0, 1))  # every P-frame has motion to find
+        alive.append(weakref.ref(samples))
+        most = max(most, sum(ref() is not None for ref in alive))
+        return Plane(samples)
+
+    stream, _ = encode_sequence((make(k) for k in range(12)), RdParams(qp=25))
+    assert stream.header.frame_count == len(alive) == 12
+    assert most <= 2
+
+
 def test_encode_requires_two_frames_and_uniform_geometry():
-    frames = [Plane(np.zeros((32, 32), dtype=np.uint8))]
-    with pytest.raises(InputError):
-        encode_sequence(frames, RdParams(pu_size=16))
-    mixed = [
-        Plane(np.zeros((32, 32), dtype=np.uint8)),
-        Plane(np.zeros((32, 48), dtype=np.uint8)),
+    def flat(w, h):
+        return Plane(np.zeros((h, w), dtype=np.uint8))
+
+    cases = [
+        ([], "^need at least 2 frames, got 0$"),
+        ([flat(32, 32)], "^need at least 2 frames, got 1$"),
+        ([flat(32, 32), flat(48, 32)], "^frame 1 is 48x32, expected 32x32$"),
+        # a one-pass input meets the third plane after the first P-frame is coded, with the same message
+        ([flat(32, 32), flat(32, 32), flat(32, 48)], "^frame 2 is 32x48, expected 32x32$"),
+        ([flat(40, 64)] * 2, "^40x64 frames do not fit a stream: width 40 not a multiple of pu_size 16$"),
+        # wider than the 16-bit width field of a stream header
+        ([flat(65536, 16)] * 2, "^65536x16 frames do not fit a stream: width 65536 outside "),
     ]
-    with pytest.raises(InputError):
-        encode_sequence(mixed, RdParams(pu_size=16))
-    odd = [Plane(np.zeros((64, 40), dtype=np.uint8))] * 2
-    with pytest.raises(InputError, match="^40x64 frames do not fit a stream: width 40 not a multiple of pu_size 16$"):
-        encode_sequence(odd, RdParams(pu_size=16))
-    # wider than the 16-bit width field of a stream header
-    wide = [Plane(np.zeros((16, 65536), dtype=np.uint8))] * 2
-    with pytest.raises(InputError, match="65536x16 frames do not fit a stream"):
-        encode_sequence(wide, RdParams(pu_size=16))
+    for planes, message in cases:
+        for frames in (planes, (plane for plane in planes)):
+            with pytest.raises(InputError, match=message):
+                encode_sequence(frames, RdParams(pu_size=16))
+
+
+@pytest.mark.parametrize("size, frames", [((352, 288), 4), ((64, 64), 9)])
+def test_encode_of_a_generator_writes_the_bytes_of_the_list(size, frames):
+    planes = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, *size, frames, seed=4, amplitude=(2, 2)))
+    params = RdParams(qp=25)
+    stream, field = encode_sequence(planes, params)
+    one_pass, one_pass_field = encode_sequence((plane for plane in planes), params)
+    assert write_stream(one_pass) == write_stream(stream)
+    assert one_pass_field == field
 
 
 def test_encoded_streams_are_selection_optimal_by_construction():
