@@ -3,16 +3,16 @@
 Exit codes: 0 success (including an indeterminate verdict, which warns on
 stderr), 1 usage error, 2 I/O or input-data error, 3 malformed stream, named
 by its file (also a tar1 output that would not decode), 70 internal error:
-any other failure is a fault in mvpo and is reported with its traceback.  An
-output path is checked before any work: it must name a file, not a directory,
-in a directory that exists.  Outputs are written only after a command has
-fully succeeded, and every artifact gets a sidecar or inline record of the
-invocation that produced it, so reruns are auditable.  Each file is written
-whole through a temp file and a rename, a sidecar just before the file it
-describes and put back if that file's rename fails.  `encode --yuv` hands
-the encoder the YUV reader itself, so the clip is read once, a frame at a
-time, while it is encoded: a frame that cannot be read fails the encode
-there, and nothing is written.
+any other failure is a fault in mvpo and is reported with its traceback.
+Every output path, sidecars included, is checked before any work: it must
+name a file, not a directory, in a directory that exists.  Outputs are
+written only after a command has fully succeeded, and every artifact gets a
+sidecar or inline record of the invocation that produced it, so reruns are
+auditable.  Each file is written whole through a temp file and a rename, a
+sidecar just before the file it describes and put back if that file's rename
+fails.  `encode` codes its source with `SequenceSource.encode`, as the
+experiment does: a `--yuv` clip is read once, a frame at a time, while it is
+encoded, so a frame that cannot be read fails it there, and nothing is written.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import os
 import sys
 import traceback
 
-from . import __version__, formats
+from . import __version__
 from .analyzer import mvd_rates, optimal_rate
-from .codec import encode_sequence
 from .core import RdParams
 from .errors import InputError, MalformedStreamError, check_geometry
 from .experiment import (
+    SequenceSource,
     _parse_size,
     parse_plan,
     parse_synth_spec,
@@ -44,7 +44,6 @@ from .formats import (
     write_atomic,
 )
 from .stego import METHOD_TAGS, EmbedConfig, embed
-from .synth import synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,14 +102,30 @@ def _check_out_path(path: str) -> None:
         raise InputError(f"output directory {folder} does not exist")
 
 
-def _load_frames(args):
+# the suffix of the record each command writes beside its output; a JSON analysis holds its record inline
+_SIDECARS = {"encode": ".meta.json", "embed": ".report.json", "analyze": ".meta.json", "experiment": ".meta.json"}
+
+
+def _sidecar(args, out: str) -> str | None:
+    """The path of the record written beside output `out`: the up-front check and the writers both read it."""
+    return None if args.command == "analyze" and args.format == "json" else out + _SIDECARS[args.command]
+
+
+def _check_outputs(args, out: str) -> None:
+    """Refuse output `out`, or the sidecar written beside it, before any work, as `_check_out_path` does."""
+    for path in (out, _sidecar(args, out)):
+        if path is not None:
+            _check_out_path(path)
+
+
+def _source(args) -> SequenceSource:
     if bool(args.synth) == bool(args.yuv):
         raise UsageError("encode needs exactly one of --synth or --yuv")
     if args.synth:
         # the spec gives both, and the sidecar records the flags, so an ignored one would read as applied
         if args.size is not None or args.frames is not None:
             raise UsageError("--synth takes its size and frames from the spec, not --size or --frames")
-        return synthesize(parse_synth_spec(args.synth))
+        return SequenceSource(args.synth, synth=parse_synth_spec(args.synth))
     if not args.size:
         raise UsageError("--yuv needs --size WxH")
     w, h = _parse_size("size", args.size)
@@ -123,17 +138,16 @@ def _load_frames(args):
         if total == 0 or total % frame_bytes:
             raise InputError(f"{args.yuv}: size {total} is not a whole number of {w}x{h} 4:2:0 frames")
         frames = total // frame_bytes
-    # the reader itself, looked up on `formats`, where perfbench's tracer wraps it; the encode reads it once
-    return formats.iter_yuv_lumas(args.yuv, YuvSpec(w, h, frames))
+    return SequenceSource(args.yuv, yuv_path=args.yuv, yuv_spec=YuvSpec(w, h, frames))
 
 
 def cmd_encode(args) -> int:
-    frames = _load_frames(args)
+    source = _source(args)
     params = _from_args(RdParams, qp=args.qp, search_range=args.search_range, pu_size=args.pu_size)
-    stream, _ = encode_sequence(frames, params)
+    stream = source.encode(params)
     flags = ("synth", "yuv", "size", "frames", "qp", "pu_size", "search_range")
     meta = _invocation("encode", {flag: getattr(args, flag) for flag in flags})
-    save_stream(stream, args.out, sidecar=(args.out + ".meta.json", _to_json(meta)))
+    save_stream(stream, args.out, sidecar=(_sidecar(args, args.out), _to_json(meta)))
     total_bits = int(mvd_rates(stream.table["dx"], stream.table["dy"]).sum())
     print(f"pus={stream.n_records} total_rate_bits={total_bits} out={args.out}")
     return EXIT_OK
@@ -153,7 +167,7 @@ def cmd_embed(args) -> int:
     doc = report.to_dict()
     params = {t.param: getattr(args, t.param) for t in METHOD_TAGS.values()}
     doc["invocation"] = _invocation("embed", {"in": args.input, "method": args.method, **params, "seed": args.seed})
-    save_stream(stego, args.out, sidecar=(args.out + ".report.json", _to_json(doc)))
+    save_stream(stego, args.out, sidecar=(_sidecar(args, args.out), _to_json(doc)))
     print(
         f"method={args.method} pus={report.pus_visited} bits={report.bits_embedded} "
         f"modified={report.pus_modified} out={args.out}"
@@ -181,9 +195,8 @@ def cmd_analyze(args) -> int:
             f"optimal_rate_pct={pct_text} verdict={report.verdict.value}"
         )
         if args.out:
-            # a JSON report holds its invocation inline, a CSV report's goes in a sidecar
-            sidecar = None if args.format == "json" else (args.out + ".meta.json", _to_json(invocation))
-            write_atomic(args.out, rendered, sidecar=sidecar)
+            sidecar = _sidecar(args, args.out)
+            write_atomic(args.out, rendered, sidecar=None if sidecar is None else (sidecar, _to_json(invocation)))
     return EXIT_OK
 
 
@@ -195,10 +208,10 @@ def cmd_experiment(args) -> int:
         raise InputError(f"plan {args.plan} is not UTF-8 text: {exc}") from exc
     plan = parse_plan(text)
     out = plan.out if args.out is None else args.out  # an empty --out is refused, not replaced
-    _check_out_path(out)  # the plan's out, when --out is not given
+    _check_outputs(args, out)  # the plan's out, when --out is not given
     rows, errors = run_experiment(plan, jobs=args.jobs)
     meta = _invocation("experiment", {"plan": args.plan, "jobs": args.jobs, "seed": plan.seed})
-    write_atomic(out, rows_to_csv(rows), sidecar=(out + ".meta.json", _to_json(meta)))
+    write_atomic(out, rows_to_csv(rows), sidecar=(_sidecar(args, out), _to_json(meta)))
     for line in errors:
         print(f"warning: {line}", file=sys.stderr)
     print(f"cells={len(rows)} errors={len(errors)} out={out}")
@@ -248,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.out is not None and (args.out, args.command) != ("-", "analyze"):  # "-" is analyze's stdout
-            _check_out_path(args.out)
+            _check_outputs(args, args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"mvpo: error: {exc}", file=sys.stderr)

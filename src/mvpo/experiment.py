@@ -8,6 +8,7 @@ per cell and the run continues.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from .core import RdParams
 from .errors import InputError, MvpoError, check_geometry
 from .formats import YuvSpec
 from .stego import METHOD_TAGS, EmbedConfig, MethodTag, embed
-from .stream import Plane, SequenceStream
+from .stream import SequenceStream
 from .synth import SynthPattern, SynthSpec, synthesize
 
 def _parse_size(key: str, text: str) -> tuple[int, int]:
@@ -83,22 +84,22 @@ def parse_synth_spec(text: str) -> SynthSpec:
 
 @dataclass(frozen=True)
 class SequenceSource:
-    """One input sequence: either a synthetic spec or a raw YUV file."""
+    """One input sequence, a synthetic spec or a raw YUV file, as `mvpo encode` and the experiment read it."""
 
     name: str
     synth: SynthSpec | None = None
     yuv_path: str | None = None
     yuv_spec: YuvSpec | None = None
 
-    def load(self) -> Iterable[Plane]:
-        """The planes: a synthetic source's list, or a yuv source's reader, which opens the file when first read.
-
-        `encode_sequence` reads the reader once, a plane at a time, so a cover
-        never holds its whole clip; a missing or wrong-size file raises then.
+    def encode(self, params: RdParams) -> SequenceStream:
+        """The sequence coded with `params`; a yuv file is opened when the encode first reads it, read a plane
+        at a time, and closed on every exit, a failed encode's too.
         """
         if self.synth is not None:
-            return synthesize(self.synth)
-        return formats.iter_yuv_lumas(self.yuv_path, self.yuv_spec)
+            return encode_sequence(synthesize(self.synth), params)[0]
+        # the reader looked up on `formats`, where perfbench's tracer wraps it
+        with contextlib.closing(formats.iter_yuv_lumas(self.yuv_path, self.yuv_spec)) as frames:
+            return encode_sequence(frames, params)[0]
 
 
 def parse_sequence_source(text: str) -> SequenceSource:
@@ -250,57 +251,42 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int, str, float | int | str]
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], list[str]]:
     """Run the whole grid; returns the sorted cell rows and any per-item errors.
 
-    The covers are encoded first; a cover whose source cannot be loaded (a
-    missing yuv file too) or encoded is an error of its (sequence, qp).  Then
-    each cell scores its stream, the cover or its stego, with `optimal_rate`,
-    as `mvpo analyze` does.  The tar2 cells of one cover share one walk of it,
-    `list(decode_walk(cover))`, built for its first tar2 cell and dropped
-    before the next cover; tar1 and tar3 decode as arrays and read no walk.
-    A stream keeps its decode and rates, so a cover is decoded and rated
-    once for all its cells, whatever their order, a tar2 or tar3 stego
-    inherits its cover's, and each tar1 stego is decoded once, by its embed's
-    output check.
-    Errors come encodes first, then by cell, then by sequence.
-    `jobs`, the threads that encode the covers, must be at least 1.
+    Each cover is coded with `SequenceSource.encode`, as `mvpo encode` codes
+    it; one that cannot be read or encoded is an error of its (sequence, qp),
+    returned by its worker as a message, so no exception keeps its frames.
+    Each cell scores its streams with `optimal_rate`, as `mvpo analyze` does;
+    `n_errors` counts the sequences it could not score.  The tar2 cells of a
+    cover share one walk of it.  A stream keeps its decode and rates: a cover
+    is decoded and rated once for all its cells, a tar2 or tar3 stego inherits
+    its cover's, and a tar1 stego is decoded once, by its embed's output check.
+    Errors come encodes first, then by cell, then by sequence.  `jobs`, the
+    threads that encode the covers, must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs {jobs} must be at least 1")
     params = plan.rd_params()
-    errors: list[str] = []
+    pairs = [(si, source, qp) for si, source in enumerate(plan.sequences) for qp in plan.qps]
 
-    def _encode(source: SequenceSource, qp: int) -> SequenceStream:
-        frames = source.load()
+    def _encode(pair: tuple[int, SequenceSource, int]) -> tuple[SequenceStream | None, str | None]:
+        _, source, qp = pair
         try:
-            return encode_sequence(frames, params[qp])[0]
-        finally:  # a yuv reader closes its file here, also when the encode stops early
-            if source.synth is None:
-                frames.close()
+            return source.encode(params[qp]), None
+        except (MvpoError, OSError) as exc:
+            return None, f"encode {source.name} qp={qp}: {exc}"
 
-    covers: dict[tuple[int, int], SequenceStream | None] = {}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            (si, qp): pool.submit(_encode, source, qp)
-            for si, source in enumerate(plan.sequences)
-            for qp in plan.qps
-        }
-        for (si, qp), future in futures.items():
-            try:
-                covers[(si, qp)] = future.result()
-            except (MvpoError, OSError) as exc:
-                covers[(si, qp)] = None
-                errors.append(f"encode {plan.sequences[si].name} qp={qp}: {exc}")
+        encoded = list(pool.map(_encode, pairs))
+    errors = [message for _, message in encoded if message is not None]
 
     cells = _cells(plan)
     tallies: list[list[tuple[int, int]]] = [[] for _ in cells]  # per cell, in sequence order
-    n_errors = [0] * len(cells)
     cell_errors: list[tuple[int, int, str]] = []  # (cell, sequence, message)
-    for (si, qp), cover in covers.items():
+    for (si, source, qp), (cover, _) in zip(pairs, encoded):
+        if cover is None:
+            continue
         walk = None
         for ci, (method, cell_qp, param, value) in enumerate(cells):
             if cell_qp != qp:
-                continue
-            if cover is None:
-                n_errors[ci] += 1
                 continue
             cfg = None if method == "cover" else EmbedConfig(METHOD_TAGS[method].method, value, plan.seed)
             try:
@@ -313,14 +299,14 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[CellRow], 
                 report = optimal_rate(stream)
                 tallies[ci].append((report.n_pus, report.n_optimal))
             except MvpoError as exc:
-                n_errors[ci] += 1
-                cell_errors.append((ci, si, f"{method} {param}={value} qp={qp} {plan.sequences[si].name}: {exc}"))
+                cell_errors.append((ci, si, f"{method} {param}={value} qp={qp} {source.name}: {exc}"))
     errors.extend(message for _, _, message in sorted(cell_errors))
 
     rows = []
-    for (method, qp, param, value), cell_tallies, n_err in sorted(zip(cells, tallies, n_errors), key=lambda c: c[0]):
+    for (method, qp, param, value), cell_tallies in sorted(zip(cells, tallies), key=lambda c: c[0]):
         mean_pct, prop_100 = summarize(cell_tallies)
-        rows.append(CellRow(method, qp, param, str(value), len(cell_tallies), n_err, mean_pct, prop_100))
+        n_errors = len(plan.sequences) - len(cell_tallies)
+        rows.append(CellRow(method, qp, param, str(value), len(cell_tallies), n_errors, mean_pct, prop_100))
     return rows, errors
 
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvpo import StreamHeader, read_stream, write_stream
+import mvpo.experiment
+from mvpo import StreamHeader, SynthPattern, SynthSpec, read_stream, synthesize, write_stream
 from mvpo import cli, formats
 from mvpo.cli import (
     EXIT_INTERNAL,
@@ -27,6 +28,7 @@ from mvpo.cli import (
     EXIT_USAGE,
     main,
 )
+from mvpo.experiment import parse_plan, run_experiment
 from mvpo.formats import HEADER_SIZE
 from mvpo.stego import METHOD_TAGS
 from mvpo_testutil import encode_synth, stream_bytes, stream_of
@@ -230,7 +232,7 @@ def test_a_fault_inside_the_program_is_an_internal_error_not_a_usage_error(tmp_p
     def _broken(frames, params):
         raise ValueError("index 7 out of range")
 
-    monkeypatch.setattr(cli, "encode_sequence", _broken)
+    monkeypatch.setattr(mvpo.experiment, "encode_sequence", _broken)
     code = main(["encode", "--synth", SYNTH, "--out", str(tmp_path / "x.mvpo")])
     assert code == EXIT_INTERNAL != EXIT_USAGE
     err = capsys.readouterr().err
@@ -383,7 +385,7 @@ def test_encode_with_both_sources_is_usage_error(tmp_path, capsys, monkeypatch, 
     def _no_synth(*args):
         raise AssertionError("synthesized before the usage check")
 
-    monkeypatch.setattr(cli, "synthesize", _no_synth)
+    monkeypatch.setattr(mvpo.experiment, "synthesize", _no_synth)
     argv = [str(clip) if arg == "CLIP" else arg for arg in extra]
     code = main(["encode", "--synth", SYNTH, *argv, "--out", str(out)])
     assert code == EXIT_USAGE
@@ -483,6 +485,30 @@ def test_experiment_records_a_yuv_it_cannot_load_as_an_encode_error(tmp_path, ca
     assert (tmp_path / "results.csv.meta.json").is_file()
 
 
+def test_encode_yuv_writes_the_bytes_of_the_experiments_cover(tmp_path, monkeypatch):
+    # `mvpo encode` and the experiment code a source through one path, so one clip at one qp is one stream
+    clip = tmp_path / "clip.yuv"
+    with open(clip, "wb") as f:
+        for plane in synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 64, 64, 6, seed=5, amplitude=(2, 2))):
+            f.write(plane.data.tobytes() + bytes(64 * 64 // 2))
+    cli_streams = []
+    for qp in (20, 30):
+        out = tmp_path / f"qp{qp}.mvpo"
+        assert main(["encode", "--yuv", str(clip), "--size", "64x64", "--qp", str(qp), "--out", str(out)]) == EXIT_OK
+        cli_streams.append(out.read_bytes())
+    covers = []  # the stream each cover cell scores, in qp order
+    real_optimal_rate = mvpo.experiment.optimal_rate
+
+    def recording(stream):
+        covers.append(write_stream(stream))
+        return real_optimal_rate(stream)
+
+    monkeypatch.setattr(mvpo.experiment, "optimal_rate", recording)
+    plan = parse_plan(f"sequences = yuv={clip},size=64x64,frames=6\nqp = 20, 30\n")
+    assert run_experiment(plan)[1] == []
+    assert covers == cli_streams and cli_streams[0] != cli_streams[1]
+
+
 def test_experiment_closes_a_yuv_reader_its_encode_stopped(tmp_path, monkeypatch, capsys):
     # a whole 32x32 clip that no 64-pel PU covers: each encode reads two planes and refuses them.
     # Its file is closed when the encode fails, not when a collection frees the failed encode's frames
@@ -505,8 +531,6 @@ def test_experiment_closes_a_yuv_reader_its_encode_stopped(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_experiment_jobs_below_one_is_usage_error_before_encoding(tmp_path, monkeypatch, capsys, jobs):
-    import mvpo.experiment
-
     def _no_encode(*args):
         raise AssertionError("encoded with no worker to run it")
 
@@ -534,21 +558,26 @@ def test_experiment_plan_that_is_not_utf8_is_io_error(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["plan.txt"]
 
 
-@pytest.mark.parametrize("target", ["missing directory", "empty", "trailing separator", "directory"])
+@pytest.mark.parametrize(
+    "target", ["missing directory", "empty", "trailing separator", "directory", "sidecar is a directory"]
+)
 @pytest.mark.parametrize("command", ["encode", "embed", "analyze", "experiment --out", "experiment plan out"])
 def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, target):
-    # and every other output path whose final rename would fail: one that names no file, or a directory
-    import mvpo.experiment
-
+    # and every other output path whose final rename would fail: one that names no file, or a directory,
+    # or whose sidecar (`<out>.meta.json`, embed's `<out>.report.json`) is a directory
     cover = _encode(tmp_path)
     missing = tmp_path / "missing"
     (tmp_path / "folder").mkdir()
+    sidecar = tmp_path / ("out.report.json" if command == "embed" else "out.meta.json")  # of the last target
     out, message = {
         "missing directory": (str(missing / "out"), f"output directory {missing} does not exist"),
         "empty": ("", "output path '' names no file"),
         "trailing separator": (str(tmp_path) + os.sep, f"output path {str(tmp_path) + os.sep!r} names no file"),
         "directory": (str(tmp_path / "folder"), f"output {tmp_path / 'folder'} is a directory"),
+        "sidecar is a directory": (str(tmp_path / "out"), f"output {sidecar} is a directory"),
     }[target]
+    if target == "sidecar is a directory":
+        sidecar.mkdir()
     plan = tmp_path / "plan.txt"
     # the plan's out is another path, so an empty --out that fell back to it would show
     plan_out = str(missing / "results.csv") if command == "experiment --out" else out
@@ -556,7 +585,8 @@ def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeyp
     argv = {
         "encode": ["encode", "--synth", SYNTH, "--out", out],
         "embed": ["embed", "--in", str(cover), "--method", "tar2", "--T", "5", "--out", out],
-        "analyze": ["analyze", "--in", str(cover), "--out", out],
+        # a CSV report's invocation goes in a sidecar, a JSON report's inline
+        "analyze": ["analyze", "--in", str(cover), "--format", "csv" if sidecar.is_dir() else "json", "--out", out],
         "experiment --out": ["experiment", "--plan", str(plan), "--out", out],
         "experiment plan out": ["experiment", "--plan", str(plan)],
     }[command]
@@ -564,7 +594,7 @@ def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeyp
     def _no_work(*args):
         raise AssertionError("read or encoded before the output directory was checked")
 
-    for module, name in ((cli, "encode_sequence"), (cli, "load_stream"), (mvpo.experiment, "encode_sequence")):
+    for module, name in ((cli, "load_stream"), (mvpo.experiment, "encode_sequence")):
         monkeypatch.setattr(module, name, _no_work)
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
@@ -575,11 +605,18 @@ def test_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeyp
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_a_json_analysis_writes_no_sidecar_so_its_path_is_not_checked(tmp_path, capsys):
+    # a JSON report holds its invocation inline: a directory where a CSV report's sidecar would go is no obstacle
+    cover = _encode(tmp_path)
+    (tmp_path / "r.json.meta.json").mkdir()
+    assert main(["analyze", "--in", str(cover), "--format", "json", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert json.loads((tmp_path / "r.json").read_text())["invocation"]["command"] == "analyze"
+    assert (tmp_path / "r.json.meta.json").is_dir()
+
+
 @pytest.mark.parametrize("command", ["encode", "embed", "experiment"])
 def test_dash_names_a_file_outside_analyze(tmp_path, monkeypatch, capsys, command):
     # only analyze writes "-" to stdout; to the other commands it is a path, checked as any other
-    import mvpo.experiment
-
     cover = _encode(tmp_path)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "-").mkdir()
@@ -593,7 +630,7 @@ def test_dash_names_a_file_outside_analyze(tmp_path, monkeypatch, capsys, comman
     def _no_work(*args):
         raise AssertionError("read or encoded before the output path was checked")
 
-    for module, name in ((cli, "encode_sequence"), (cli, "load_stream"), (mvpo.experiment, "encode_sequence")):
+    for module, name in ((cli, "load_stream"), (mvpo.experiment, "encode_sequence")):
         monkeypatch.setattr(module, name, _no_work)
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
@@ -603,8 +640,6 @@ def test_dash_names_a_file_outside_analyze(tmp_path, monkeypatch, capsys, comman
 
 
 def test_experiment_bad_grid_value_is_input_error_before_encoding(tmp_path, monkeypatch, capsys):
-    import mvpo.experiment
-
     def _no_encode(*args):
         raise AssertionError("encoded before the plan was validated")
 
@@ -678,12 +713,9 @@ _BAD_FIELDS = [
 
 @pytest.mark.parametrize("kind, text, key", _BAD_FIELDS)
 def test_malformed_synth_and_plan_fields_exit_2_before_encoding(tmp_path, monkeypatch, capsys, kind, text, key):
-    import mvpo.experiment
-
     def _no_encode(*args):
         raise AssertionError("encoded before the input was validated")
 
-    monkeypatch.setattr(cli, "encode_sequence", _no_encode)
     monkeypatch.setattr(mvpo.experiment, "encode_sequence", _no_encode)
     if kind == "synth":
         argv = ["encode", "--synth", text, "--out", str(tmp_path / "out.mvpo")]

@@ -1,10 +1,14 @@
 """Experiment plans and the per-cell table statistics."""
 
+import gc
+import weakref
+
 import pytest
 
 import mvpo.analyzer
 import mvpo.codec
 import mvpo.experiment
+import mvpo.formats
 import mvpo.stego
 from mvpo import (
     EmbedConfig,
@@ -12,7 +16,6 @@ from mvpo import (
     InputError,
     MalformedStreamError,
     embed,
-    encode_sequence,
     optimal_rate,
     read_stream,
     write_stream,
@@ -144,9 +147,7 @@ def test_every_cell_scores_its_streams_as_analyze_does(monkeypatch):
 
     # the CLI's path: each stream embedded with no walk handed in, written, read back and analyzed
     params = plan.rd_params()
-    covers = {
-        (source, qp): encode_sequence(source.load(), params[qp])[0] for source in plan.sequences for qp in plan.qps
-    }
+    covers = {(source, qp): source.encode(params[qp]) for source in plan.sequences for qp in plan.qps}
     expected = []
     for method, qp, _, value in _cells(plan):
         tallies = []
@@ -184,6 +185,31 @@ def test_errors_come_encodes_first_then_by_cell_then_by_sequence(tmp_path, monke
     ]
     failed = {(r.method, r.value): (r.n_sequences, r.n_errors) for r in rows if r.n_errors > 1}
     assert failed == {("tar2", "5"): (0, 3), ("tar1", "0.3"): (0, 3)}
+
+
+def test_a_failed_encode_leaves_none_of_its_planes_alive(tmp_path, monkeypatch):
+    # a whole 32x32 clip that no 64-pel PU covers: each encode reads two planes and refuses them.
+    # They go when the encode fails, not when a collection frees a cycle through its exception
+    clip = tmp_path / "clip.yuv"
+    clip.write_bytes(bytes(32 * 32 * 3 // 2 * 3))
+    alive = []  # a weak reference to each plane the reader yielded
+    real_reader = mvpo.formats.iter_yuv_lumas
+
+    def reader(path, spec):
+        for plane in real_reader(path, spec):
+            alive.append(weakref.ref(plane))
+            yield plane
+
+    monkeypatch.setattr(mvpo.formats, "iter_yuv_lumas", reader)
+    plan = parse_plan(f"sequences = yuv={clip},size=32x32,frames=3\npu_size = 64\nqp = 20, 30\n")
+    gc.disable()
+    try:
+        rows, errors = run_experiment(plan)
+        assert len(alive) == 4 and [ref() for ref in alive] == [None] * 4
+    finally:
+        gc.enable()
+    assert [e.split(":")[0] for e in errors] == ["encode clip.yuv qp=20", "encode clip.yuv qp=30"]
+    assert [(r.n_sequences, r.n_errors) for r in rows] == [(0, 1), (0, 1)]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
