@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .analyzer import (
-    FeatureReport,
-    Verdict,
-    is_locally_optimal,
-    iter_pu_checks,
-    optimal_rate,
-)
+from .analyzer import FeatureReport, Verdict, optimal_rate
 from .codec import (
     MvField,
     block_sums,
@@ -38,7 +32,6 @@ from .formats import (
     iter_yuv_lumas,
     load_stream,
     read_stream,
-    read_yuv,
     report_to_csv,
     report_to_json,
     save_stream,

@@ -12,8 +12,8 @@ priced once by `rate_of`, the one bit model.  It is the one analysis path: the
 CLI and the experiment both score a stream with it, and tar3 picks its slots
 from the same arrays.  `stream_rates` keeps a stream's rates on it, beside
 its decode, so each stream is decoded and rated at most once per process; an
-index embed's output inherits both from its input.  The per-PU form,
-`iter_pu_checks`, replays `decode_walk` and yields a `PuCheck` for each PU.
+index embed's output inherits both from its input.  No per-PU object is
+built: the analyzer never walks a stream one PU at a time.
 """
 
 from __future__ import annotations
@@ -21,38 +21,18 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .codec import decode, decode_walk
-from .core import CandidatePair, MotionVector, Mvd, rate_of
-from .stream import PuRecord, SequenceStream, _read_only
+from .codec import decode
+from .core import Mvd, rate_of
+from .stream import SequenceStream, _read_only
 
 
 class Verdict(enum.Enum):
     COVER = "cover"
     STEGO = "stego"
     INDETERMINATE = "indeterminate"
-
-
-class PuCheck(NamedTuple):
-    """One PU's decode-side rates: the signalled candidate versus the alternative.
-
-    In a `decode_walk` triple `mv == cands[record.idx] + record.mvd`, so the chosen
-    rate prices `record.mvd` and the other rate `mv` less the other candidate.
-    """
-
-    record: PuRecord
-    cands: CandidatePair
-    mv: MotionVector
-    chosen_rate: int
-    other_rate: int
-
-    @property
-    def optimal(self) -> bool:
-        """Ties count as optimal: a rate-aware encoder may sit on either side of an equal-cost pair."""
-        return self.chosen_rate <= self.other_rate
 
 
 @dataclass(frozen=True)
@@ -84,26 +64,6 @@ class FeatureReport:
         return 100.0 * self.n_optimal / self.n_pus
 
 
-def _rate(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> PuCheck:
-    other = cands.mvp0 if record.idx else cands.mvp1
-    return PuCheck(record, cands, mv, rate_of(record.mvd), rate_of(Mvd(mv.x - other.x, mv.y - other.y)))
-
-
-def is_locally_optimal(record: PuRecord, cands: CandidatePair, mv: MotionVector) -> bool:
-    """True when the signalled candidate's difference codes in no more bits than the other's.
-
-    `mv` must be what the record reconstructs to, `cands[record.idx] + record.mvd`,
-    as in a `decode_walk` triple: the signalled difference is read from the record.
-    """
-    return _rate(record, cands, mv).optimal
-
-
-def iter_pu_checks(stream: SequenceStream) -> Iterator[PuCheck]:
-    """Replay a stream with `decode_walk` and yield both candidate rates for every PU."""
-    for step in decode_walk(stream):
-        yield _rate(*step)
-
-
 def mvd_rates(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """`rate_of(Mvd(dx[k], dy[k]))` for every k, as int64; each distinct difference is priced by one call."""
     # a difference component fits 16 bits, so (dx, dy) packs into one int64 key
@@ -115,7 +75,7 @@ def pu_rates(table: np.ndarray, mv: np.ndarray, cands: np.ndarray) -> tuple[np.n
     """Every PU's chosen and other rate, from its record and its `codec.decode` vector and candidates.
 
     The chosen rate prices the record's difference, the other rate `mv` less
-    the candidate the record does not signal, as in a `PuCheck`.
+    the candidate the record does not signal.
     """
     n = len(table)
     other = mv - cands[np.arange(n), 1 - table["idx"].astype(np.intp)]
@@ -140,7 +100,7 @@ def optimal_rate(stream: SequenceStream) -> FeatureReport:
     """
     table = stream.table
     chosen, other = stream_rates(stream)
-    worse = chosen > other
+    worse = chosen > other  # a tie is optimal: a rate-aware encoder may signal either side of an equal-cost pair
     violations = list(zip(*(table[name][worse].tolist() for name in ("frame", "bx", "by"))))
     n = stream.header.pus_per_frame
     bad = Counter(f for f, _, _ in violations)

@@ -164,11 +164,6 @@ def iter_yuv_lumas(path: str | os.PathLike, spec: YuvSpec) -> Iterator[Plane]:
             f.seek(chroma, os.SEEK_CUR)
 
 
-def read_yuv(path: str | os.PathLike, spec: YuvSpec) -> list[Plane]:
-    """Read every luma plane of a 4:2:0 file."""
-    return list(iter_yuv_lumas(path, spec))
-
-
 def _report_dict(report: FeatureReport) -> dict:
     pct = report.optimal_rate_pct
     return {

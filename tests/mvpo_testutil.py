@@ -6,7 +6,8 @@ string, motion search from a double loop with scalar arithmetic,
 encoding from a raster-order walk that searches one PU at a time,
 stream parsing from a loop that unpacks and checks one record at a time
 against a nested loop over the raster positions,
-the analysis report from a count over the per-PU checks of the decode walk,
+the per-PU check from the decode walk rated one PU at a time by `rate_of`,
+the analysis report from a count over those checks,
 tar1's output from a loop that draws and nudges one record at a time,
 and tar3's slots from a sort of those checks.
 """
@@ -17,6 +18,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -39,14 +41,13 @@ from mvpo import (
     decode_walk,
     derive_candidates,
     encode_sequence,
-    iter_pu_checks,
     rate_of,
     se_bits,
     seed_candidate,
     select_mvp,
     synthesize,
 )
-from mvpo.analyzer import FeatureReport, FrameTally, PuCheck
+from mvpo.analyzer import FeatureReport, FrameTally
 from mvpo.core import MV_MAX, MV_MIN, MVD_MAX, MVD_MIN
 from mvpo.errors import MalformedStreamError
 from mvpo.formats import _HEADER, HEADER_SIZE, MAGIC, VERSION
@@ -157,15 +158,41 @@ def encode_oracle(frames: list[Plane], params: RdParams) -> SequenceStream:
     return stream_of(StreamHeader(w, h, ps, params.qp, GOP_IPPP, len(frames)), records)
 
 
+class PuCheck(NamedTuple):
+    """One PU's decode-side rates: the signalled candidate versus the alternative.
+
+    In a `decode_walk` triple `mv == cands[record.idx] + record.mvd`, so the chosen
+    rate prices `record.mvd` and the other rate `mv` less the other candidate.
+    """
+
+    record: PuRecord
+    cands: CandidatePair
+    mv: MotionVector
+    chosen_rate: int
+    other_rate: int
+
+    @property
+    def optimal(self) -> bool:
+        """Ties count as optimal: a rate-aware encoder may sit on either side of an equal-cost pair."""
+        return self.chosen_rate <= self.other_rate
+
+
+def check_oracle(stream: SequenceStream) -> Iterator[PuCheck]:
+    """Reference per-PU check: replay `decode_walk` and rate both candidates of each PU with `rate_of`."""
+    for record, cands, mv in decode_walk(stream):
+        other = cands[1 - record.idx]
+        yield PuCheck(record, cands, mv, rate_of(record.mvd), rate_of(Mvd(mv.x - other.x, mv.y - other.y)))
+
+
 def report_oracle(stream: SequenceStream) -> FeatureReport:
-    """Reference analysis: count `iter_pu_checks` one PU at a time, a tie counting as optimal.
+    """Reference analysis: count `check_oracle` one PU at a time, a tie counting as optimal.
 
     The violations come in raster order, and each P-frame's tally counts the checks in that frame.
     """
     violations, tallies = [], {}
-    for check in iter_pu_checks(stream):
+    for check in check_oracle(stream):
         record = check.record
-        optimal = check.chosen_rate <= check.other_rate
+        optimal = check.optimal
         n, k = tallies.get(record.frame_index, (0, 0))
         tallies[record.frame_index] = (n + 1, k + optimal)
         if not optimal:
@@ -228,13 +255,13 @@ def tar1_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStrea
 
 
 def tar3_oracle(stream: SequenceStream, cfg: EmbedConfig) -> tuple[SequenceStream, EmbedReport]:
-    """Reference tar3: sort the `iter_pu_checks` of the decode walk by rate gap, then rewrite one record at a time.
+    """Reference tar3: sort the `check_oracle` checks by rate gap, then rewrite one record at a time.
 
     `sorted` is stable, so equal gaps keep decode order.  Slot j takes payload
     bit j: a record whose index already holds it is kept, any other signals
     the other candidate with the difference that keeps its vector.
     """
-    checks = list(iter_pu_checks(stream))
+    checks = list(check_oracle(stream))
     target = math.ceil(Fraction(repr(float(cfg.value))) * len(checks))
     gaps = [abs(check.chosen_rate - check.other_rate) for check in checks]
     slots = sorted(range(len(checks)), key=gaps.__getitem__)[:target]

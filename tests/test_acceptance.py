@@ -32,7 +32,6 @@ from mvpo import (
     embed,
     embed_index_threshold,
     encode_sequence,
-    iter_pu_checks,
     optimal_rate,
     read_stream,
     reconstruct_mvs,
@@ -41,7 +40,7 @@ from mvpo import (
     ue_bits,
     write_stream,
 )
-from mvpo_testutil import parity_adjust, scaffold_stream, se_codeword, stream_of, ue_codeword
+from mvpo_testutil import check_oracle, parity_adjust, scaffold_stream, se_codeword, stream_of, ue_codeword
 
 
 @contextlib.contextmanager
@@ -186,7 +185,7 @@ def test_criterion_5_worked_example_streams():
         report = optimal_rate(optimal)
         assert report.optimal_rate_pct == 100.0
         assert report.verdict is Verdict.COVER
-        target = list(iter_pu_checks(optimal))[-1]
+        target = list(check_oracle(optimal))[-1]
         assert (target.chosen_rate, target.other_rate) == (3, 5)
         assert target.mv == MotionVector(3, 9)
         assert target.record.mvd == Mvd(0, 0)
@@ -199,7 +198,7 @@ def test_criterion_5_worked_example_streams():
         assert report_b.verdict is Verdict.STEGO
         assert report_b.optimal_rate_pct == 75.0
         assert report_b.violations == [(1, 16, 16)]
-        check_b = list(iter_pu_checks(flipped))[-1]
+        check_b = list(check_oracle(flipped))[-1]
         assert (check_b.chosen_rate, check_b.other_rate) == (5, 3)
         assert check_b.mv == MotionVector(3, 9)
         # the threshold embedder reproduces exactly this stream
@@ -213,7 +212,7 @@ def test_criterion_5_worked_example_streams():
         report_c = optimal_rate(nudged)
         assert report_c.verdict is Verdict.STEGO
         assert report_c.optimal_rate_pct == 75.0
-        check_c = list(iter_pu_checks(nudged))[-1]
+        check_c = list(check_oracle(nudged))[-1]
         assert check_c.mv == MotionVector(3, 8)
         assert (check_c.chosen_rate, check_c.other_rate) == (5, 3)
         info["detail"] = "rates 3/5, flip and nudge both flagged"

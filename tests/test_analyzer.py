@@ -8,18 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvpo import (
-    CandidatePair,
     EmbedConfig,
     EmbedMethod,
     MalformedStreamError,
     MotionVector,
     Mvd,
-    PuRecord,
     StreamHeader,
     Verdict,
     embed,
-    is_locally_optimal,
-    iter_pu_checks,
     optimal_rate,
     rate_of,
     read_stream,
@@ -29,6 +25,9 @@ from mvpo.analyzer import FeatureReport, pu_rates
 from mvpo.codec import decode
 
 from mvpo_testutil import (
+    SCAFFOLD_ABOVE,
+    SCAFFOLD_LEFT,
+    check_oracle,
     encode_synth,
     out_of_range,
     read_stream_oracle,
@@ -41,29 +40,38 @@ from mvpo_testutil import (
 )
 
 
-PAIR = CandidatePair(MotionVector(3, 9), MotionVector(3, 8))
+def _target_check(idx: int, mvd: Mvd):
+    """The check of the scaffold's last PU, whose candidates are (3,9) and (3,8)."""
+    check = list(check_oracle(scaffold_stream(idx, mvd)))[-1]
+    assert (check.cands.mvp0, check.cands.mvp1) == (SCAFFOLD_LEFT, SCAFFOLD_ABOVE)
+    return check
 
 
-def test_is_locally_optimal_on_exact_match():
-    record = PuRecord(1, 0, 0, 0, Mvd(0, 0))
-    assert is_locally_optimal(record, PAIR, MotionVector(3, 9))
+def test_check_is_optimal_on_exact_match():
+    check = _target_check(0, Mvd(0, 0))
+    assert check.mv == MotionVector(3, 9)
+    assert check.optimal
 
 
-def test_is_locally_optimal_flags_costlier_choice():
+def test_check_flags_costlier_choice():
     # signalling the other candidate for the same vector needs 5 bits, not 3
-    record = PuRecord(1, 0, 0, 1, Mvd(0, 1))
-    assert not is_locally_optimal(record, PAIR, MotionVector(3, 9))
+    check = _target_check(1, Mvd(0, 1))
+    assert check.mv == MotionVector(3, 9)
+    assert not check.optimal
 
 
-def test_is_locally_optimal_counts_ties():
-    pair = CandidatePair(MotionVector(4, 0), MotionVector(-4, 0))
-    record = PuRecord(1, 0, 0, 1, Mvd(4, 0))
-    assert is_locally_optimal(record, pair, MotionVector(0, 0))
+def test_check_counts_ties():
+    # (3,11) lies (0,2) from (3,9) and (0,3) from (3,8): both differences code in 7 bits
+    check = _target_check(1, Mvd(0, 3))
+    assert check.mv == MotionVector(3, 11)
+    assert check.chosen_rate == check.other_rate == 7
+    assert check.optimal
+    assert optimal_rate(scaffold_stream(1, Mvd(0, 3))).verdict is Verdict.COVER
 
 
 @given(valid_streams())
 def test_pu_check_rates_price_both_candidate_differences(stream):
-    for check in iter_pu_checks(stream):
+    for check in check_oracle(stream):
         rates = [rate_of(Mvd(check.mv.x - c.x, check.mv.y - c.y)) for c in (check.cands.mvp0, check.cands.mvp1)]
         idx = check.record.idx
         assert (check.chosen_rate, check.other_rate) == (rates[idx], rates[1 - idx])
@@ -89,8 +97,8 @@ def test_single_violation_yields_75_percent_stego():
     assert report.per_frame[1].n_optimal == 3
 
 
-def test_iter_pu_checks_exposes_both_rates():
-    checks = list(iter_pu_checks(scaffold_stream(0, Mvd(0, 0))))
+def test_check_oracle_exposes_both_rates():
+    checks = list(check_oracle(scaffold_stream(0, Mvd(0, 0))))
     assert len(checks) == 4
     target = checks[-1]
     assert (target.chosen_rate, target.other_rate) == (3, 5)
@@ -139,7 +147,7 @@ def _with_tar1_stego(cover, seed, stego):
 @given(valid_streams() | synth_covers(), st.integers(0, 2**32), st.booleans())
 def test_level_decode_gives_the_walks_vectors_candidates_and_rates(cover, seed, stego):
     stream = _with_tar1_stego(cover, seed, stego)
-    checks = list(iter_pu_checks(stream))
+    checks = list(check_oracle(stream))
     data = write_stream(stream)
     # the stream built from records, and the same stream read back from bytes
     for form in (stream, read_stream(data)):
@@ -163,7 +171,7 @@ def test_level_decode_gives_the_walks_vectors_candidates_and_rates(cover, seed, 
     st.data(),
 )
 def test_level_decode_raises_the_walks_error(cover, damage, component, data):
-    records, checks = list(cover.records), list(iter_pu_checks(cover))
+    records, checks = list(cover.records), list(check_oracle(cover))
     assume(damage != "swapped" or len(records) > 1)
     k = data.draw(st.integers(0, len(records) - (2 if damage == "swapped" else 1)))
     at = [(r.frame_index, r.block_x, r.block_y) for r in records]
@@ -189,7 +197,7 @@ def test_level_decode_raises_the_walks_error(cover, damage, component, data):
         return
     damaged = stream_of(cover.header, records)
     with pytest.raises(MalformedStreamError) as walk:
-        list(iter_pu_checks(damaged))
+        list(check_oracle(damaged))
     for form in (damaged, read_stream(write_stream(damaged))):
         for _ in range(2):  # a decode that raises keeps nothing, so the second raises again
             with pytest.raises(MalformedStreamError) as level:

@@ -28,7 +28,6 @@ from mvpo import (
     load_stream,
     optimal_rate,
     read_stream,
-    read_yuv,
     report_to_csv,
     report_to_json,
     save_stream,
@@ -503,22 +502,22 @@ def _write_yuv(path, lumas):
             f.write(np.full(luma.size // 2, 128, dtype=np.uint8).tobytes())
 
 
-def test_read_yuv_lumas(tmp_path):
+def test_iter_yuv_lumas_reads_every_luma(tmp_path):
     rng = np.random.default_rng(0)
     lumas = [rng.integers(0, 256, size=(16, 32), dtype=np.uint8) for _ in range(3)]
     path = tmp_path / "clip.yuv"
     _write_yuv(path, lumas)
-    planes = read_yuv(path, YuvSpec(32, 16, 3))
+    planes = list(iter_yuv_lumas(path, YuvSpec(32, 16, 3)))
     assert len(planes) == 3
     for plane, luma in zip(planes, lumas):
         assert plane == Plane(luma)
 
 
-def test_read_yuv_rejects_wrong_size(tmp_path):
+def test_iter_yuv_lumas_rejects_wrong_size(tmp_path):
     path = tmp_path / "clip.yuv"
     _write_yuv(path, [np.zeros((16, 32), dtype=np.uint8)])
     with pytest.raises(InputError, match="size"):
-        read_yuv(path, YuvSpec(32, 16, 2))
+        list(iter_yuv_lumas(path, YuvSpec(32, 16, 2)))
 
 
 def test_iter_yuv_is_lazy(tmp_path):

@@ -27,7 +27,6 @@ from mvpo import (
     embed_index_adaptive,
     embed_index_threshold,
     embed_mvd_parity,
-    iter_pu_checks,
     optimal_rate,
     reconstruct_mvs,
     t_value,
@@ -41,6 +40,7 @@ from mvpo.stego import METHOD_TAGS
 from mvpo.stream import GOP_IPPP, StreamHeader
 
 from mvpo_testutil import (
+    check_oracle,
     encode_synth,
     out_of_range,
     parity_adjust,
@@ -449,7 +449,7 @@ def test_index_bits_read_back_from_the_stego_alone(stream, threshold, bpap, payl
         EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, payload=payload),
     ):
         stego, report = embed(stream, cfg)
-        checks = list(iter_pu_checks(stego))
+        checks = list(check_oracle(stego))
         if cfg.method is EmbedMethod.INDEX_THRESHOLD:
             slots = [
                 k for k, c in enumerate(checks)
@@ -479,7 +479,7 @@ def test_adaptive_embed_matches_the_walk_oracle(stream, bpap, seed, payload):
 @given(valid_streams() | synth_covers(), st.sampled_from(("x", "y", "xy")), _BPAPS, st.data())
 def test_adaptive_embed_raises_the_walk_oracle_error_on_a_damaged_stream(stream, component, bpap, data):
     # one difference that takes its vector out of range: the stream is whole, so only a decode refuses it
-    checks = list(iter_pu_checks(stream))
+    checks = list(check_oracle(stream))
     k = data.draw(st.integers(0, len(checks) - 1))
     records = stream.records
     records[k] = record = out_of_range(checks[k], component)
@@ -527,7 +527,7 @@ def test_threshold_zero_leaves_the_optimal_count_unchanged(stream, seed):
 @given(valid_streams(), st.floats(0, 1), st.integers(0, 2**32))
 def test_adaptive_within_the_rate_ties_leaves_the_optimal_count_unchanged(stream, share, seed):
     # tar3 takes zero-gap PUs first, and a flip there keeps both rates
-    checks = list(iter_pu_checks(stream))
+    checks = list(check_oracle(stream))
     ties = sum(1 for c in checks if c.chosen_rate == c.other_rate)
     bpap = share * ties / len(checks)
     if math.ceil(Fraction(repr(bpap)) * len(checks)) > ties:  # the float rounded past the tie pool
@@ -559,13 +559,48 @@ def test_reports_match_a_recount_of_the_records(cover, e, bpap, seed):
         assert report.pus_visited == stego.n_records == cover.n_records
         assert report.pus_modified == len(changed)
         assert report.per_frame_modified == Counter(b.frame_index for b in changed)
-        analysis = _checked_analysis(stego)
+        _checked_analysis(stego)
         if cfg.method is EmbedMethod.MVD_PARITY:
             assert report.flips_rate_asymmetric == 0
-        else:
-            # a flip keeps every vector and candidate, so in an all-optimal
-            # cover each flip that costs bits is exactly one violation
+
+
+# ---------------------------------------------------------------- an index stego's verdict, accounted exactly
+
+@settings(max_examples=40)
+@given(
+    synth_covers(),
+    st.sampled_from(METHOD_TAGS["tar2"].grid) | st.integers(0, 2 * 8192),
+    st.floats(0, 1),
+    st.integers(0, 2**32),
+)
+def test_an_index_stego_is_seen_exactly_at_its_asymmetric_flips(cover, threshold, bpap, seed):
+    """The analyzer's violations in a tar2 or tar3 stego are exactly its flipped rows whose cover rates differ.
+
+    An index write keeps every vector, and so every candidate: a flipped row
+    swaps its two rates and no other row's rates change.  A cover is optimal
+    everywhere, so a flipped row becomes a violation exactly when its cover
+    rates differ, and the violation count is the report's
+    `flips_rate_asymmetric`.  That is why T=0 is blind: its slots have
+    identical candidates, so their two rates are equal and no flip shows.
+    """
+    cover_chosen, cover_other = stream_rates(read_stream(write_stream(cover)))
+    assert optimal_rate(cover).verdict is Verdict.COVER
+    for cfg in (
+        EmbedConfig(EmbedMethod.INDEX_THRESHOLD, threshold, rng_seed=seed),
+        EmbedConfig(EmbedMethod.INDEX_ADAPTIVE, bpap, rng_seed=seed),
+    ):
+        stego, report = embed(cover, cfg)
+        table = stego.table
+        flipped = cover.table["idx"] != table["idx"]
+        seen = flipped & (cover_chosen != cover_other)
+        expected = list(zip(*(table[name][seen].tolist() for name in ("frame", "bx", "by"))))
+        # the stego as embedded, which inherits the cover's rates, and its bytes analyzed afresh
+        for form in (stego, read_stream(write_stream(stego))):
+            analysis = optimal_rate(form)
             assert analysis.n_pus - analysis.n_optimal == report.flips_rate_asymmetric
+            assert analysis.violations == expected
+        if cfg.method is EmbedMethod.INDEX_THRESHOLD and threshold == 0:
+            assert report.flips_rate_asymmetric == 0
 
 
 # ---------------------------------------------------------------- the decode and rates a stream keeps

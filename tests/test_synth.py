@@ -14,6 +14,8 @@ from mvpo import (
     synthesize,
 )
 
+from mvpo.synth import _default_objects
+
 from mvpo_testutil import encode_synth
 
 
@@ -81,6 +83,28 @@ def test_default_objects_are_seed_stable_and_in_motion():
     b = synthesize(SynthSpec(SynthPattern.MULTI_OBJECT, 64, 64, 3, seed=6, amplitude=(2, 2)))
     assert all(x == y for x, y in zip(a, b))
     assert a[0] != a[1]  # something moved
+
+
+@pytest.mark.parametrize("amp", [(0, 0), (1, 0), (2, 2), (0, 3), (-2, 1)], ids=lambda a: f"{a[0]}x{a[1]}")
+def test_default_objects_draw_both_axes_within_the_largest_amplitude(amp):
+    # each of the 3 rectangles moves on both axes by up to max(|ax|, |ay|, 1) pels a frame, never (0, 0)
+    cap = max(abs(amp[0]), abs(amp[1]), 1)
+    seen_x, seen_y = set(), set()
+    for seed in range(20):
+        rects = _default_objects(SynthSpec(SynthPattern.MULTI_OBJECT, 64, 48, 2, seed=seed, amplitude=amp))
+        assert len(rects) == 3
+        for rect in rects:
+            assert (rect.vel_x, rect.vel_y) != (0, 0)
+            seen_x.add(rect.vel_x)
+            seen_y.add(rect.vel_y)
+    # every velocity in [-cap, cap] is reached on both axes, whatever the sign or axis of amp
+    assert seen_x == seen_y == set(range(-cap, cap + 1))
+
+
+def test_noise_ignores_the_amplitude():
+    frames = synthesize(SynthSpec(SynthPattern.NOISE_TEXTURE, 32, 32, 3, seed=3, amplitude=(0, 0)))
+    for amp in ((1, 0), (2, 2), (-2, 1)):
+        assert synthesize(SynthSpec(SynthPattern.NOISE_TEXTURE, 32, 32, 3, seed=3, amplitude=amp)) == frames
 
 
 def test_spec_validation():
